@@ -4,10 +4,8 @@ The package computes, optimizes, and Monte-Carlo-validates the probability
 that two vehicles successfully decode files sent by superposition coding
 from a base station, when each vehicle may hold cached copies that let it
 cancel interference.  Channels are modeled as double (cascaded) Nakagami-m
-fading; all special functions and quadrature are implemented here, with an
-optional compiled kernel selected at import time.
+fading; all special functions and quadrature are implemented here.
 """
-from .backend import active_backend
 from .caching import CacheCase, Catalog, case_distribution, zipf_popularity
 from .channel import DoubleNakagamiParams, LinkGeometry
 from .config import ScenarioConfig, load_config, parse_config
@@ -20,15 +18,11 @@ from .noma_full import (
     average_success,
     case_chains,
     case_objective,
+    case_success,
     chain_probability,
-    conventional_noma_success,
     gain_threshold,
     oma_average_success,
     oma_success,
-    success_case_a,
-    success_case_b,
-    success_case_c,
-    success_case_d,
 )
 from .noma_split import (
     SplitAllocation,
@@ -49,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "active_backend",
     "CacheCase",
     "Catalog",
     "case_distribution",
@@ -70,15 +63,11 @@ __all__ = [
     "average_success",
     "case_chains",
     "case_objective",
+    "case_success",
     "chain_probability",
-    "conventional_noma_success",
     "gain_threshold",
     "oma_average_success",
     "oma_success",
-    "success_case_a",
-    "success_case_b",
-    "success_case_c",
-    "success_case_d",
     "SplitAllocation",
     "SplitScenario",
     "split_objective",

@@ -1,9 +1,7 @@
-"""Pure-Python scalar kernels.
-
-Twin of the compiled ``_ckernels`` extension: modified Bessel function of the
-second kind for real order, and the density / CDF / survival function of the
-product of two independent Gamma variables (the squared envelope of a
-cascaded Nakagami-m channel, before any geometry scaling).
+"""Scalar kernels: the modified Bessel function of the second kind for real
+order, and the density / CDF / survival function of the product of two
+independent Gamma variables (the squared envelope of a cascaded Nakagami-m
+channel, before any geometry scaling).
 
 The product variable W = X * Y uses shape/scale parametrisation
 X ~ Gamma(m1, omega1/m1), Y ~ Gamma(m2, omega2/m2) and is summarised here by
@@ -38,10 +36,6 @@ _MAX_SUBDIV = 400
 # Above this CDF level the survival function integrates the upper tail
 # directly instead of computing 1 - cdf.
 TAIL_SWITCH = 1.0 - 1e-4
-
-
-def ln_gamma(x):
-    return math.lgamma(x)
 
 
 def _gamma_pair(mu):
@@ -130,8 +124,8 @@ def _cf2(mu, x):
     return kmu, kmu1
 
 
-def bessel_k(nu, x):
-    """K_nu(x) for real order, x > 0.  K_{-nu} = K_nu by construction."""
+def _start(nu, x):
+    """Split |nu| = mu + nl with |mu| <= 0.5; K_mu(x) and K_{mu+1}(x)."""
     anu = abs(nu)
     nl = int(anu + 0.5)
     mu = anu - nl
@@ -139,20 +133,47 @@ def bessel_k(nu, x):
         k0, k1 = _temme_series(mu, x)
     else:
         k0, k1 = _cf2(mu, x)
+    return mu, nl, k0, k1
+
+
+def bessel_k(nu, x):
+    """K_nu(x) for real order, x > 0.  K_{-nu} = K_nu by construction."""
+    mu, nl, k0, k1 = _start(nu, x)
     xi = 2.0 / x
     for l in range(1, nl):
         k0, k1 = k1, k0 + (mu + l) * xi * k1
     return k1 if nl > 0 else k0
 
 
+def log_bessel_k(nu, x):
+    """log K_nu(x), finite where K_nu(x) itself overflows (small x, large
+    order).  The upward recurrence is renormalised at every step."""
+    mu, nl, k0, k1 = _start(nu, x)
+    if nl == 0:
+        return math.log(k0)
+    log_scale = 0.0
+    xi = 2.0 / x
+    for l in range(1, nl):
+        log_scale += math.log(k1)
+        k0, k1 = 1.0, k0 / k1 + (mu + l) * xi
+    return log_scale + math.log(k1)
+
+
 def pdf_w(w, m1, m2, r):
     """Density of the unit-scale product variable at w > 0."""
     h = 0.5 * (m1 + m2)
-    k = bessel_k(m1 - m2, 2.0 * math.sqrt(r * w))
+    z = 2.0 * math.sqrt(r * w)
+    if z == 0.0:
+        z = 2.0 * math.sqrt(r) * math.sqrt(w)  # r * w underflows
+    k = bessel_k(m1 - m2, z)
     if k == 0.0:
         return 0.0
     lg = math.lgamma(m1) + math.lgamma(m2)
-    return 2.0 * math.exp(h * math.log(r) + (h - 1.0) * math.log(w) - lg) * k
+    log_front = h * math.log(r) + (h - 1.0) * math.log(w) - lg
+    if math.isinf(k):
+        # the Bessel factor overflows where the power factor underflows
+        return 2.0 * math.exp(log_front + log_bessel_k(m1 - m2, z))
+    return 2.0 * math.exp(log_front) * k
 
 
 def _quad_or_raise(f, a, b, what):
@@ -177,7 +198,12 @@ def cdf_w(x, m1, m2, r):
         return 0.0
 
     def integrand(u):
-        return 2.0 * u * pdf_w(u * u, m1, m2, r)
+        w = u * u
+        if w == 0.0:
+            # u^2 underflows: the mass this node stands for is far below
+            # any tolerance
+            return 0.0
+        return 2.0 * u * pdf_w(w, m1, m2, r)
 
     val = _quad_or_raise(integrand, 0.0, math.sqrt(x), "cdf")
     return min(max(val, 0.0), 1.0)

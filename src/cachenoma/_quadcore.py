@@ -1,8 +1,7 @@
 """Globally adaptive Gauss-Kronrod (7-15) quadrature for Python callables.
 
-The same scheme is mirrored in C inside ``_ckernels.pyx`` for the channel
-distribution integrals; this module is the generic version that accepts an
-arbitrary integrand.
+Used by the channel distribution integrals in ``_kernels_py`` and by the
+public ``specfun.adaptive_quad``.
 """
 import math
 

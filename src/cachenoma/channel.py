@@ -9,13 +9,12 @@ thresholds by ``effective_scale``.
 When either shape is an integer the survival function is a finite sum of
 Bessel K terms (Karagiannidis, Sagias and Mathiopoulos, "N*Nakagami", IEEE
 Trans. Commun. 2007; Gradshteyn and Ryzhik 3.471.9) and no quadrature runs.
-With both shapes non-integer the backend kernels integrate the density
-adaptively.
+With both shapes non-integer the kernels integrate the density adaptively.
 """
 import math
 from dataclasses import dataclass
 
-from . import backend
+from . import _kernels_py
 
 __all__ = [
     "DoubleNakagamiParams",
@@ -69,13 +68,11 @@ class LinkGeometry:
             )
 
 
-def effective_scale(params: DoubleNakagamiParams, geom: LinkGeometry) -> float:
+def effective_scale(geom: LinkGeometry) -> float:
     """Deterministic power scale s = distance^(-pathloss_exp).
 
-    The fading parameters do not enter; the argument is kept so call sites
-    carry the full link description.  Squared-gain thresholds are divided by
-    s before any distribution lookup (equivalently, the channel power is
-    multiplied by s).
+    Squared-gain thresholds are divided by s before any distribution lookup
+    (equivalently, the channel power is multiplied by s).
     """
     return geom.distance ** (-geom.pathloss_exp)
 
@@ -98,8 +95,9 @@ def _integer_shape_sf(x, params):
         P(W > x) = 2 / Gamma(m) * sum_{k<n} c^((m+k)/2) / k! * K_{m-k}(2 sqrt(c)).
 
     Every term is positive, so the sum has no cancellation; each is formed
-    in log space so that neither the power nor the factorial overflows.
-    Returns None when a Bessel value overflows (tiny c with a large order).
+    in log space so that neither the power nor the factorial overflows, and
+    a Bessel value that overflows (tiny c with a large order) is taken as
+    its logarithm.
     """
     m, n = params.m1, params.m2
     if not _short_integer(n):
@@ -114,13 +112,15 @@ def _integer_shape_sf(x, params):
     head = math.log(2.0) - math.lgamma(m)
     total = 0.0
     for k in range(int(n)):
-        kv = backend.bessel_k(m - k, z)
+        kv = _kernels_py.bessel_k(m - k, z)
         if kv == 0.0:
             continue
         if math.isinf(kv):
-            return None
+            log_kv = _kernels_py.log_bessel_k(m - k, z)
+        else:
+            log_kv = math.log(kv)
         total += math.exp(head + 0.5 * (m + k) * log_c - math.lgamma(k + 1.0)
-                          + math.log(kv))
+                          + log_kv)
     return min(total, 1.0)
 
 
@@ -128,7 +128,7 @@ def pdf_gain_sq(x, params: DoubleNakagamiParams):
     """Density of W = X * Y at x > 0."""
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"pdf_gain_sq requires x > 0, got {x!r}")
-    return backend.pdf_w(float(x), params.m1, params.m2, params.rate)
+    return _kernels_py.pdf_w(float(x), params.m1, params.m2, params.rate)
 
 
 def cdf_gain_sq(x, params: DoubleNakagamiParams):
@@ -141,7 +141,7 @@ def cdf_gain_sq(x, params: DoubleNakagamiParams):
     sf = _integer_shape_sf(float(x), params)
     if sf is not None:
         return 1.0 - sf
-    return backend.cdf_w(float(x), params.m1, params.m2, params.rate)
+    return _kernels_py.cdf_w(float(x), params.m1, params.m2, params.rate)
 
 
 def survival_gain_sq(x, params: DoubleNakagamiParams):
@@ -156,12 +156,12 @@ def survival_gain_sq(x, params: DoubleNakagamiParams):
     sf = _integer_shape_sf(float(x), params)
     if sf is not None:
         return sf
-    return backend.sf_w(float(x), params.m1, params.m2, params.rate)
+    return _kernels_py.sf_w(float(x), params.m1, params.m2, params.rate)
 
 
 def sample_gain_sq(params: DoubleNakagamiParams, geom: LinkGeometry, rng, size=None):
     """Draw squared-gain samples s * X * Y using the caller's generator."""
-    s = effective_scale(params, geom)
+    s = effective_scale(geom)
     x = rng.gamma(params.m1, params.omega1 / params.m1, size)
     y = rng.gamma(params.m2, params.omega2 / params.m2, size)
     return s * x * y

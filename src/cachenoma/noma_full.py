@@ -36,11 +36,7 @@ __all__ = [
     "gain_threshold",
     "chain_probability",
     "case_chains",
-    "success_case_a",
-    "success_case_b",
-    "success_case_c",
-    "success_case_d",
-    "conventional_noma_success",
+    "case_success",
     "oma_success",
     "case_objective",
     "single_user_success",
@@ -140,7 +136,7 @@ def chain_probability(chain: DecodeChain, params: DoubleNakagamiParams,
     thresholds = _chain_thresholds(chain)
     if thresholds is None:
         return 0.0
-    s = effective_scale(params, geom)
+    s = effective_scale(geom)
     if semantics == "joint":
         return survival_gain_sq(max(thresholds) / s, params)
     p = 1.0
@@ -216,34 +212,17 @@ def case_chains(case: CacheCase, alpha: float, sc: FullScenario):
     raise ValueError(f"case must be one of A, B, C, D, got {case!r}")
 
 
-def _case_success(case, alpha, sc):
+def case_success(case: CacheCase, alpha: float, sc: FullScenario):
+    """Success probabilities (p1, p2) of the two vehicles for one case.
+
+    Case A is two clean single-user links; case D, with no cached side
+    information, is plain power-domain NOMA with SIC and so also the
+    cacheless (conventional NOMA) baseline.
+    """
     v1, v2 = case_chains(case, alpha, sc)
     p1 = chain_probability(v1, sc.chan1, sc.geom1, sc.semantics)
     p2 = chain_probability(v2, sc.chan2, sc.geom2, sc.semantics)
     return p1, p2
-
-
-def success_case_a(alpha, sc: FullScenario):
-    """Both vehicles cancel the other file: two clean single-user links."""
-    return _case_success(CacheCase.A, alpha, sc)
-
-
-def success_case_b(alpha, sc: FullScenario):
-    return _case_success(CacheCase.B, alpha, sc)
-
-
-def success_case_c(alpha, sc: FullScenario):
-    return _case_success(CacheCase.C, alpha, sc)
-
-
-def success_case_d(alpha, sc: FullScenario):
-    """No cached side information: plain power-domain NOMA with SIC."""
-    return _case_success(CacheCase.D, alpha, sc)
-
-
-def conventional_noma_success(alpha, sc: FullScenario):
-    """Cacheless baseline; identical to case D by definition."""
-    return success_case_d(alpha, sc)
 
 
 def oma_success(sc: FullScenario):
@@ -258,22 +237,16 @@ def oma_success(sc: FullScenario):
         (sc.gamma2, sc.sigma2_sq, sc.chan2, sc.geom2),
     ):
         g_eq = (1.0 + gamma) ** 2 - 1.0
-        s = effective_scale(chan, geom)
+        s = effective_scale(geom)
         out.append(survival_gain_sq(g_eq * sigma / sc.power / s, chan))
     return tuple(out)
 
 
 def case_objective(case: CacheCase, sc: FullScenario):
     """Objective alpha -> p1 * p2 for one of the cases A-D."""
-    fn = {
-        CacheCase.A: success_case_a,
-        CacheCase.B: success_case_b,
-        CacheCase.C: success_case_c,
-        CacheCase.D: success_case_d,
-    }[case]
 
     def objective(alpha):
-        p1, p2 = fn(alpha, sc)
+        p1, p2 = case_success(case, alpha, sc)
         return p1 * p2
 
     return objective
@@ -287,7 +260,7 @@ def single_user_success(sc: FullScenario, link: int, gamma) -> float:
         chan, geom, sigma = sc.chan2, sc.geom2, sc.sigma2_sq
     else:
         raise ValueError(f"link must be 1 or 2, got {link!r}")
-    s = effective_scale(chan, geom)
+    s = effective_scale(geom)
     return survival_gain_sq(gamma * sigma / sc.power / s, chan)
 
 

@@ -1,6 +1,6 @@
 """Special functions and adaptive quadrature.
 
-Public, validated interface over the backend kernels.  ``bessel_k`` follows
+Public, validated interface over the scalar kernels.  ``bessel_k`` follows
 the usual evaluation strategy for the modified Bessel function of the second
 kind with real order: a Temme-type series below x = 2, a Steed continued
 fraction above, and stable upward recurrence in the order.  Negative orders
@@ -9,7 +9,7 @@ map to positive ones through K_{-nu} = K_nu before any computation.
 import math
 from dataclasses import dataclass
 
-from . import backend
+from . import _kernels_py
 from ._quadcore import adaptive_gk15, map_semi_infinite
 from .errors import QuadratureAccuracyError
 
@@ -43,7 +43,7 @@ def ln_gamma(x):
     """Natural log of the Gamma function for x > 0."""
     if not (isinstance(x, (int, float)) and math.isfinite(x)) or x <= 0.0:
         raise ValueError(f"ln_gamma requires a positive finite argument, got {x!r}")
-    return backend.ln_gamma(float(x))
+    return math.lgamma(float(x))
 
 
 def bessel_k(nu, x):
@@ -57,7 +57,7 @@ def bessel_k(nu, x):
         raise ValueError(f"bessel_k requires a finite order, got {nu!r}")
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"bessel_k requires x > 0, got {x!r}")
-    return backend.bessel_k(float(nu), float(x))
+    return _kernels_py.bessel_k(float(nu), float(x))
 
 
 def adaptive_quad(f, a, b, spec=None):

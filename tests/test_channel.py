@@ -8,6 +8,7 @@ both shapes non-integer it is adaptive quadrature, so both paths are pinned.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -64,9 +65,9 @@ def test_params_validation():
 
 
 def test_effective_scale_examples():
-    assert effective_scale(UNIT, LinkGeometry(distance=1.0, pathloss_exp=2.0)) == 1.0
-    assert effective_scale(UNIT, LinkGeometry(distance=0.5, pathloss_exp=2.0)) == 4.0
-    assert effective_scale(UNIT, LinkGeometry(distance=2.0, pathloss_exp=0.0)) == 1.0
+    assert effective_scale(LinkGeometry(distance=1.0, pathloss_exp=2.0)) == 1.0
+    assert effective_scale(LinkGeometry(distance=0.5, pathloss_exp=2.0)) == 4.0
+    assert effective_scale(LinkGeometry(distance=2.0, pathloss_exp=0.0)) == 1.0
 
 
 def test_geometry_validation():
@@ -114,7 +115,6 @@ def test_survival_integer_shapes_match_oracle():
     # latter in both orders), w from 1e-12 out to where sf falls below
     # 1e-15.  The oracle is mpmath's Meijer G form of the product-Gamma
     # tail, G^{3,0}_{1,3}(r w | 1; m1, m2, 0) / (Gamma(m1) Gamma(m2)).
-    mp = pytest.importorskip("mpmath")
     worst = (0.0, None)
     for n in range(1, 11):
         pairs = [(n, 1.0), (n, 11.0 - n)]
@@ -133,6 +133,29 @@ def test_survival_integer_shapes_match_oracle():
                     break
                 w *= 10.0 if w > 1e-3 else 1e3
     assert worst[0] <= 1e-12, worst
+
+
+def test_extreme_arguments_match_oracle():
+    # Bessel values that overflow at tiny arguments (order 59.25 at
+    # 2 sqrt(45e-12); order 2 at a subnormal threshold) once gave nan or a
+    # math domain error.  The closed form now takes such a value as its
+    # logarithm, and the density behind the quadrature does the same.
+    closed_form = ((1e-12, 60.0, 0.75), (1e-12, 0.75, 60.0),
+                   (5e-324, 2.0, 3.0), (5e-324, 3.0, 2.0))
+    quadrature = ((1e-12, 59.5, 0.75), (1e-12, 70.0, 0.75),
+                  (5e-324, 0.5, 0.5), (5e-324, 2.5, 3.5))
+    for cases, tol in ((closed_form, 1e-12), (quadrature, 1e-9)):
+        for x, m1, m2 in cases:
+            params = DoubleNakagamiParams(m1=m1, m2=m2, omega1=1.0, omega2=1.0)
+            with mp.workdps(30):
+                want = (mp.meijerg([[], [1]], [[m1, m2, 0], []],
+                                   mp.mpf(params.rate) * mp.mpf(x))
+                        / (mp.gamma(m1) * mp.gamma(m2)))
+                want_cdf = float(1 - want)
+            sf = survival_gain_sq(x, params)
+            cdf = cdf_gain_sq(x, params)
+            assert math.isclose(sf, float(want), rel_tol=tol), (x, m1, m2, sf)
+            assert abs(cdf - want_cdf) <= tol, (x, m1, m2, cdf)
 
 
 def test_pdf_integrates_to_one():

@@ -1,0 +1,93 @@
+"""The scalar kernels against mpmath.
+
+Bessel K on a grid of orders and arguments, and the quadrature distribution
+functions of the product-Gamma variable on integer and non-integer shape
+pairs, three rates and arguments from 1e-8 deep into the upper tail.  The
+oracle for the tail is mpmath's Meijer G form,
+P(W > x) = G^{3,0}_{1,3}(r x | 1; m1, m2, 0) / (Gamma(m1) Gamma(m2)).
+"""
+
+import math
+
+import mpmath as mp
+
+from cachenoma import _kernels_py
+
+ORDERS = (0.0, 0.5, 1.0, 2.25, 3.5)
+BESSEL_ARGS = (1e-6, 0.05, 0.8, 2.0, 7.5, 40.0, 300.0)
+SHAPES = (
+    (1.0, 1.0), (2.0, 1.0), (1.0, 4.0),
+    (0.5, 0.5), (3.5, 2.25), (1.5, 2.5), (0.75, 1.25), (2.5, 0.75),
+)
+RATES = (0.25, 1.0, 4.0)
+XS = (1e-8, 0.01, 0.4, 1.3, 6.0, 30.0, 120.0)
+
+
+def oracle_sf(x, m1, m2, r):
+    with mp.workdps(30):
+        return (mp.meijerg([[], [1]], [[m1, m2, 0], []], mp.mpf(r) * mp.mpf(x))
+                / (mp.gamma(m1) * mp.gamma(m2)))
+
+
+def test_bessel_k_matches_oracle():
+    worst = (0.0, None)
+    for nu in ORDERS:
+        for x in BESSEL_ARGS:
+            with mp.workdps(30):
+                want = mp.besselk(nu, x)
+            err = float(abs(_kernels_py.bessel_k(nu, x) / want - 1))
+            worst = max(worst, (err, (nu, x)))
+    assert worst[0] <= 1e-12, worst
+
+
+def test_cdf_w_matches_oracle():
+    worst = (0.0, None)
+    for m1, m2 in SHAPES:
+        for r in RATES:
+            for x in XS:
+                with mp.workdps(30):
+                    want = 1 - oracle_sf(x, m1, m2, r)
+                err = float(abs(_kernels_py.cdf_w(x, m1, m2, r) - want))
+                worst = max(worst, (err, (m1, m2, r, x)))
+    assert worst[0] <= 1e-9, worst
+
+
+def test_sf_w_matches_oracle():
+    # relative error, so the deep tail (the direct tail integral) counts
+    worst = (0.0, None)
+    for m1, m2 in SHAPES:
+        for r in RATES:
+            for x in XS:
+                want = oracle_sf(x, m1, m2, r)
+                err = float(abs(_kernels_py.sf_w(x, m1, m2, r) / want - 1))
+                worst = max(worst, (err, (m1, m2, r, x)))
+    assert worst[0] <= 1e-6, worst
+
+
+def test_log_bessel_k_where_bessel_k_overflows():
+    for nu, x in ((59.25, 1.3e-5), (100.5, 1e-3), (2.0, 1e-161), (200.0, 0.5)):
+        assert math.isinf(_kernels_py.bessel_k(nu, x))
+        with mp.workdps(30):
+            want = mp.log(mp.besselk(nu, x))
+        assert math.isclose(_kernels_py.log_bessel_k(nu, x), float(want),
+                            rel_tol=1e-14)
+    # in range it agrees with the plain recurrence
+    for nu, x in ((0.25, 7.5), (3.0, 1e-6), (9.5, 30.0)):
+        assert math.isclose(_kernels_py.log_bessel_k(nu, x),
+                            math.log(_kernels_py.bessel_k(nu, x)), rel_tol=1e-14)
+
+
+def test_pdf_w_where_the_bessel_factor_overflows():
+    # K_{m1-m2} overflows at these arguments while r^h w^(h-1) underflows;
+    # the density is formed in log space instead of as 0 * inf
+    for w, m1, m2 in ((1e-12, 60.0, 0.75), (1e-12, 59.5, 0.75),
+                      (1e-200, 30.5, 0.5), (5e-324, 0.5, 0.5)):
+        r = m1 * m2
+        h = 0.5 * (m1 + m2)
+        with mp.workdps(30):
+            wm = mp.mpf(w)
+            want = (2 * mp.mpf(r) ** h * wm ** (h - 1)
+                    * mp.besselk(m1 - m2, 2 * mp.sqrt(r * wm))
+                    / (mp.gamma(m1) * mp.gamma(m2)))
+        got = _kernels_py.pdf_w(w, m1, m2, r)
+        assert math.isclose(got, float(want), rel_tol=1e-11), (w, m1, m2, got)

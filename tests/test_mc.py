@@ -41,7 +41,7 @@ def test_single_condition_matches_survival():
     cfg = McConfig(samples=200_000, seed=911, workers=2)
     est, hw = mc_chain_probability(chain, CHAN, GEOM, "product", cfg)
     t = gain_threshold(6.0, 0.0, 1.0, 1.0)
-    truth = survival_gain_sq(t / effective_scale(CHAN, GEOM), CHAN)
+    truth = survival_gain_sq(t / effective_scale(GEOM), CHAN)
     assert abs(est - truth) <= 3.0 * hw
     assert hw > 0.0
 

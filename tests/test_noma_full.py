@@ -19,16 +19,12 @@ from cachenoma.noma_full import (
     average_success,
     case_chains,
     case_objective,
+    case_success,
     chain_probability,
-    conventional_noma_success,
     gain_threshold,
     oma_average_success,
     oma_success,
     single_user_success,
-    success_case_a,
-    success_case_b,
-    success_case_c,
-    success_case_d,
 )
 from cachenoma.optimizer import optimize_case
 
@@ -72,9 +68,9 @@ def test_case_a_is_two_clean_links():
     assert len(v1.conditions) == 1 and len(v2.conditions) == 1
     assert v1.conditions[0] == SinrCondition(6.0, 0.0, 1.0, 1.0)
     assert v2.conditions[0] == SinrCondition(4.0, 0.0, 1.0, 1.0)
-    p1, p2 = success_case_a(0.6, sc)
-    s1 = effective_scale(sc.chan1, sc.geom1)
-    s2 = effective_scale(sc.chan2, sc.geom2)
+    p1, p2 = case_success(CacheCase.A, 0.6, sc)
+    s1 = effective_scale(sc.geom1)
+    s2 = effective_scale(sc.geom2)
     assert math.isclose(p1, survival_gain_sq(1.0 / 6.0 / s1, sc.chan1), rel_tol=1e-12)
     assert math.isclose(p2, survival_gain_sq(1.0 / 4.0 / s2, sc.chan2), rel_tol=1e-12)
 
@@ -135,8 +131,8 @@ def test_case_chains_rejects_bad_alpha():
 
 def test_zero_power_share_kills_success():
     sc = default_scenario()
-    p1, _ = success_case_a(0.0, sc)
-    _, p2 = success_case_a(1.0, sc)
+    p1, _ = case_success(CacheCase.A, 0.0, sc)
+    _, p2 = case_success(CacheCase.A, 1.0, sc)
     assert p1 == 0.0
     assert p2 == 0.0
 
@@ -147,7 +143,7 @@ def test_chain_probability_semantics():
         SinrCondition(8.0, 2.0, 1.0, 1.0),
         SinrCondition(2.0, 0.0, 1.0, 1.0),
     ))
-    s = effective_scale(sc.chan1, sc.geom1)
+    s = effective_scale(sc.geom1)
     t1 = gain_threshold(8.0, 2.0, 1.0, 1.0)
     t2 = gain_threshold(2.0, 0.0, 1.0, 1.0)
     product = chain_probability(chain, sc.chan1, sc.geom1, "product")
@@ -185,16 +181,24 @@ def test_infeasible_chain_probability_is_zero():
 
 
 def test_conventional_equals_case_d():
+    # with empty caches case D is the only power-split case left, so the
+    # cacheless (conventional NOMA) average asks for case D alone
     sc = default_scenario()
-    for alpha in (0.2, 0.5, 0.8):
-        assert conventional_noma_success(alpha, sc) == success_case_d(alpha, sc)
+    asked = []
+
+    def record(case, scenario):
+        asked.append(case)
+        return optimize_case(case, scenario)
+
+    average_success(sc, Catalog(num_files=5, zeta=0.5, cache_size=0), record)
+    assert asked == [CacheCase.D]
 
 
 def test_oma_threshold_mapping():
     sc = default_scenario()
     p1, p2 = oma_success(sc)
-    s1 = effective_scale(sc.chan1, sc.geom1)
-    s2 = effective_scale(sc.chan2, sc.geom2)
+    s1 = effective_scale(sc.geom1)
+    s2 = effective_scale(sc.geom2)
     # gamma = 1 doubles to an equivalent threshold of 3
     assert math.isclose(p1, survival_gain_sq(3.0 / 10.0 / s1, sc.chan1), rel_tol=1e-12)
     assert math.isclose(p2, survival_gain_sq(3.0 / 10.0 / s2, sc.chan2), rel_tol=1e-12)
@@ -202,7 +206,7 @@ def test_oma_threshold_mapping():
 
 def test_single_user_success_values():
     sc = default_scenario()
-    s1 = effective_scale(sc.chan1, sc.geom1)
+    s1 = effective_scale(sc.geom1)
     got = single_user_success(sc, 1, 2.0)
     assert math.isclose(got, survival_gain_sq(2.0 / 10.0 / s1, sc.chan1), rel_tol=1e-12)
     with pytest.raises(ValueError):
@@ -213,7 +217,7 @@ def test_case_objective_matches_success_product():
     sc = default_scenario()
     f = case_objective(CacheCase.D, sc)
     for alpha in (0.15, 0.5, 0.72, 0.9):
-        p1, p2 = success_case_d(alpha, sc)
+        p1, p2 = case_success(CacheCase.D, alpha, sc)
         assert math.isclose(f(alpha), p1 * p2, rel_tol=1e-12)
 
 
@@ -221,10 +225,9 @@ def test_case_ordering_with_more_side_information():
     # cancelling interference can only help, so A >= B, C >= D pointwise
     sc = default_scenario()
     for alpha in (0.2, 0.35, 0.5, 0.65, 0.8):
-        pa = math.prod(success_case_a(alpha, sc))
-        pb = math.prod(success_case_b(alpha, sc))
-        pc = math.prod(success_case_c(alpha, sc))
-        pd = math.prod(success_case_d(alpha, sc))
+        pa, pb, pc, pd = (math.prod(case_success(case, alpha, sc))
+                          for case in (CacheCase.A, CacheCase.B, CacheCase.C,
+                                       CacheCase.D))
         assert pa >= pb - 1e-12
         assert pa >= pc - 1e-12
         assert pb >= pd - 1e-12
