@@ -8,7 +8,16 @@ to exactly one tag:
 * SELF_HIT_*      a vehicle's own request sits in its own cache
 * A / B / C / D   distinct, un-self-cached requests, split by whether each
                   vehicle holds the file the *other* one wants (A: both do,
-                  B: only vehicle 1, C: only vehicle 2, D: neither)
+                  B: only vehicle 1, C: only vehicle 2, D: neither); with
+                  one shared cache, a file missing from it is in neither
+                  cache, so only D occurs
+
+With q the popularities, head = sum_{t<=kappa} q_t and tail = sum_{t>kappa}
+q_t, the tag masses are
+
+    CommonRequest = sum_t q_t^2         SelfHit1 = SelfHit2 = head * tail
+    SelfHitBoth = head^2 - sum_{t<=kappa} q_t^2
+    D = tail^2 - sum_{t>kappa} q_t^2    A = B = C = 0.
 """
 import enum
 import math
@@ -64,12 +73,16 @@ def zipf_popularity(catalog: Catalog) -> np.ndarray:
 
 
 def populate_cache(catalog: Catalog) -> frozenset:
-    """Most-popular placement: both vehicles hold files {1, ..., cache_size}."""
+    """Most-popular placement: both vehicles hold files {1, ..., cache_size}.
+
+    With ``classify_case`` it defines the tags pair by pair, the brute-force
+    reference for ``case_distribution``."""
     return frozenset(range(1, catalog.cache_size + 1))
 
 
 def classify_case(req1: int, req2: int, cache1, cache2) -> CacheCase:
-    """Map one request pair to its transmission scenario tag."""
+    """Map one request pair to its transmission scenario tag (the definition
+    that ``case_distribution`` sums in closed form)."""
     if req1 == req2:
         return CacheCase.COMMON_REQUEST
     hit1 = req1 in cache1
@@ -92,16 +105,18 @@ def classify_case(req1: int, req2: int, cache1, cache2) -> CacheCase:
 
 
 def case_distribution(catalog: Catalog) -> dict:
-    """Exact tag probabilities under i.i.d. Zipf requests.
+    """Exact tag probabilities under i.i.d. Zipf requests, in O(T).
 
-    Plain double sum over the T x T request pairs; probabilities sum to one
-    up to rounding.
+    The closed forms of the module docstring; A-C are exactly 0.0, since
+    both vehicles hold the same files.  The tail is summed from q, not taken
+    as 1 - head, so that no mass rounds below zero.
     """
     q = zipf_popularity(catalog)
-    cache = populate_cache(catalog)
-    dist = {case: 0.0 for case in CacheCase}
-    for i in range(1, catalog.num_files + 1):
-        qi = q[i - 1]
-        for j in range(1, catalog.num_files + 1):
-            dist[classify_case(i, j, cache, cache)] += qi * q[j - 1]
-    return dist
+    head_q, tail_q = q[:catalog.cache_size], q[catalog.cache_size:]
+    head, tail = float(head_q.sum()), float(tail_q.sum())
+    return {CacheCase.A: 0.0, CacheCase.B: 0.0, CacheCase.C: 0.0,
+            CacheCase.D: tail * tail - float(tail_q @ tail_q),
+            CacheCase.SELF_HIT_1: head * tail,
+            CacheCase.SELF_HIT_2: head * tail,
+            CacheCase.SELF_HIT_BOTH: head * head - float(head_q @ head_q),
+            CacheCase.COMMON_REQUEST: float(q @ q)}

@@ -45,6 +45,9 @@ class DoubleNakagamiParams:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {v!r}")
+        num, denom = self.m1 * self.m2, self.omega1 * self.omega2
+        if not (denom > 0.0 and 0.0 < num / denom < math.inf):
+            raise ValueError(f"rate {num!r} / {denom!r} must be finite and positive")
 
     @property
     def rate(self):
@@ -66,6 +69,13 @@ class LinkGeometry:
             raise ValueError(
                 f"pathloss_exp must be nonnegative, got {self.pathloss_exp!r}"
             )
+        try:
+            scale = effective_scale(self)
+        except OverflowError:
+            scale = math.inf
+        if not 0.0 < scale < math.inf:
+            raise ValueError(f"distance ** -pathloss_exp = {scale!r} must be finite "
+                             "and positive")
 
 
 def effective_scale(geom: LinkGeometry) -> float:

@@ -108,15 +108,18 @@ def _parse_channel(obj, path):
     _check_keys(obj, _CHAN_KEYS, path)
     merged = dict(DEFAULTS["chan1"])
     merged.update(obj)
+    values = {key: _require_number(merged[key], f"{path}.{key}", positive=True)
+              for key in _CHAN_KEYS}
     try:
-        return DoubleNakagamiParams(
-            m1=_require_number(merged["m1"], f"{path}.m1", positive=True),
-            m2=_require_number(merged["m2"], f"{path}.m2", positive=True),
-            omega1=_require_number(merged["omega1"], f"{path}.omega1", positive=True),
-            omega2=_require_number(merged["omega2"], f"{path}.omega2", positive=True),
-        )
-    except ConfigError:
-        raise
+        return DoubleNakagamiParams(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _parse_geometry(value, path, pathloss):
+    distance = _require_number(value, path, positive=True)
+    try:
+        return LinkGeometry(distance=distance, pathloss_exp=pathloss)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -150,19 +153,8 @@ def parse_config(data: dict) -> ScenarioConfig:
     chan1 = _parse_channel(get("chan1"), "chan1")
     chan2 = _parse_channel(get("chan2"), "chan2")
     pathloss = _require_number(get("pathloss_exp"), "pathloss_exp", nonneg=True)
-    try:
-        geom1 = LinkGeometry(
-            distance=_require_number(get("dist1"), "dist1", positive=True),
-            pathloss_exp=pathloss,
-        )
-        geom2 = LinkGeometry(
-            distance=_require_number(get("dist2"), "dist2", positive=True),
-            pathloss_exp=pathloss,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    geom1 = _parse_geometry(get("dist1"), "dist1", pathloss)
+    geom2 = _parse_geometry(get("dist2"), "dist2", pathloss)
 
     semantics = get("semantics")
     if semantics not in ("product", "joint"):

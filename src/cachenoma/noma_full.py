@@ -231,15 +231,8 @@ def oma_success(sc: FullScenario):
     Halving the resource doubles the spectral-efficiency requirement, so the
     rate-equivalent SINR threshold is (1 + gamma)^2 - 1.
     """
-    out = []
-    for gamma, sigma, chan, geom in (
-        (sc.gamma1, sc.sigma1_sq, sc.chan1, sc.geom1),
-        (sc.gamma2, sc.sigma2_sq, sc.chan2, sc.geom2),
-    ):
-        g_eq = (1.0 + gamma) ** 2 - 1.0
-        s = effective_scale(geom)
-        out.append(survival_gain_sq(g_eq * sigma / sc.power / s, chan))
-    return tuple(out)
+    return (single_user_success(sc, 1, (1.0 + sc.gamma1) ** 2 - 1.0),
+            single_user_success(sc, 2, (1.0 + sc.gamma2) ** 2 - 1.0))
 
 
 def case_objective(case: CacheCase, sc: FullScenario):
@@ -285,18 +278,8 @@ def _degenerate_value(case: CacheCase, sc: FullScenario):
 AVERAGING = ("full", "cases_only")
 
 
-def average_success(sc: FullScenario, catalog, per_case_optimizer,
-                    averaging: str = "full") -> float:
-    """Mean joint success over the request-pair distribution.
-
-    ``per_case_optimizer(case, scenario)`` must return an object with a
-    ``value`` attribute holding the optimized joint success for that case
-    (cases A-D only; the remaining tags are closed-form).
-
-    ``averaging="full"`` weights every tag; ``averaging="cases_only"``
-    conditions on the two vehicles requesting different files (the common-
-    request mass is dropped and the rest renormalized).
-    """
+def _average(sc: FullScenario, catalog, averaging: str, pair_value) -> float:
+    """Tag-mass average; ``pair_value(case)`` values the cases A-D."""
     if averaging not in AVERAGING:
         raise ValueError(f"averaging must be one of {AVERAGING}, got {averaging!r}")
     dist = case_distribution(catalog)
@@ -308,7 +291,7 @@ def average_success(sc: FullScenario, catalog, per_case_optimizer,
             continue
         value = _degenerate_value(case, sc)
         if value is None:
-            value = per_case_optimizer(case, sc).value
+            value = pair_value(case)
         total += mass * value
     if averaging == "cases_only":
         kept = 1.0 - dist[CacheCase.COMMON_REQUEST]
@@ -316,6 +299,24 @@ def average_success(sc: FullScenario, catalog, per_case_optimizer,
             return 0.0
         total /= kept
     return total
+
+
+def average_success(sc: FullScenario, catalog, per_case_optimizer,
+                    averaging: str = "full") -> float:
+    """Mean joint success over the request-pair distribution.
+
+    ``per_case_optimizer(case, scenario)`` must return an object with a
+    ``value`` attribute holding the optimized joint success for that case
+    (cases A-D only; the remaining tags are closed-form).  Both vehicles
+    cache the same files, so cases A-C carry no mass and only case D is
+    ever handed to it.
+
+    ``averaging="full"`` weights every tag; ``averaging="cases_only"``
+    conditions on the two vehicles requesting different files (the common-
+    request mass is dropped and the rest renormalized).
+    """
+    return _average(sc, catalog, averaging,
+                    lambda case: per_case_optimizer(case, sc).value)
 
 
 def oma_average_success(sc: FullScenario, catalog, averaging: str = "full") -> float:
@@ -326,24 +327,5 @@ def oma_average_success(sc: FullScenario, catalog, averaging: str = "full") -> f
     A-D tags use the orthogonal per-vehicle successes, which do not depend
     on cached side information.
     """
-    if averaging not in AVERAGING:
-        raise ValueError(f"averaging must be one of {AVERAGING}, got {averaging!r}")
-    dist = case_distribution(catalog)
     p1, p2 = oma_success(sc)
-    pair_value = p1 * p2
-    total = 0.0
-    for case, mass in dist.items():
-        if mass == 0.0:
-            continue
-        if averaging == "cases_only" and case is CacheCase.COMMON_REQUEST:
-            continue
-        value = _degenerate_value(case, sc)
-        if value is None:
-            value = pair_value
-        total += mass * value
-    if averaging == "cases_only":
-        kept = 1.0 - dist[CacheCase.COMMON_REQUEST]
-        if kept <= 0.0:
-            return 0.0
-        total /= kept
-    return total
+    return _average(sc, catalog, averaging, lambda case: p1 * p2)

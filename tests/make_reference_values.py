@@ -1,7 +1,7 @@
 """Regenerate the frozen reference literals used by the test suite.
 
 Run with ``python3 tests/make_reference_values.py`` (needs mpmath, see the
-"oracle" extra).  Every constant is computed independently of the package:
+"test" extra).  Every constant is computed independently of the package:
 log-gamma and Bessel K come from mpmath's arbitrary-precision versions, the
 distribution values from high-precision quadrature of the product-Gamma
 density (the survival values from the upper-tail integral, so deep-tail

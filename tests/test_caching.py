@@ -151,16 +151,45 @@ def test_distribution_identical_caches_kill_cross_cases():
 
 
 def test_distribution_matches_brute_force():
-    cat = Catalog(num_files=5, zeta=0.5, cache_size=1)
-    q = zipf_popularity(cat)
-    cache = populate_cache(cat)
-    expected = {case: 0.0 for case in CacheCase}
-    for i in range(1, 6):
-        for j in range(1, 6):
-            expected[classify_case(i, j, cache, cache)] += float(q[i - 1] * q[j - 1])
-    dist = case_distribution(cat)
-    for case in CacheCase:
-        assert math.isclose(dist[case], expected[case], abs_tol=1e-14), case
+    # the closed-form masses against the pair-by-pair double sum, over
+    # catalogs from a single file up, with the cache empty, one file, all
+    # but one file and full
+    rng = np.random.default_rng(7)
+    catalogs = [Catalog(num_files=1, zeta=0.5, cache_size=k) for k in (0, 1)]
+    for _ in range(12):
+        t = int(rng.integers(2, 40))
+        zeta = float(rng.uniform(0.0, 3.0))
+        for k in {0, 1, t - 1, t, int(rng.integers(0, t + 1))}:
+            catalogs.append(Catalog(num_files=t, zeta=zeta, cache_size=k))
+    for cat in catalogs:
+        q = zipf_popularity(cat)
+        cache = populate_cache(cat)
+        expected = {case: 0.0 for case in CacheCase}
+        for i in range(1, cat.num_files + 1):
+            for j in range(1, cat.num_files + 1):
+                expected[classify_case(i, j, cache, cache)] += float(q[i - 1] * q[j - 1])
+        dist = case_distribution(cat)
+        for case in CacheCase:
+            assert abs(dist[case] - expected[case]) <= 1e-14, (cat, case)
+
+
+def test_distribution_exact_uniform_values():
+    # zeta = 0 makes every q_t = 1/300; with 10 cached files the masses are
+    # the rationals 1/300, 1/1000, 29/900 (each single self hit) and
+    # 8381/9000
+    dist = case_distribution(Catalog(num_files=300, zeta=0.0, cache_size=10))
+    exact = {
+        CacheCase.COMMON_REQUEST: 1 / 300,
+        CacheCase.SELF_HIT_BOTH: 1 / 1000,
+        CacheCase.SELF_HIT_1: 29 / 900,
+        CacheCase.SELF_HIT_2: 29 / 900,
+        CacheCase.D: 8381 / 9000,
+        CacheCase.A: 0.0,
+        CacheCase.B: 0.0,
+        CacheCase.C: 0.0,
+    }
+    for case, value in exact.items():
+        assert abs(dist[case] - value) <= 1e-15, case
 
 
 def test_distribution_popularity_skew_grows_top_mass():

@@ -62,6 +62,10 @@ def test_params_validation():
         DoubleNakagamiParams(m1=1.0, m2=1.0, omega1=0.0, omega2=1.0)
     with pytest.raises(ValueError):
         DoubleNakagamiParams(m1=1.0, m2=1.0, omega1=1.0, omega2=-2.0)
+    with pytest.raises(ValueError):
+        DoubleNakagamiParams(m1=1.0, m2=1.0, omega1=1e-200, omega2=1e-200)
+    with pytest.raises(ValueError):
+        DoubleNakagamiParams(m1=1.0, m2=1.0, omega1=1e200, omega2=1e200)
 
 
 def test_effective_scale_examples():
@@ -75,6 +79,10 @@ def test_geometry_validation():
         LinkGeometry(distance=0.0, pathloss_exp=2.0)
     with pytest.raises(ValueError):
         LinkGeometry(distance=1.0, pathloss_exp=-1.0)
+    with pytest.raises(ValueError):
+        LinkGeometry(distance=1e-300, pathloss_exp=2.0)
+    with pytest.raises(ValueError):
+        LinkGeometry(distance=1e200, pathloss_exp=2.0)
 
 
 def test_pdf_reference_points():

@@ -187,6 +187,14 @@ def test_bad_config_exits_one(tmp_path):
     code, _ = run_cli(tmp_path, "optimize", "--config",
                       str(tmp_path / "missing.json"))
     assert code == 1
+    for data in ({"dist1": 1e-300}, {"dist1": 1e200},
+                 {"chan1": {"omega1": 1e-200, "omega2": 1e-200}}):
+        cfg.write_text(json.dumps(data))
+        code, _ = run_cli(tmp_path, "optimize", "--config", str(cfg))
+        assert code == 1
+    code, _ = run_cli(tmp_path, "sweep", "--variable", "omega",
+                      "--values", "1e-320")
+    assert code == 1
 
 
 def test_usage_errors_exit_one(tmp_path):

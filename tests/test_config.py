@@ -89,6 +89,13 @@ def test_value_range_checks():
         parse_config({"semantics": "hopeful"})
     with pytest.raises(ConfigError):
         parse_config({"averaging": "never"})
+    # the geometry scale overflows, or underflows to zero; the rate divides
+    # by an omega product that underflows to zero
+    for data, key in (({"dist1": 1e-300}, "dist1"), ({"dist2": 1e200}, "dist2"),
+                      ({"chan1": {"omega1": 1e-200, "omega2": 1e-200}}, "chan1"),
+                      ({"chan2": {"omega1": 1e200, "omega2": 1e200}}, "chan2")):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(data)
 
 
 def test_non_object_rejected():

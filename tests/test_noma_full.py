@@ -13,6 +13,7 @@ from cachenoma.channel import (
     survival_gain_sq,
 )
 from cachenoma.noma_full import (
+    AVERAGING,
     DecodeChain,
     FullScenario,
     SinrCondition,
@@ -267,6 +268,8 @@ def test_average_success_cases_only_renormalizes():
     assert not math.isclose(full, conditioned, rel_tol=1e-6)
     with pytest.raises(ValueError):
         average_success(sc, cat, opt, averaging="sometimes")
+    with pytest.raises(ValueError):
+        oma_average_success(sc, cat, averaging="sometimes")
 
 
 def test_oma_average_uses_same_degenerate_values():
@@ -276,5 +279,7 @@ def test_oma_average_uses_same_degenerate_values():
     def opt(case, scenario):
         return optimize_case(case, scenario)
 
-    assert math.isclose(oma_average_success(sc, cat),
-                        average_success(sc, cat, opt), rel_tol=1e-12)
+    for averaging in AVERAGING:
+        assert math.isclose(oma_average_success(sc, cat, averaging),
+                            average_success(sc, cat, opt, averaging),
+                            rel_tol=1e-12)
