@@ -37,7 +37,7 @@ from .optimizer import (
     optimize_case,
     optimize_split,
 )
-from .specfun import QuadratureSpec, adaptive_quad, bessel_k, ln_gamma
+from .specfun import bessel_k
 
 __version__ = "0.1.0"
 
@@ -77,8 +77,5 @@ __all__ = [
     "maximize_1d",
     "optimize_case",
     "optimize_split",
-    "QuadratureSpec",
-    "adaptive_quad",
     "bessel_k",
-    "ln_gamma",
 ]

@@ -6,10 +6,9 @@ s a deterministic geometry scale.  The distribution functions below describe
 the unit-scale product W = X * Y; callers fold the geometry in by dividing
 thresholds by ``effective_scale``.
 
-When either shape is an integer the survival function is a finite sum of
-Bessel K terms (Karagiannidis, Sagias and Mathiopoulos, "N*Nakagami", IEEE
-Trans. Commun. 2007; Gradshteyn and Ryzhik 3.471.9) and no quadrature runs.
-With both shapes non-integer the kernels integrate the density adaptively.
+The functions here validate their input and make one kernel call each; how
+a distribution value is computed is decided in ``_kernels_py``, whose module
+docstring describes the routes.
 """
 import math
 from dataclasses import dataclass
@@ -87,53 +86,6 @@ def effective_scale(geom: LinkGeometry) -> float:
     return geom.distance ** (-geom.pathloss_exp)
 
 
-# Longest Bessel-K sum the closed form runs; a larger integer shape (with a
-# non-integer partner) goes to quadrature instead.
-_MAX_SUM_TERMS = 64
-
-
-def _short_integer(m):
-    return float(m).is_integer() and m <= _MAX_SUM_TERMS
-
-
-def _integer_shape_sf(x, params):
-    """P(W > x) in closed form when a shape is a short integer, else None.
-
-    With Y ~ Gamma(n, 1) for integer n, P(Y > t) = e^-t sum_{k<n} t^k / k!;
-    averaging over the other factor gives, with c = r x and shape m of it,
-
-        P(W > x) = 2 / Gamma(m) * sum_{k<n} c^((m+k)/2) / k! * K_{m-k}(2 sqrt(c)).
-
-    Every term is positive, so the sum has no cancellation; each is formed
-    in log space so that neither the power nor the factorial overflows, and
-    a Bessel value that overflows (tiny c with a large order) is taken as
-    its logarithm.
-    """
-    m, n = params.m1, params.m2
-    if not _short_integer(n):
-        if not _short_integer(m):
-            return None
-        m, n = n, m
-    c = params.rate * x
-    if c == 0.0:
-        return 1.0
-    z = 2.0 * math.sqrt(c)
-    log_c = math.log(c)
-    head = math.log(2.0) - math.lgamma(m)
-    total = 0.0
-    for k in range(int(n)):
-        kv = _kernels_py.bessel_k(m - k, z)
-        if kv == 0.0:
-            continue
-        if math.isinf(kv):
-            log_kv = _kernels_py.log_bessel_k(m - k, z)
-        else:
-            log_kv = math.log(kv)
-        total += math.exp(head + 0.5 * (m + k) * log_c - math.lgamma(k + 1.0)
-                          + log_kv)
-    return min(total, 1.0)
-
-
 def pdf_gain_sq(x, params: DoubleNakagamiParams):
     """Density of W = X * Y at x > 0."""
     if not (math.isfinite(x) and x > 0.0):
@@ -142,30 +94,18 @@ def pdf_gain_sq(x, params: DoubleNakagamiParams):
 
 
 def cdf_gain_sq(x, params: DoubleNakagamiParams):
-    """P(W <= x).  1 - P(W > x) from the Bessel-K sum when a shape is an
-    integer; otherwise adaptive quadrature of the density."""
-    if not (math.isfinite(x) and x >= 0.0):
+    """P(W <= x) for x >= 0 (1.0 at x = inf).  The ``_kernels_py`` module
+    docstring says which route computes it."""
+    if math.isnan(x) or x < 0.0:
         raise ValueError(f"cdf_gain_sq requires x >= 0, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    sf = _integer_shape_sf(float(x), params)
-    if sf is not None:
-        return 1.0 - sf
     return _kernels_py.cdf_w(float(x), params.m1, params.m2, params.rate)
 
 
 def survival_gain_sq(x, params: DoubleNakagamiParams):
-    """P(W > x).  A finite Bessel-K sum when a shape is an integer, exact to
-    full relative precision deep into the tail.  Otherwise 1 - cdf by
-    quadrature, except deep in the upper tail, where the tail integral is
-    evaluated directly."""
-    if not (math.isfinite(x) and x >= 0.0):
+    """P(W > x) for x >= 0 (0.0 at x = inf).  The ``_kernels_py`` module
+    docstring says which route computes it."""
+    if math.isnan(x) or x < 0.0:
         raise ValueError(f"survival_gain_sq requires x >= 0, got {x!r}")
-    if x == 0.0:
-        return 1.0
-    sf = _integer_shape_sf(float(x), params)
-    if sf is not None:
-        return sf
     return _kernels_py.sf_w(float(x), params.m1, params.m2, params.rate)
 
 

@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from .caching import CacheCase, Catalog
-from .config import ConfigError, load_config
+from .config import ConfigError, _snr_power, load_config
 from .errors import QuadratureAccuracyError
 from .noma_full import average_success, case_objective, oma_average_success
 from .noma_split import split_objective_branch
@@ -143,7 +143,7 @@ def _apply_sweep(cfg, variable, value):
     if variable == "zeta":
         return replace(cfg, catalog=replace(cfg.catalog, zeta=float(value)))
     if variable == "snr_db":
-        power = sc.sigma1_sq * 10.0 ** (float(value) / 10.0)
+        power = _snr_power(sc.sigma1_sq, float(value))
         return cfg.replace_scenario(replace(sc, power=power))
     if variable == "cache_size":
         return replace(cfg, catalog=replace(cfg.catalog, cache_size=int(value)))
@@ -406,7 +406,8 @@ def main(argv=None) -> int:
         print(f"cachenoma: error: {exc}", file=sys.stderr)
         return 1
     except QuadratureAccuracyError as exc:
-        print(f"cachenoma: numerical error: {exc}", file=sys.stderr)
+        print(f"cachenoma: numerical error: {exc}; best estimate "
+              f"{_fmt(exc.best_estimate)}", file=sys.stderr)
         return 3
 
 

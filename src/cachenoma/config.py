@@ -124,6 +124,33 @@ def _parse_geometry(value, path, pathloss):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _parse_catalog(obj):
+    _check_keys(obj, _CATALOG_KEYS, "catalog")
+    cat = dict(DEFAULTS["catalog"])
+    cat.update(obj)
+    files = _require_int(cat["files"], "catalog.files")
+    if files < 1:
+        raise ConfigError(f"catalog.files: must be at least 1, got {files!r}")
+    zeta = _require_number(cat["zeta"], "catalog.zeta", nonneg=True)
+    cache_size = _require_int(cat["cache_size"], "catalog.cache_size")
+    if not 0 <= cache_size <= files:
+        raise ConfigError(f"catalog.cache_size: must lie in [0, catalog.files] "
+                          f"= [0, {files}], got {cache_size!r}")
+    return Catalog(num_files=files, zeta=zeta, cache_size=cache_size)
+
+
+def _snr_power(sigma1_sq, snr_db):
+    """Transmit power for an SNR in dB over vehicle 1's noise floor."""
+    try:
+        power = sigma1_sq * 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        power = math.inf
+    if not 0.0 < power < math.inf:
+        raise ConfigError(f"snr_db: {snr_db!r} dB gives transmit power "
+                          f"{power!r}, which must be finite and positive")
+    return power
+
+
 def parse_config(data: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a decoded JSON object."""
     _check_keys(data, _TOP_KEYS, "")
@@ -138,8 +165,7 @@ def parse_config(data: dict) -> ScenarioConfig:
     if "power" in data:
         power = _require_number(data["power"], "power", positive=True)
     else:
-        snr_db = _require_number(get("snr_db"), "snr_db")
-        power = sigma1 * 10.0 ** (snr_db / 10.0)
+        power = _snr_power(sigma1, _require_number(get("snr_db"), "snr_db"))
 
     gamma_split = get("gamma_split")
     if (not isinstance(gamma_split, list)) or len(gamma_split) != 4:
@@ -165,35 +191,21 @@ def parse_config(data: dict) -> ScenarioConfig:
         raise ConfigError(
             f"averaging: expected one of {AVERAGING}, got {averaging!r}")
 
-    cat_obj = get("catalog")
-    _check_keys(cat_obj, _CATALOG_KEYS, "catalog")
-    cat = dict(DEFAULTS["catalog"])
-    cat.update(cat_obj)
-    try:
-        catalog = Catalog(
-            num_files=_require_int(cat["files"], "catalog.files"),
-            zeta=_require_number(cat["zeta"], "catalog.zeta", nonneg=True),
-            cache_size=_require_int(cat["cache_size"], "catalog.cache_size"),
-        )
-
-        scenario = FullScenario(
-            power=power,
-            sigma1_sq=sigma1,
-            sigma2_sq=sigma2,
-            gamma1=_require_number(get("gamma1"), "gamma1", positive=True),
-            gamma2=_require_number(get("gamma2"), "gamma2", positive=True),
-            chan1=chan1,
-            chan2=chan2,
-            geom1=geom1,
-            geom2=geom2,
-            semantics=semantics,
-        )
-        split = SplitScenario(base=scenario, gamma11=g11, gamma12=g12,
-                              gamma21=g21, gamma22=g22)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    catalog = _parse_catalog(get("catalog"))
+    scenario = FullScenario(
+        power=power,
+        sigma1_sq=sigma1,
+        sigma2_sq=sigma2,
+        gamma1=_require_number(get("gamma1"), "gamma1", positive=True),
+        gamma2=_require_number(get("gamma2"), "gamma2", positive=True),
+        chan1=chan1,
+        chan2=chan2,
+        geom1=geom1,
+        geom2=geom2,
+        semantics=semantics,
+    )
+    split = SplitScenario(base=scenario, gamma11=g11, gamma12=g12,
+                          gamma21=g21, gamma22=g22)
     return ScenarioConfig(scenario=scenario, split=split,
                           catalog=catalog, averaging=averaging)
 

@@ -231,8 +231,16 @@ def oma_success(sc: FullScenario):
     Halving the resource doubles the spectral-efficiency requirement, so the
     rate-equivalent SINR threshold is (1 + gamma)^2 - 1.
     """
-    return (single_user_success(sc, 1, (1.0 + sc.gamma1) ** 2 - 1.0),
-            single_user_success(sc, 2, (1.0 + sc.gamma2) ** 2 - 1.0))
+    return (single_user_success(sc, 1, _oma_threshold(sc.gamma1)),
+            single_user_success(sc, 2, _oma_threshold(sc.gamma2)))
+
+
+def _oma_threshold(gamma):
+    """(1 + gamma)^2 - 1, or inf where the square overflows (no success)."""
+    try:
+        return (1.0 + gamma) ** 2 - 1.0
+    except OverflowError:
+        return math.inf
 
 
 def case_objective(case: CacheCase, sc: FullScenario):

@@ -28,8 +28,6 @@ from .noma_full import (
 __all__ = [
     "SplitScenario",
     "SplitAllocation",
-    "split_chains_high",
-    "split_chains_low",
     "split_objective",
     "split_case_chains",
     "split_objective_branch",
@@ -113,45 +111,6 @@ def split_case_chains(alpha: float, beta: float, sc: SplitScenario, branch: str)
         return v1, v2
 
     raise ValueError(f"branch must be 'high' or 'low', got {branch!r}")
-
-
-def _condition_marginals(chain: DecodeChain, chan, geom):
-    """Marginal survival of each condition in chain order."""
-    out = []
-    for cond in chain.conditions:
-        single = DecodeChain((cond,))
-        out.append(chain_probability(single, chan, geom, "product"))
-    return tuple(out)
-
-
-def split_chains_high(alloc: SplitAllocation, sc: SplitScenario):
-    """Five per-condition success probabilities for alpha > 0.5.
-
-    Order: vehicle 1's two conditions, then vehicle 2's three.
-    """
-    if not alloc.alpha > 0.5:
-        raise ValueError(
-            f"high branch requires alpha > 0.5, got alpha={alloc.alpha!r}"
-        )
-    base = sc.base
-    v1, v2 = split_case_chains(alloc.alpha, alloc.beta, sc, "high")
-    return (_condition_marginals(v1, base.chan1, base.geom1)
-            + _condition_marginals(v2, base.chan2, base.geom2))
-
-
-def split_chains_low(alloc: SplitAllocation, sc: SplitScenario):
-    """Five per-condition success probabilities for alpha <= 0.5.
-
-    Order: vehicle 2's two conditions, then vehicle 1's three.
-    """
-    if alloc.alpha > 0.5:
-        raise ValueError(
-            f"low branch requires alpha <= 0.5, got alpha={alloc.alpha!r}"
-        )
-    base = sc.base
-    v1, v2 = split_case_chains(alloc.alpha, alloc.beta, sc, "low")
-    return (_condition_marginals(v2, base.chan2, base.geom2)
-            + _condition_marginals(v1, base.chan1, base.geom1))
 
 
 def split_objective_branch(alpha: float, beta: float, sc: SplitScenario,

@@ -21,7 +21,7 @@ from cachenoma.channel import (
     sample_gain_sq,
     survival_gain_sq,
 )
-from cachenoma.specfun import adaptive_quad, bessel_k
+from cachenoma.specfun import bessel_k
 
 UNIT = DoubleNakagamiParams(m1=1.0, m2=1.0, omega1=1.0, omega2=1.0)
 TABLE = DoubleNakagamiParams(m1=1.0, m2=1.0, omega1=2.0, omega2=2.0)
@@ -167,8 +167,8 @@ def test_extreme_arguments_match_oracle():
 
 
 def test_pdf_integrates_to_one():
-    total = adaptive_quad(lambda x: pdf_gain_sq(x, TABLE) if x > 0.0 else 0.0,
-                          0.0, math.inf)
+    total = float(mp.quad(lambda x: pdf_gain_sq(float(x), TABLE) if x > 0 else 0.0,
+                          [0, mp.inf]))
     assert math.isclose(total, 1.0, abs_tol=1e-8)
 
 
@@ -176,10 +176,20 @@ def test_cdf_boundary_values():
     assert cdf_gain_sq(0.0, UNIT) == 0.0
     assert survival_gain_sq(0.0, UNIT) == 1.0
     assert cdf_gain_sq(1e6, UNIT) >= 1.0 - 1e-6
-    with pytest.raises(ValueError):
-        cdf_gain_sq(-0.1, UNIT)
-    with pytest.raises(ValueError):
-        survival_gain_sq(-0.1, UNIT)
+    # a threshold that overflowed to inf is never met, on either route; nor
+    # is one whose product with the rate overflows (the Bessel-K sum used
+    # to return nan there)
+    for params in (UNIT, MIXED):
+        assert cdf_gain_sq(math.inf, params) == 1.0
+        assert survival_gain_sq(math.inf, params) == 0.0
+    steep = DoubleNakagamiParams(m1=1.0, m2=2.0, omega1=1e-100, omega2=1e-100)
+    assert cdf_gain_sq(1e200, steep) == 1.0
+    assert survival_gain_sq(1e200, steep) == 0.0
+    for bad in (-0.1, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            cdf_gain_sq(bad, UNIT)
+        with pytest.raises(ValueError):
+            survival_gain_sq(bad, UNIT)
     with pytest.raises(ValueError):
         pdf_gain_sq(0.0, UNIT)
 

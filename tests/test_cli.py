@@ -3,9 +3,11 @@
 import csv
 import json
 import math
+import re
 
 import pytest
 
+from cachenoma import _kernels_py
 from cachenoma.cli import main, sweep_values
 
 
@@ -179,7 +181,7 @@ def test_config_file_flows_through(tmp_path):
     assert boosted > baseline               # more power, higher success
 
 
-def test_bad_config_exits_one(tmp_path):
+def test_bad_config_exits_one(tmp_path, capsys):
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps({"snr_db": 14.0, "power": 3.0}))
     code, _ = run_cli(tmp_path, "optimize", "--config", str(cfg))
@@ -195,6 +197,58 @@ def test_bad_config_exits_one(tmp_path):
     code, _ = run_cli(tmp_path, "sweep", "--variable", "omega",
                       "--values", "1e-320")
     assert code == 1
+    # the message names the key the user wrote
+    for data, key in (({"catalog": {"files": 5, "zeta": 0.5, "cache_size": 9}},
+                       "catalog.cache_size"),
+                      ({"catalog": {"files": 0}}, "catalog.files"),
+                      ({"snr_db": 4000}, "snr_db"), ({"snr_db": -4000}, "snr_db")):
+        cfg.write_text(json.dumps(data))
+        capsys.readouterr()
+        code, _ = run_cli(tmp_path, "optimize", "--config", str(cfg))
+        assert code == 1
+        assert key in capsys.readouterr().err, data
+    for value in ("4000", "-4000"):
+        code, _ = run_cli(tmp_path, "sweep", "--variable", "snr_db",
+                          "--values", value)
+        assert code == 1
+        assert "snr_db" in capsys.readouterr().err
+
+
+def test_overflowing_threshold_is_never_met(tmp_path):
+    # a gain threshold that overflows to inf has success probability 0
+    cfg = tmp_path / "scenario.json"
+    for command, data in (
+            (("optimize",), {"dist1": 1e160}),
+            (("sweep", "--variable", "zeta", "--values", "0.5"),
+             {"gamma1": 1e300, "snr_db": -100}),
+            (("sweep", "--variable", "zeta", "--values", "0.5"), {"gamma1": 1e300}),
+            (("sweep", "--variable", "zeta", "--values", "0.5"), {"gamma2": 1e200}),
+            # threshold times rate overflows in the Bessel-K sum
+            (("optimize", "--case", "d"),
+             {"chan1": {"omega1": 1e-100, "omega2": 1e-100}, "dist1": 1e100})):
+        cfg.write_text(json.dumps(data))
+        code, text = run_cli(tmp_path, *command, "--config", str(cfg))
+        assert code == 0, data
+        header, *rows = rows_of(text)
+        cols = [i for i, h in enumerate(header)
+                if h == "value" or h.startswith("avg_")]
+        assert rows and all(math.isfinite(float(row[i]))
+                            for row in rows for i in cols), data
+
+
+def test_numerical_error_exits_three_with_best_estimate(tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.setattr(_kernels_py, "_MAX_SUBDIV", 0)
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"chan1": {"m1": 1.5, "m2": 2.5},
+                               "chan2": {"m1": 0.75, "m2": 1.25}}))
+    code, _ = run_cli(tmp_path, "optimize", "--case", "d", "--config", str(cfg))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical error" in err
+    match = re.search(r"best estimate (\S+)$", err.strip())
+    assert match, err
+    assert math.isfinite(float(match.group(1)))
 
 
 def test_usage_errors_exit_one(tmp_path):

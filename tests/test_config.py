@@ -93,7 +93,13 @@ def test_value_range_checks():
     # by an omega product that underflows to zero
     for data, key in (({"dist1": 1e-300}, "dist1"), ({"dist2": 1e200}, "dist2"),
                       ({"chan1": {"omega1": 1e-200, "omega2": 1e-200}}, "chan1"),
-                      ({"chan2": {"omega1": 1e200, "omega2": 1e200}}, "chan2")):
+                      ({"chan2": {"omega1": 1e200, "omega2": 1e200}}, "chan2"),
+                      # the error names the key the user wrote
+                      ({"catalog": {"files": 5, "zeta": 0.5, "cache_size": 9}},
+                       "catalog.cache_size"),
+                      ({"catalog": {"files": 0}}, "catalog.files"),
+                      # 10 ** (snr_db / 10) overflows, or underflows to zero
+                      ({"snr_db": 4000}, "snr_db"), ({"snr_db": -4000}, "snr_db")):
         with pytest.raises(ConfigError, match=key):
             parse_config(data)
 

@@ -1,15 +1,18 @@
 """The scalar kernels against mpmath.
 
-Bessel K on a grid of orders and arguments, and the quadrature distribution
-functions of the product-Gamma variable on integer and non-integer shape
-pairs, three rates and arguments from 1e-8 deep into the upper tail.  The
-oracle for the tail is mpmath's Meijer G form,
+Bessel K on a grid of orders and arguments, and the distribution functions
+of the product-Gamma variable on integer and non-integer shape pairs, three
+rates and arguments from 1e-8 deep into the upper tail.  The public
+``cdf_w``/``sf_w`` are checked together with the private quadrature route
+on every pair, so the quadrature stays covered on the integer pairs too,
+where the public functions take the Bessel-K sum.  The oracle for the tail
+is mpmath's Meijer G form,
 P(W > x) = G^{3,0}_{1,3}(r x | 1; m1, m2, 0) / (Gamma(m1) Gamma(m2)).
-"""
-
+""",
 import math
 
 import mpmath as mp
+from hypothesis import given, settings, strategies as st
 
 from cachenoma import _kernels_py
 
@@ -41,27 +44,32 @@ def test_bessel_k_matches_oracle():
 
 
 def test_cdf_w_matches_oracle():
-    worst = (0.0, None)
+    worst = {}
     for m1, m2 in SHAPES:
         for r in RATES:
             for x in XS:
                 with mp.workdps(30):
                     want = 1 - oracle_sf(x, m1, m2, r)
-                err = float(abs(_kernels_py.cdf_w(x, m1, m2, r) - want))
-                worst = max(worst, (err, (m1, m2, r, x)))
-    assert worst[0] <= 1e-9, worst
+                for f in (_kernels_py.cdf_w, _kernels_py._cdf_quad):
+                    err = float(abs(f(x, m1, m2, r) - want))
+                    worst[f.__name__] = max(worst.get(f.__name__, (0.0,)),
+                                            (err, (m1, m2, r, x)))
+    assert all(err <= 1e-9 for err, _ in worst.values()), worst
 
 
 def test_sf_w_matches_oracle():
-    # relative error, so the deep tail (the direct tail integral) counts
-    worst = (0.0, None)
+    # relative error, so the deep tail (the Bessel-K sum, or the direct
+    # tail integral) counts
+    worst = {}
     for m1, m2 in SHAPES:
         for r in RATES:
             for x in XS:
                 want = oracle_sf(x, m1, m2, r)
-                err = float(abs(_kernels_py.sf_w(x, m1, m2, r) / want - 1))
-                worst = max(worst, (err, (m1, m2, r, x)))
-    assert worst[0] <= 1e-6, worst
+                for f in (_kernels_py.sf_w, _kernels_py._sf_quad):
+                    err = float(abs(f(x, m1, m2, r) / want - 1))
+                    worst[f.__name__] = max(worst.get(f.__name__, (0.0,)),
+                                            (err, (m1, m2, r, x)))
+    assert all(err <= 1e-6 for err, _ in worst.values()), worst
 
 
 def test_log_bessel_k_where_bessel_k_overflows():
@@ -91,3 +99,28 @@ def test_pdf_w_where_the_bessel_factor_overflows():
                     / (mp.gamma(m1) * mp.gamma(m2)))
         got = _kernels_py.pdf_w(w, m1, m2, r)
         assert math.isclose(got, float(want), rel_tol=1e-11), (w, m1, m2, got)
+
+
+SHAPE_VALUES = st.one_of(st.integers(1, 8).map(float),
+                         st.floats(0.5, 6.0).filter(lambda m: not m.is_integer()))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(m1=SHAPE_VALUES, m2=SHAPE_VALUES, r=st.floats(0.05, 20.0),
+       x=st.floats(1e-6, 60.0))
+def test_routes_are_invariant(m1, m2, r, x):
+    # swapping the shapes leaves both routes unchanged.  With two integer
+    # shapes the Bessel-K sum runs over the other shape, so the two orders
+    # agree to its rounding (a few 1e-14 relative) only: relatively for sf,
+    # absolutely for cdf = 1 - sf
+    sf, swapped = _kernels_py.sf_w(x, m1, m2, r), _kernels_py.sf_w(x, m2, m1, r)
+    assert math.isclose(sf, swapped, rel_tol=1e-12), (sf, swapped)
+    assert abs(_kernels_py.cdf_w(x, m1, m2, r)
+               - _kernels_py.cdf_w(x, m2, m1, r)) <= 1e-13
+    for g in (_kernels_py._sf_quad, _kernels_py._cdf_quad):
+        assert g(x, m1, m2, r) == g(x, m2, m1, r)
+    # at an integer shape the Bessel-K sum agrees with the quadrature
+    if m1.is_integer() or m2.is_integer():
+        if sf > 1e-12:
+            quad = _kernels_py._sf_quad(x, m1, m2, r)
+            assert abs(quad / sf - 1.0) <= 1e-6, (sf, quad)

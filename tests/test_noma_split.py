@@ -6,13 +6,11 @@ import pytest
 
 from cachenoma.channel import DoubleNakagamiParams, LinkGeometry
 from cachenoma.config import load_config
-from cachenoma.noma_full import FullScenario, chain_probability
+from cachenoma.noma_full import DecodeChain, FullScenario, chain_probability
 from cachenoma.noma_split import (
     SplitAllocation,
     SplitScenario,
     split_case_chains,
-    split_chains_high,
-    split_chains_low,
     split_objective,
     split_objective_branch,
 )
@@ -30,6 +28,19 @@ def default_split(semantics="product"):
     )
     return SplitScenario(base=base, gamma11=sc.gamma11, gamma12=sc.gamma12,
                          gamma21=sc.gamma21, gamma22=sc.gamma22)
+
+
+def condition_survivals(alpha, beta, sc, branch):
+    """Marginal survival of each SINR condition: the deciding vehicle's
+    conditions first (vehicle 1 on the high branch, vehicle 2 on the low),
+    then the other vehicle's, each in chain order."""
+    base = sc.base
+    v1, v2 = split_case_chains(alpha, beta, sc, branch)
+    links = ((v1, base.chan1, base.geom1), (v2, base.chan2, base.geom2))
+    if branch == "low":
+        links = links[::-1]
+    return tuple(chain_probability(DecodeChain((cond,)), chan, geom, "product")
+                 for chain, chan, geom in links for cond in chain.conditions)
 
 
 def test_scenario_validation():
@@ -89,17 +100,13 @@ def test_low_branch_coefficients():
 def test_branch_guards():
     sc = default_split()
     with pytest.raises(ValueError):
-        split_chains_high(SplitAllocation(alpha=0.5, beta=0.5), sc)
-    with pytest.raises(ValueError):
-        split_chains_low(SplitAllocation(alpha=0.51, beta=0.5), sc)
-    with pytest.raises(ValueError):
         split_case_chains(0.5, 0.5, sc, "middle")
 
 
 def test_marginal_tuples_order_and_product():
     sc = default_split()
     base = sc.base
-    hi = split_chains_high(SplitAllocation(alpha=0.72, beta=0.56), sc)
+    hi = condition_survivals(0.72, 0.56, sc, "high")
     assert len(hi) == 5
     assert all(0.0 <= m <= 1.0 for m in hi)
     v1, v2 = split_case_chains(0.72, 0.56, sc, "high")
@@ -111,7 +118,7 @@ def test_marginal_tuples_order_and_product():
                         split_objective_branch(0.72, 0.56, sc, "high"),
                         rel_tol=1e-12)
 
-    lo = split_chains_low(SplitAllocation(alpha=0.31, beta=0.47), sc)
+    lo = condition_survivals(0.31, 0.47, sc, "low")
     assert len(lo) == 5
     assert math.isclose(math.prod(lo),
                         split_objective_branch(0.31, 0.47, sc, "low"),
@@ -121,7 +128,7 @@ def test_marginal_tuples_order_and_product():
 def test_objective_never_exceeds_weakest_factor():
     sc = default_split()
     for alpha, beta in ((0.65, 0.3), (0.8, 0.7), (0.9, 0.5)):
-        factors = split_chains_high(SplitAllocation(alpha, beta), sc)
+        factors = condition_survivals(alpha, beta, sc, "high")
         obj = split_objective_branch(alpha, beta, sc, "high")
         assert obj <= min(factors) + 1e-15
 
