@@ -7,7 +7,7 @@ cancel interference.  Channels are modeled as double (cascaded) Nakagami-m
 fading; all special functions and quadrature are implemented here.
 """
 from .caching import CacheCase, Catalog, case_distribution, zipf_popularity
-from .channel import DoubleNakagamiParams, LinkGeometry
+from .channel import DoubleNakagamiParams, LinkGeometry, bessel_k
 from .config import ScenarioConfig, load_config, parse_config
 from .errors import QuadratureAccuracyError
 from .mc import McConfig, mc_case, mc_chain_probability, mc_split
@@ -37,7 +37,6 @@ from .optimizer import (
     optimize_case,
     optimize_split,
 )
-from .specfun import bessel_k
 
 __version__ = "0.1.0"
 

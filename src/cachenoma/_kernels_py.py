@@ -11,20 +11,21 @@ X ~ Gamma(m1, omega1/m1), Y ~ Gamma(m2, omega2/m2) and is summarised here by
     h = (m1 + m2) / 2.
 
 ``cdf_w`` and ``sf_w`` alone decide how P(W <= x) and P(W > x) are
-computed.  x = 0 and x = inf are answered exactly; otherwise one of three
+computed.  Both work with the unit-rate variable V = r W, whose density is
+the one above with r = 1 and whose mean is m1 m2: P(W <= x) = P(V <= c)
+with c = r x.  c = 0 and c = inf are answered exactly; otherwise one of two
 routes runs:
 
 * Bessel-K sum, when either shape is an integer up to ``_MAX_SUM_TERMS``:
-  P(W > x) is a finite sum of Bessel K terms (Karagiannidis, Sagias and
+  P(V > c) is a finite sum of Bessel K terms (Karagiannidis, Sagias and
   Mathiopoulos, "N*Nakagami", IEEE Trans. Commun. 2007; Gradshteyn and
   Ryzhik 3.471.9), exact to full relative precision deep into the tail,
-  and P(W <= x) is 1 minus it.  No quadrature runs.
-* 1 - cdf quadrature, for every other shape pair: P(W <= x) integrates the
-  density from 0 to x with globally adaptive Gauss-Kronrod 7-15 quadrature,
-  and P(W > x) is 1 minus that while the CDF is at most ``TAIL_SWITCH``.
-* Tail integral, when that CDF exceeds ``TAIL_SWITCH``: P(W > x)
-  integrates the density over (x, inf) directly, so the deep tail keeps its
-  relative precision.
+  and P(V <= c) is 1 minus it.  No quadrature runs.
+* Quadrature, for every other shape pair, split at the mean: for c up to
+  m1 m2 the density is integrated over (0, c] and P(V > c) is 1 minus that;
+  above it the density is integrated over (c, inf) and P(V <= c) is 1 minus
+  that, so the deep tail keeps its relative precision.  Both integrals use
+  globally adaptive Gauss-Kronrod 7-15 quadrature.
 
 A quadrature that exhausts ``_MAX_SUBDIV`` subdivisions raises
 ``QuadratureAccuracyError`` with its best estimate.
@@ -50,10 +51,6 @@ _MAXIT = 30000
 _ABS_TOL = 1e-10
 _REL_TOL = 1e-9
 _MAX_SUBDIV = 400
-
-# Above this CDF level the survival function integrates the upper tail
-# directly instead of computing 1 - cdf.
-TAIL_SWITCH = 1.0 - 1e-4
 
 
 def _gamma_pair(mu):
@@ -177,17 +174,15 @@ def log_bessel_k(nu, x):
     return log_scale + math.log(k1)
 
 
-def pdf_w(w, m1, m2, r):
-    """Density of the unit-scale product variable at w > 0."""
+def pdf_w(v, m1, m2):
+    """Density of the unit-rate product variable V = r W at v > 0."""
     h = 0.5 * (m1 + m2)
-    z = 2.0 * math.sqrt(r * w)
-    if z == 0.0:
-        z = 2.0 * math.sqrt(r) * math.sqrt(w)  # r * w underflows
+    z = 2.0 * math.sqrt(v)
     k = bessel_k(m1 - m2, z)
     if k == 0.0:
         return 0.0
     lg = math.lgamma(m1) + math.lgamma(m2)
-    log_front = h * math.log(r) + (h - 1.0) * math.log(w) - lg
+    log_front = (h - 1.0) * math.log(v) - lg
     if math.isinf(k):
         # the Bessel factor overflows where the power factor underflows
         return 2.0 * math.exp(log_front + log_bessel_k(m1 - m2, z))
@@ -286,13 +281,14 @@ def _short_integer(m):
     return float(m).is_integer() and m <= _MAX_SUM_TERMS
 
 
-def _integer_shape_sf(x, m1, m2, r):
-    """P(W > x) in closed form when a shape is a short integer, else None.
+def _integer_shape_sf(c, m1, m2):
+    """P(V > c), 0 < c < inf, in closed form when a shape is a short
+    integer, else None.
 
     With Y ~ Gamma(n, 1) for integer n, P(Y > t) = e^-t sum_{k<n} t^k / k!;
-    averaging over the other factor gives, with c = r x and shape m of it,
+    averaging over the other factor gives, with shape m of it,
 
-        P(W > x) = 2 / Gamma(m) * sum_{k<n} c^((m+k)/2) / k! * K_{m-k}(2 sqrt(c)).
+        P(V > c) = 2 / Gamma(m) * sum_{k<n} c^((m+k)/2) / k! * K_{m-k}(2 sqrt(c)).
 
     Every term is positive, so the sum has no cancellation; each is formed
     in log space so that neither the power nor the factorial overflows, and
@@ -304,12 +300,6 @@ def _integer_shape_sf(x, m1, m2, r):
         if not _short_integer(m):
             return None
         m, n = n, m
-    c = r * x
-    if c == 0.0:
-        return 1.0
-    if c == math.inf:
-        # r x overflows, far past all the mass; K at z = inf would be nan
-        return 0.0
     z = 2.0 * math.sqrt(c)
     log_c = math.log(c)
     head = math.log(2.0) - math.lgamma(m)
@@ -336,67 +326,60 @@ def _quad_or_raise(f, a, b, what):
             val,
             err,
         )
-    return val
-
-
-def _cdf_quad(x, m1, m2, r):
-    """P(W <= x), x > 0, by quadrature of the density.
-
-    Substituting w = u^2 removes the integrable endpoint singularity that
-    appears when m1 + m2 <= 2.
-    """
-
-    def integrand(u):
-        w = u * u
-        if w == 0.0:
-            # u^2 underflows: the mass this node stands for is far below
-            # any tolerance
-            return 0.0
-        return 2.0 * u * pdf_w(w, m1, m2, r)
-
-    val = _quad_or_raise(integrand, 0.0, math.sqrt(x), "cdf")
     return min(max(val, 0.0), 1.0)
 
 
-def _sf_quad(x, m1, m2, r):
-    """P(W > x), x > 0: 1 - cdf, or the upper tail integrated directly when
-    the CDF is near 1.
+def _quad_cdf_sf(c, m1, m2):
+    """(P(V <= c), P(V > c)), 0 < c < inf, by quadrature of the density.
 
-    The tail integral maps (x, inf) onto (0, 1] via w = x / t.
+    Up to the mean m1 m2 of V the lower integral runs, with v = u^2 so that
+    the integrable singularity at v = 0 (when m1 + m2 <= 2) goes away.
+    Above the mean the tail integral runs, with v = c / t mapping (c, inf)
+    onto (0, 1], so a small survival value keeps its relative precision.
     """
-    c = _cdf_quad(x, m1, m2, r)
-    if c <= TAIL_SWITCH:
-        return 1.0 - c
+    if c <= m1 * m2:
 
-    def integrand(t):
-        p = pdf_w(x / t, m1, m2, r)
-        if p == 0.0:
+        def lower(u):
+            v = u * u
+            if v == 0.0:
+                # u^2 underflows: the mass this node stands for is far below
+                # any tolerance
+                return 0.0
+            return 2.0 * u * pdf_w(v, m1, m2)
+
+        cdf = _quad_or_raise(lower, 0.0, math.sqrt(c), "cdf")
+        return cdf, 1.0 - cdf
+
+    def tail(t):
+        v = c / t
+        if v == math.inf:
+            # c / t overflows, far past all the mass
             return 0.0
-        return p * x / (t * t)
+        return pdf_w(v, m1, m2) * (v / t)
 
-    val = _quad_or_raise(integrand, 0.0, 1.0, "survival tail")
-    return min(max(val, 0.0), 1.0)
+    sf = _quad_or_raise(tail, 0.0, 1.0, "survival tail")
+    return 1.0 - sf, sf
+
+
+def _cdf_sf(x, m1, m2, r):
+    """(P(W <= x), P(W > x)) by the route the module docstring describes."""
+    c = r * x
+    if c <= 0.0:
+        return 0.0, 1.0
+    if c == math.inf:
+        # x = inf, or r x overflows: far past all the mass
+        return 1.0, 0.0
+    sf = _integer_shape_sf(c, m1, m2)
+    if sf is not None:
+        return 1.0 - sf, sf
+    return _quad_cdf_sf(c, m1, m2)
 
 
 def cdf_w(x, m1, m2, r):
     """P(W <= x) by the route the module docstring describes."""
-    if x <= 0.0:
-        return 0.0
-    if x == math.inf:
-        return 1.0
-    sf = _integer_shape_sf(x, m1, m2, r)
-    if sf is not None:
-        return 1.0 - sf
-    return _cdf_quad(x, m1, m2, r)
+    return _cdf_sf(x, m1, m2, r)[0]
 
 
 def sf_w(x, m1, m2, r):
     """P(W > x) by the route the module docstring describes."""
-    if x <= 0.0:
-        return 1.0
-    if x == math.inf:
-        return 0.0
-    sf = _integer_shape_sf(x, m1, m2, r)
-    if sf is not None:
-        return sf
-    return _sf_quad(x, m1, m2, r)
+    return _cdf_sf(x, m1, m2, r)[1]

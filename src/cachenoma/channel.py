@@ -8,7 +8,8 @@ thresholds by ``effective_scale``.
 
 The functions here validate their input and make one kernel call each; how
 a distribution value is computed is decided in ``_kernels_py``, whose module
-docstring describes the routes.
+docstring describes the routes.  ``bessel_k`` is the validated public
+interface to the kernels' Bessel function.
 """
 import math
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ __all__ = [
     "DoubleNakagamiParams",
     "LinkGeometry",
     "effective_scale",
-    "pdf_gain_sq",
+    "bessel_k",
     "cdf_gain_sq",
     "survival_gain_sq",
     "sample_gain_sq",
@@ -86,11 +87,19 @@ def effective_scale(geom: LinkGeometry) -> float:
     return geom.distance ** (-geom.pathloss_exp)
 
 
-def pdf_gain_sq(x, params: DoubleNakagamiParams):
-    """Density of W = X * Y at x > 0."""
+def bessel_k(nu, x):
+    """Modified Bessel function of the second kind, real order.
+
+    Returns K_|nu|(x); the function is even in the order.  It is evaluated
+    with a Temme-type series below x = 2, a Steed continued fraction above,
+    and stable upward recurrence in the order.  The value underflows to 0.0
+    for large x (beyond roughly x = 745) rather than raising.
+    """
+    if not math.isfinite(nu):
+        raise ValueError(f"bessel_k requires a finite order, got {nu!r}")
     if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"pdf_gain_sq requires x > 0, got {x!r}")
-    return _kernels_py.pdf_w(float(x), params.m1, params.m2, params.rate)
+        raise ValueError(f"bessel_k requires x > 0, got {x!r}")
+    return _kernels_py.bessel_k(float(nu), float(x))
 
 
 def cdf_gain_sq(x, params: DoubleNakagamiParams):

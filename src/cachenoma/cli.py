@@ -208,50 +208,38 @@ def _with_semantics(cfg, semantics):
 
 
 def run_validate(cfg, samples, seed, workers):
-    """Analytic-vs-MC rows; returns (rows, all_passed)."""
+    """Analytic-vs-MC rows; returns (rows, all_passed).
+
+    The k-th cell (and row) samples with base seed ``seed + k``.
+    """
     rows = []
-    ok = True
-    cell = 0
+
+    def cell(kind, label, semantics, alpha, beta, analytic, sample):
+        mc_cfg = McConfig(samples=samples, seed=(seed + len(rows)) % (2 ** 64),
+                          workers=workers)
+        est = sample(mc_cfg).joint
+        tol = max(_PASS_ABS, _PASS_CI_FACTOR * est.half_width)
+        diff = abs(analytic - est.value)
+        rows.append((kind, label, semantics, alpha, beta, analytic, est.value,
+                     est.half_width, diff, "pass" if diff <= tol else "fail"))
+
     for name in ("a", "b", "c", "d"):
         case = _CASES[name]
         for semantics in ("product", "joint"):
-            step = _with_semantics(cfg, semantics)
-            scen = step.scenario
+            scen = _with_semantics(cfg, semantics).scenario
             objective = case_objective(case, scen)
             for alpha in VALIDATE_ALPHAS:
-                mc_cfg = McConfig(samples=samples,
-                                  seed=(seed + cell) % (2 ** 64),
-                                  workers=workers)
-                cell += 1
-                analytic = objective(alpha)
-                est = mc_case(case, alpha, scen, mc_cfg).joint
-                tol = max(_PASS_ABS, _PASS_CI_FACTOR * est.half_width)
-                diff = abs(analytic - est.value)
-                passed = diff <= tol
-                ok = ok and passed
-                rows.append(("case", case.value, semantics, alpha, "",
-                             analytic, est.value, est.half_width, diff,
-                             "pass" if passed else "fail"))
+                cell("case", case.value, semantics, alpha, "", objective(alpha),
+                     lambda mc_cfg: mc_case(case, alpha, scen, mc_cfg))
     for semantics in ("product", "joint"):
-        step = _with_semantics(cfg, semantics)
+        split = _with_semantics(cfg, semantics).split
         for alpha in VALIDATE_SPLIT_GRID:
+            branch = "high" if alpha > 0.5 else "low"
             for beta in VALIDATE_SPLIT_GRID:
-                mc_cfg = McConfig(samples=samples,
-                                  seed=(seed + cell) % (2 ** 64),
-                                  workers=workers)
-                cell += 1
-                branch = "high" if alpha > 0.5 else "low"
-                analytic = split_objective_branch(alpha, beta, step.split,
-                                                  branch)
-                est = mc_split(alpha, beta, step.split, mc_cfg).joint
-                tol = max(_PASS_ABS, _PASS_CI_FACTOR * est.half_width)
-                diff = abs(analytic - est.value)
-                passed = diff <= tol
-                ok = ok and passed
-                rows.append(("split", "split", semantics, alpha, beta,
-                             analytic, est.value, est.half_width, diff,
-                             "pass" if passed else "fail"))
-    return rows, ok
+                cell("split", "split", semantics, alpha, beta,
+                     split_objective_branch(alpha, beta, split, branch),
+                     lambda mc_cfg: mc_split(alpha, beta, split, mc_cfg))
+    return rows, all(row[-1] == "pass" for row in rows)
 
 
 def _interior(lo, hi):

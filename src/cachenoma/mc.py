@@ -23,7 +23,7 @@ import numpy as np
 
 from .caching import CacheCase
 from .channel import sample_gain_sq
-from .noma_full import DecodeChain, case_chains, gain_threshold
+from .noma_full import DecodeChain, _chain_thresholds, case_chains
 from .noma_split import split_case_chains
 
 __all__ = [
@@ -75,14 +75,6 @@ class McCaseResult:
     p1: McEstimate
     p2: McEstimate
     joint: McEstimate
-
-
-def _thresholds(chain: DecodeChain):
-    """Received-power thresholds per condition; None marks an unsolvable one."""
-    return [
-        gain_threshold(c.signal_coef, c.interference_coef, c.noise, c.threshold)
-        for c in chain.conditions
-    ]
 
 
 def _block_sizes(n):
@@ -140,8 +132,8 @@ def _product_of(estimates):
 
 def _chain_estimate(chain, params, geom, mode, cfg, user):
     """One decode chain, sampled on this user's independent streams."""
-    ts = _thresholds(chain)
-    if any(t is None for t in ts):
+    ts = _chain_thresholds(chain)
+    if ts is None:
         return McEstimate(0.0, 0.0)
     n = cfg.samples
     if mode == "joint":

@@ -36,7 +36,7 @@ from cachenoma.optimizer import (
     optimize_split,
     split_line_feasible,
 )
-from cachenoma.specfun import bessel_k
+from cachenoma.channel import bessel_k
 
 ALL_CASES = (CacheCase.A, CacheCase.B, CacheCase.C, CacheCase.D)
 

@@ -236,6 +236,35 @@ def test_overflowing_threshold_is_never_met(tmp_path):
                             for row in rows for i in cols), data
 
 
+def test_vanishing_snr_gives_zero_with_non_integer_shapes(tmp_path):
+    # both shapes of each link are non-integer, so every survival value
+    # here is a quadrature, at r x from 6e5 to 2e12: far above the mean
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({
+        "snr_db": -100,
+        "chan1": {"m1": 1.5, "m2": 2.5, "omega1": 2, "omega2": 2},
+        "chan2": {"m1": 0.75, "m2": 1.25, "omega1": 2, "omega2": 2}}))
+    code, text = run_cli(tmp_path, "sweep", "--variable", "snr_db",
+                         "--values=-100,-80,-70", "--config", str(cfg))
+    assert code == 0
+    rows = rows_of(text)[1:]
+    assert len(rows) == 3
+    assert all(float(v) == 0.0 for row in rows for v in row[1:]), rows
+
+
+def test_huge_rate_gives_zero_with_non_integer_shapes(tmp_path):
+    # link 1 has rate 3.75e200 and thresholds up to 1.7e201, so r x
+    # overflows and every survival value of that link is exactly 0
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({
+        "chan1": {"m1": 1.5, "m2": 2.5, "omega1": 1e-100, "omega2": 1e-100},
+        "dist1": 1e100}))
+    code, text = run_cli(tmp_path, "optimize", "--case", "d", "--config", str(cfg))
+    assert code == 0
+    (row,) = rows_of(text)[1:]
+    assert float(row[4]) == 0.0, row
+
+
 def test_numerical_error_exits_three_with_best_estimate(tmp_path, capsys,
                                                         monkeypatch):
     monkeypatch.setattr(_kernels_py, "_MAX_SUBDIV", 0)

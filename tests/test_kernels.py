@@ -3,10 +3,10 @@
 Bessel K on a grid of orders and arguments, and the distribution functions
 of the product-Gamma variable on integer and non-integer shape pairs, three
 rates and arguments from 1e-8 deep into the upper tail.  The public
-``cdf_w``/``sf_w`` are checked together with the private quadrature route
-on every pair, so the quadrature stays covered on the integer pairs too,
-where the public functions take the Bessel-K sum.  The oracle for the tail
-is mpmath's Meijer G form,
+``cdf_w``/``sf_w`` are checked together with the private quadrature
+``_quad_cdf_sf`` on every pair, so the quadrature stays covered on the
+integer pairs too, where the public functions take the Bessel-K sum.  The
+oracle for the tail is mpmath's Meijer G form,
 P(W > x) = G^{3,0}_{1,3}(r x | 1; m1, m2, 0) / (Gamma(m1) Gamma(m2)).
 """,
 import math
@@ -24,6 +24,14 @@ SHAPES = (
 )
 RATES = (0.25, 1.0, 4.0)
 XS = (1e-8, 0.01, 0.4, 1.3, 6.0, 30.0, 120.0)
+
+
+def quad_cdf(x, m1, m2, r):
+    return _kernels_py._quad_cdf_sf(r * x, m1, m2)[0]
+
+
+def quad_sf(x, m1, m2, r):
+    return _kernels_py._quad_cdf_sf(r * x, m1, m2)[1]
 
 
 def oracle_sf(x, m1, m2, r):
@@ -50,7 +58,7 @@ def test_cdf_w_matches_oracle():
             for x in XS:
                 with mp.workdps(30):
                     want = 1 - oracle_sf(x, m1, m2, r)
-                for f in (_kernels_py.cdf_w, _kernels_py._cdf_quad):
+                for f in (_kernels_py.cdf_w, quad_cdf):
                     err = float(abs(f(x, m1, m2, r) - want))
                     worst[f.__name__] = max(worst.get(f.__name__, (0.0,)),
                                             (err, (m1, m2, r, x)))
@@ -65,7 +73,7 @@ def test_sf_w_matches_oracle():
         for r in RATES:
             for x in XS:
                 want = oracle_sf(x, m1, m2, r)
-                for f in (_kernels_py.sf_w, _kernels_py._sf_quad):
+                for f in (_kernels_py.sf_w, quad_sf):
                     err = float(abs(f(x, m1, m2, r) / want - 1))
                     worst[f.__name__] = max(worst.get(f.__name__, (0.0,)),
                                             (err, (m1, m2, r, x)))
@@ -86,19 +94,33 @@ def test_log_bessel_k_where_bessel_k_overflows():
 
 
 def test_pdf_w_where_the_bessel_factor_overflows():
-    # K_{m1-m2} overflows at these arguments while r^h w^(h-1) underflows;
-    # the density is formed in log space instead of as 0 * inf
-    for w, m1, m2 in ((1e-12, 60.0, 0.75), (1e-12, 59.5, 0.75),
+    # K_{m1-m2} overflows at the first three arguments while v^(h-1)
+    # underflows; the density is formed in log space instead of as 0 * inf.
+    # The last argument is the smallest subnormal
+    for v, m1, m2 in ((1e-12, 60.0, 0.75), (1e-12, 59.5, 0.75),
                       (1e-200, 30.5, 0.5), (5e-324, 0.5, 0.5)):
-        r = m1 * m2
         h = 0.5 * (m1 + m2)
         with mp.workdps(30):
-            wm = mp.mpf(w)
-            want = (2 * mp.mpf(r) ** h * wm ** (h - 1)
-                    * mp.besselk(m1 - m2, 2 * mp.sqrt(r * wm))
+            vm = mp.mpf(v)
+            want = (2 * vm ** (h - 1) * mp.besselk(m1 - m2, 2 * mp.sqrt(vm))
                     / (mp.gamma(m1) * mp.gamma(m2)))
-        got = _kernels_py.pdf_w(w, m1, m2, r)
-        assert math.isclose(got, float(want), rel_tol=1e-11), (w, m1, m2, got)
+        got = _kernels_py.pdf_w(v, m1, m2)
+        assert math.isclose(got, float(want), rel_tol=1e-11), (v, m1, m2, got)
+
+
+def test_quadrature_far_above_the_mean():
+    # every node of an integral over (0, sqrt(c)] misses the mass this far
+    # out, so only the tail integral gets sf = 0 here
+    for m1, m2 in SHAPES:
+        if m1.is_integer() or m2.is_integer():
+            continue
+        for c in (1e7, 1e12, 1e300, 1.7e308):
+            assert _kernels_py.sf_w(c, m1, m2, 1.0) == 0.0, (m1, m2, c)
+            assert _kernels_py.cdf_w(c, m1, m2, 1.0) == 1.0, (m1, m2, c)
+        for r in RATES:
+            sfs = [_kernels_py.sf_w(10.0 ** (k / 4), m1, m2, r)
+                   for k in range(1201)]
+            assert all(b <= a for a, b in zip(sfs, sfs[1:])), (m1, m2, r)
 
 
 SHAPE_VALUES = st.one_of(st.integers(1, 8).map(float),
@@ -117,10 +139,10 @@ def test_routes_are_invariant(m1, m2, r, x):
     assert math.isclose(sf, swapped, rel_tol=1e-12), (sf, swapped)
     assert abs(_kernels_py.cdf_w(x, m1, m2, r)
                - _kernels_py.cdf_w(x, m2, m1, r)) <= 1e-13
-    for g in (_kernels_py._sf_quad, _kernels_py._cdf_quad):
-        assert g(x, m1, m2, r) == g(x, m2, m1, r)
+    c = r * x
+    assert _kernels_py._quad_cdf_sf(c, m1, m2) == _kernels_py._quad_cdf_sf(c, m2, m1)
     # at an integer shape the Bessel-K sum agrees with the quadrature
     if m1.is_integer() or m2.is_integer():
         if sf > 1e-12:
-            quad = _kernels_py._sf_quad(x, m1, m2, r)
+            quad = quad_sf(x, m1, m2, r)
             assert abs(quad / sf - 1.0) <= 1e-6, (sf, quad)

@@ -10,7 +10,7 @@ import pytest
 
 from cachenoma import _kernels_py
 from cachenoma.errors import QuadratureAccuracyError
-from cachenoma.specfun import bessel_k
+from cachenoma.channel import bessel_k
 
 # mpmath, mp.dps = 25
 
