@@ -355,7 +355,11 @@ def _quad_cdf_sf(c, m1, m2):
         if v == math.inf:
             # c / t overflows, far past all the mass
             return 0.0
-        return pdf_w(v, m1, m2) * (v / t)
+        p = pdf_w(v, m1, m2)
+        if p == 0.0:
+            # the density underflows before v / t overflows: 0 * inf is nan
+            return 0.0
+        return p * (v / t)
 
     sf = _quad_or_raise(tail, 0.0, 1.0, "survival tail")
     return 1.0 - sf, sf

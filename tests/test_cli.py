@@ -252,13 +252,17 @@ def test_vanishing_snr_gives_zero_with_non_integer_shapes(tmp_path):
     assert all(float(v) == 0.0 for row in rows for v in row[1:]), rows
 
 
-def test_huge_rate_gives_zero_with_non_integer_shapes(tmp_path):
+@pytest.mark.parametrize("scenario", [
     # link 1 has rate 3.75e200 and thresholds up to 1.7e201, so r x
     # overflows and every survival value of that link is exactly 0
+    {"chan1": {"m1": 1.5, "m2": 2.5, "omega1": 1e-100, "omega2": 1e-100},
+     "dist1": 1e100},
+    # rate 3.75e304: r x stays finite, but c / t**2 overflows at tail nodes
+    {"chan1": {"m1": 1.5, "m2": 2.5, "omega1": 1e-152, "omega2": 1e-152}},
+])
+def test_huge_rate_gives_zero_with_non_integer_shapes(tmp_path, scenario):
     cfg = tmp_path / "scenario.json"
-    cfg.write_text(json.dumps({
-        "chan1": {"m1": 1.5, "m2": 2.5, "omega1": 1e-100, "omega2": 1e-100},
-        "dist1": 1e100}))
+    cfg.write_text(json.dumps(scenario))
     code, text = run_cli(tmp_path, "optimize", "--case", "d", "--config", str(cfg))
     assert code == 0
     (row,) = rows_of(text)[1:]
