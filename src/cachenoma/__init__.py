@@ -10,12 +10,13 @@ from .caching import CacheCase, Catalog, case_distribution, zipf_popularity
 from .channel import DoubleNakagamiParams, LinkGeometry, bessel_k
 from .config import ScenarioConfig, load_config, parse_config
 from .errors import QuadratureAccuracyError
-from .mc import McConfig, mc_case, mc_chain_probability, mc_split
+from .mc import McConfig, mc_case, mc_split
 from .noma_full import (
     DecodeChain,
     FullScenario,
     SinrCondition,
     average_success,
+    branch_of,
     case_chains,
     case_objective,
     case_success,
@@ -24,12 +25,7 @@ from .noma_full import (
     oma_average_success,
     oma_success,
 )
-from .noma_split import (
-    SplitAllocation,
-    SplitScenario,
-    split_objective,
-    split_objective_branch,
-)
+from .noma_split import SplitScenario, split_objective_branch
 from .optimizer import (
     OptResult,
     check_concavity,
@@ -54,12 +50,12 @@ __all__ = [
     "QuadratureAccuracyError",
     "McConfig",
     "mc_case",
-    "mc_chain_probability",
     "mc_split",
     "DecodeChain",
     "FullScenario",
     "SinrCondition",
     "average_success",
+    "branch_of",
     "case_chains",
     "case_objective",
     "case_success",
@@ -67,9 +63,7 @@ __all__ = [
     "gain_threshold",
     "oma_average_success",
     "oma_success",
-    "SplitAllocation",
     "SplitScenario",
-    "split_objective",
     "split_objective_branch",
     "OptResult",
     "check_concavity",

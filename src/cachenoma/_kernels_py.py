@@ -107,6 +107,10 @@ def _temme_series(mu, x):
 
 def _cf2(mu, x):
     """K_mu(x) and K_{mu+1}(x) for x > 2, |mu| <= 0.5 (Steed's algorithm)."""
+    scale = math.exp(-x)
+    if scale == 0.0:
+        # both values underflow; 2 (1 + x) below would overflow near 9e307
+        return 0.0, 0.0
     b = 2.0 * (1.0 + x)
     d = 1.0 / b
     h = d
@@ -134,7 +138,7 @@ def _cf2(mu, x):
         if abs(dels / s) < _EPS:
             break
     h = a1 * h
-    kmu = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) / s
+    kmu = math.sqrt(math.pi / (2.0 * x)) * scale / s
     kmu1 = kmu * (mu + x + 0.5 - h) / x
     return kmu, kmu1
 

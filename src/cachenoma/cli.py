@@ -24,7 +24,12 @@ import numpy as np
 from .caching import CacheCase, Catalog
 from .config import ConfigError, _snr_power, load_config
 from .errors import QuadratureAccuracyError
-from .noma_full import average_success, case_objective, oma_average_success
+from .noma_full import (
+    average_success,
+    branch_of,
+    case_objective,
+    oma_average_success,
+)
 from .noma_split import split_objective_branch
 from .optimizer import (
     INTERIOR_TRIM,
@@ -234,7 +239,7 @@ def run_validate(cfg, samples, seed, workers):
     for semantics in ("product", "joint"):
         split = _with_semantics(cfg, semantics).split
         for alpha in VALIDATE_SPLIT_GRID:
-            branch = "high" if alpha > 0.5 else "low"
+            branch = branch_of(alpha)
             for beta in VALIDATE_SPLIT_GRID:
                 cell("split", "split", semantics, alpha, beta,
                      split_objective_branch(alpha, beta, split, branch),

@@ -23,14 +23,13 @@ import numpy as np
 
 from .caching import CacheCase
 from .channel import sample_gain_sq
-from .noma_full import DecodeChain, _chain_thresholds, case_chains
+from .noma_full import _chain_thresholds, branch_of, case_chains
 from .noma_split import split_case_chains
 
 __all__ = [
     "McConfig",
     "McEstimate",
     "McCaseResult",
-    "mc_chain_probability",
     "mc_case",
     "mc_split",
     "BLOCK",
@@ -148,19 +147,8 @@ def _chain_estimate(chain, params, geom, mode, cfg, user):
     return _product_of(parts)
 
 
-def mc_chain_probability(chain: DecodeChain, params, geom, mode, cfg: McConfig):
-    """Estimate one decode chain's success rate by direct channel sampling.
-
-    Returns (estimate, half_width_99).  A chain with an unsolvable condition
-    returns (0.0, 0.0) without sampling.
-    """
-    if mode not in ("joint", "product"):
-        raise ValueError(f"mode must be 'joint' or 'product', got {mode!r}")
-    est = _chain_estimate(chain, params, geom, mode, cfg, user=0)
-    return est.value, est.half_width
-
-
-def _two_user_estimate(chain1, chain2, base, cfg):
+def _two_user_estimate(chains, base, cfg):
+    chain1, chain2 = chains
     mode = base.semantics
     e1 = _chain_estimate(chain1, base.chan1, base.geom1, mode, cfg, user=1)
     e2 = _chain_estimate(chain2, base.chan2, base.geom2, mode, cfg, user=2)
@@ -169,12 +157,11 @@ def _two_user_estimate(chain1, chain2, base, cfg):
 
 def mc_case(case: CacheCase, alpha, sc, cfg: McConfig) -> McCaseResult:
     """Monte Carlo estimate of a full-file case under the scenario semantics."""
-    chain1, chain2 = case_chains(case, alpha, sc)
-    return _two_user_estimate(chain1, chain2, sc, cfg)
+    chains = case_chains(case, alpha, sc, branch_of(alpha))
+    return _two_user_estimate(chains, sc, cfg)
 
 
 def mc_split(alpha, beta, sc, cfg: McConfig) -> McCaseResult:
     """Monte Carlo estimate of the split-file success probability."""
-    branch = "high" if alpha > 0.5 else "low"
-    chain1, chain2 = split_case_chains(alpha, beta, sc, branch)
-    return _two_user_estimate(chain1, chain2, sc.base, cfg)
+    chains = split_case_chains(alpha, beta, sc, branch_of(alpha))
+    return _two_user_estimate(chains, sc.base, cfg)

@@ -2,10 +2,20 @@
 
 The base station superimposes the two requested files with power split
 alpha / (1 - alpha).  Each vehicle decodes through an ordered chain of SINR
-conditions on its own squared channel gain; a cached copy of the other
-vehicle's file lets a receiver cancel that component before decoding.
+conditions on its own squared channel gain.  The cases differ only in which
+vehicle holds a cached copy of the other vehicle's file, and one rule builds
+every vehicle's chain:
 
-Branch convention: alpha = 0.5 belongs to the low branch (alpha <= 0.5).
+* a vehicle that holds the other file cancels it and decodes its own file
+  with no interference;
+* otherwise, if its own file is the weaker component on this branch, it
+  first decodes and strips the other file (at that file's threshold), then
+  decodes its own file clean;
+* otherwise it decodes its own file with the other as interference.
+
+The branch is "high" when file 1 carries the larger share (alpha > 0.5) and
+"low" otherwise; ``branch_of(alpha)`` is the one place that maps alpha to a
+branch, so alpha = 0.5 belongs to the low branch.
 
 Two ways to turn a multi-condition chain into a probability are supported:
 
@@ -35,6 +45,7 @@ __all__ = [
     "DecodeChain",
     "gain_threshold",
     "chain_probability",
+    "branch_of",
     "case_chains",
     "case_success",
     "oma_success",
@@ -145,71 +156,70 @@ def chain_probability(chain: DecodeChain, params: DoubleNakagamiParams,
     return p
 
 
-def _check_alpha(alpha):
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+def branch_of(alpha):
+    """Decode branch of a power split: "high" when file 1 gets the larger
+    share (alpha > 0.5), otherwise "low" (alpha = 0.5 included)."""
+    return "high" if alpha > 0.5 else "low"
 
 
-def case_chains(case: CacheCase, alpha: float, sc: FullScenario):
+def _check_share(name, value):
+    if not (0.0 <= value <= 1.0):
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+
+
+def _check_branch(branch):
+    if branch not in ("high", "low"):
+        raise ValueError(f"branch must be 'high' or 'low', got {branch!r}")
+
+
+# (vehicle 1 holds file 2, vehicle 2 holds file 1) per case
+_HOLDS_OTHER = {
+    CacheCase.A: (True, True),
+    CacheCase.B: (True, False),
+    CacheCase.C: (False, True),
+    CacheCase.D: (False, False),
+}
+
+
+def _vehicle_chain(mine, other, noise, own_gamma, other_gamma, holds_other,
+                   weaker):
+    """One vehicle's chain; ``mine`` and ``other`` are the two files' powers."""
+    own = SinrCondition(mine, 0.0, noise, own_gamma)
+    if holds_other:
+        return DecodeChain((own,))
+    if weaker:
+        return DecodeChain((SinrCondition(other, mine, noise, other_gamma), own))
+    return DecodeChain((SinrCondition(mine, other, noise, own_gamma),))
+
+
+def case_chains(case: CacheCase, alpha: float, sc: FullScenario, branch: str):
     """Decode chains (vehicle 1 on link 1, vehicle 2 on link 2) for one case.
 
     Vehicle 1's file rides on alpha * P, vehicle 2's on (1 - alpha) * P.
-    A receiver that holds the other file cancels it outright; otherwise the
-    stronger component is decoded and stripped first (valid on the branch
-    where it is the stronger one).
+    ``branch`` is "high" (file 1 is the stronger component) or "low"; the
+    caller owns the choice, usually ``branch_of(alpha)``.
     """
-    _check_alpha(alpha)
-    p = sc.power
-    a = alpha
-    high = alpha > 0.5
-    s1, s2 = sc.sigma1_sq, sc.sigma2_sq
-    g1, g2 = sc.gamma1, sc.gamma2
+    _check_share("alpha", alpha)
+    _check_branch(branch)
+    if case not in _HOLDS_OTHER:
+        raise ValueError(f"case must be one of A, B, C, D, got {case!r}")
+    holds1, holds2 = _HOLDS_OTHER[case]
+    p1 = alpha * sc.power
+    p2 = (1.0 - alpha) * sc.power
+    high = branch == "high"
+    return (
+        _vehicle_chain(p1, p2, sc.sigma1_sq, sc.gamma1, sc.gamma2, holds1,
+                       weaker=not high),
+        _vehicle_chain(p2, p1, sc.sigma2_sq, sc.gamma2, sc.gamma1, holds2,
+                       weaker=high),
+    )
 
-    own1 = SinrCondition(a * p, 0.0, s1, g1)             # V1 decodes file 1, clean
-    own2 = SinrCondition((1.0 - a) * p, 0.0, s2, g2)     # V2 decodes file 2, clean
 
-    if case is CacheCase.A:
-        return DecodeChain((own1,)), DecodeChain((own2,))
-
-    if case is CacheCase.B:
-        # V1 cancels file 2 from cache; V2 has no copy of file 1.
-        if high:
-            v2 = DecodeChain((
-                SinrCondition(a * p, (1.0 - a) * p, s2, g1),  # strip file 1 first
-                own2,
-            ))
-        else:
-            v2 = DecodeChain((SinrCondition((1.0 - a) * p, a * p, s2, g2),))
-        return DecodeChain((own1,)), v2
-
-    if case is CacheCase.C:
-        # V2 cancels file 1 from cache; V1 has no copy of file 2.
-        if high:
-            v1 = DecodeChain((SinrCondition(a * p, (1.0 - a) * p, s1, g1),))
-        else:
-            v1 = DecodeChain((
-                SinrCondition((1.0 - a) * p, a * p, s1, g2),  # strip file 2 first
-                own1,
-            ))
-        return v1, DecodeChain((own2,))
-
-    if case is CacheCase.D:
-        # Neither vehicle holds the other's file.
-        if high:
-            v1 = DecodeChain((SinrCondition(a * p, (1.0 - a) * p, s1, g1),))
-            v2 = DecodeChain((
-                SinrCondition(a * p, (1.0 - a) * p, s2, g1),
-                own2,
-            ))
-        else:
-            v1 = DecodeChain((
-                SinrCondition((1.0 - a) * p, a * p, s1, g2),
-                own1,
-            ))
-            v2 = DecodeChain((SinrCondition((1.0 - a) * p, a * p, s2, g2),))
-        return v1, v2
-
-    raise ValueError(f"case must be one of A, B, C, D, got {case!r}")
+def _pair_success(chains, sc: FullScenario):
+    """Success probabilities (p1, p2) of a chain pair on links 1 and 2."""
+    v1, v2 = chains
+    return (chain_probability(v1, sc.chan1, sc.geom1, sc.semantics),
+            chain_probability(v2, sc.chan2, sc.geom2, sc.semantics))
 
 
 def case_success(case: CacheCase, alpha: float, sc: FullScenario):
@@ -219,10 +229,7 @@ def case_success(case: CacheCase, alpha: float, sc: FullScenario):
     information, is plain power-domain NOMA with SIC and so also the
     cacheless (conventional NOMA) baseline.
     """
-    v1, v2 = case_chains(case, alpha, sc)
-    p1 = chain_probability(v1, sc.chan1, sc.geom1, sc.semantics)
-    p2 = chain_probability(v2, sc.chan2, sc.geom2, sc.semantics)
-    return p1, p2
+    return _pair_success(case_chains(case, alpha, sc, branch_of(alpha)), sc)
 
 
 def oma_success(sc: FullScenario):

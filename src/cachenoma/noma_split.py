@@ -10,10 +10,19 @@ four components with powers
     (1-alpha)*(1-beta)*P  part 2 of file 2
 
 Vehicle 1 must recover both parts of file 1, vehicle 2 both parts of file 2.
-On the high branch (alpha > 0.5) vehicle 2 additionally SIC-decodes the
-uncached part of file 1 first; on the low branch (alpha <= 0.5) the roles
-flip.  Five SINR conditions result: two for one vehicle, three for the
-other, each mapped to a gain threshold on its own link.
+The two branches differ only in which file carries the larger share, so one
+rule builds each vehicle's chain from its own share and the other's:
+
+* the vehicle whose file is the stronger decodes part 1 of it against
+  everything it cannot cancel, then part 2 against the other file's part 2;
+* the vehicle whose file is the weaker first SIC-decodes the uncached part 2
+  of the other file, then decodes part 1 of its own against part 2, then
+  part 2 clean.
+
+On the high branch (alpha > 0.5, see ``noma_full.branch_of``) file 1 is the
+stronger; on the low branch (alpha <= 0.5) the roles flip.  Five SINR
+conditions result: two for one vehicle, three for the other, each mapped to
+a gain threshold on its own link.
 """
 import math
 from dataclasses import dataclass
@@ -22,13 +31,13 @@ from .noma_full import (
     DecodeChain,
     FullScenario,
     SinrCondition,
-    chain_probability,
+    _check_branch,
+    _check_share,
+    _pair_success,
 )
 
 __all__ = [
     "SplitScenario",
-    "SplitAllocation",
-    "split_objective",
     "split_case_chains",
     "split_objective_branch",
 ]
@@ -54,19 +63,22 @@ class SplitScenario:
                 raise ValueError(f"{name} must be finite and positive, got {v!r}")
 
 
-@dataclass(frozen=True)
-class SplitAllocation:
-    """Primary power split alpha (between files) and secondary split beta
-    (between the two parts of each file)."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
-        if not (0.0 <= self.beta <= 1.0):
-            raise ValueError(f"beta must lie in [0, 1], got {self.beta!r}")
+def _vehicle_chain(mine, other, b, p, noise, own_gammas, other_gamma2, weaker):
+    """One vehicle's chain; ``mine`` and ``other`` are the two files' shares."""
+    g1, g2 = own_gammas
+    if weaker:
+        return DecodeChain((
+            # uncached part 2 of the other file, decoded first and stripped
+            SinrCondition(other * (1.0 - b) * p, mine * p, noise, other_gamma2),
+            SinrCondition(mine * b * p, mine * (1.0 - b) * p, noise, g1),
+            SinrCondition(mine * (1.0 - b) * p, 0.0, noise, g2),
+        ))
+    return DecodeChain((
+        # part 1 against everything it cannot cancel
+        SinrCondition(mine * b * p, (1.0 - b) * p, noise, g1),
+        # part 2 after stripping part 1
+        SinrCondition(mine * (1.0 - b) * p, other * (1.0 - b) * p, noise, g2),
+    ))
 
 
 def split_case_chains(alpha: float, beta: float, sc: SplitScenario, branch: str):
@@ -75,55 +87,22 @@ def split_case_chains(alpha: float, beta: float, sc: SplitScenario, branch: str)
     ``branch`` is "high" or "low"; the caller owns the branch choice, which
     lets the two formulas be compared at the overlap point alpha = 0.5.
     """
+    _check_share("alpha", alpha)
+    _check_share("beta", beta)
+    _check_branch(branch)
     base = sc.base
     p = base.power
-    a, b = alpha, beta
-    s1, s2 = base.sigma1_sq, base.sigma2_sq
-
-    if branch == "high":
-        v1 = DecodeChain((
-            # part 1 of file 1 against everything it cannot cancel
-            SinrCondition(a * b * p, (1.0 - b) * p, s1, sc.gamma11),
-            # part 2 of file 1 after stripping part 1
-            SinrCondition(a * (1.0 - b) * p, (1.0 - a) * (1.0 - b) * p, s1, sc.gamma12),
-        ))
-        v2 = DecodeChain((
-            # uncached part 2 of file 1, decoded first and stripped
-            SinrCondition(a * (1.0 - b) * p, (1.0 - a) * p, s2, sc.gamma12),
-            # part 1 of file 2
-            SinrCondition(b * (1.0 - a) * p, (1.0 - a) * (1.0 - b) * p, s2, sc.gamma21),
-            # part 2 of file 2, interference-free
-            SinrCondition((1.0 - b) * (1.0 - a) * p, 0.0, s2, sc.gamma22),
-        ))
-        return v1, v2
-
-    if branch == "low":
-        v2 = DecodeChain((
-            SinrCondition((1.0 - a) * b * p, (1.0 - b) * p, s2, sc.gamma21),
-            SinrCondition((1.0 - a) * (1.0 - b) * p, a * (1.0 - b) * p, s2, sc.gamma22),
-        ))
-        v1 = DecodeChain((
-            # uncached part 2 of file 2, decoded first and stripped
-            SinrCondition((1.0 - a) * (1.0 - b) * p, a * p, s1, sc.gamma22),
-            SinrCondition(a * b * p, a * (1.0 - b) * p, s1, sc.gamma11),
-            SinrCondition(a * (1.0 - b) * p, 0.0, s1, sc.gamma12),
-        ))
-        return v1, v2
-
-    raise ValueError(f"branch must be 'high' or 'low', got {branch!r}")
+    high = branch == "high"
+    return (
+        _vehicle_chain(alpha, 1.0 - alpha, beta, p, base.sigma1_sq,
+                       (sc.gamma11, sc.gamma12), sc.gamma22, weaker=not high),
+        _vehicle_chain(1.0 - alpha, alpha, beta, p, base.sigma2_sq,
+                       (sc.gamma21, sc.gamma22), sc.gamma12, weaker=high),
+    )
 
 
 def split_objective_branch(alpha: float, beta: float, sc: SplitScenario,
                            branch: str) -> float:
     """Joint success of both vehicles under one branch's decode order."""
-    base = sc.base
-    v1, v2 = split_case_chains(alpha, beta, sc, branch)
-    p1 = chain_probability(v1, base.chan1, base.geom1, base.semantics)
-    p2 = chain_probability(v2, base.chan2, base.geom2, base.semantics)
+    p1, p2 = _pair_success(split_case_chains(alpha, beta, sc, branch), sc.base)
     return p1 * p2
-
-
-def split_objective(alloc: SplitAllocation, sc: SplitScenario) -> float:
-    """Joint success with the branch picked by alpha (0.5 -> low)."""
-    branch = "high" if alloc.alpha > 0.5 else "low"
-    return split_objective_branch(alloc.alpha, alloc.beta, sc, branch)

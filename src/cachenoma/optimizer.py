@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caching import CacheCase
-from .noma_full import case_chains, case_objective
+from .noma_full import branch_of, case_chains, case_objective
 from .noma_split import split_case_chains, split_objective_branch
 
 __all__ = [
@@ -144,10 +144,7 @@ def optimize_case(case: CacheCase, sc, tol=1e-6, coarse=33) -> OptResult:
         evals += used
         if v > best_v:
             best_x, best_v = x, v
-    if case is CacheCase.A:
-        branch = "full"
-    else:
-        branch = "high" if best_x > 0.5 else "low"
+    branch = "full" if case is CacheCase.A else branch_of(best_x)
     return OptResult(argmax=best_x, value=best_v, evaluations=evals, branch=branch)
 
 
@@ -237,28 +234,24 @@ def _chain_margins(chains):
     return out
 
 
+def _feasible_along(chains_at, x0, x1):
+    """Feasible sub-interval of [x0, x1] for chains whose margins are linear."""
+    return _feasible_from_margins(_chain_margins(chains_at(x0)),
+                                  _chain_margins(chains_at(x1)), x0, x1)
+
+
 def case_branch_feasible(case: CacheCase, sc):
     """Alpha intervals (per decode branch) where every condition is solvable.
 
     Returns {branch: (lo, hi) or None}; case A has the single branch "full".
     """
-    def margins_at(alpha):
-        return _chain_margins(case_chains(case, alpha, sc))
-
     if case is CacheCase.A:
-        iv = _feasible_from_margins(margins_at(0.0), margins_at(1.0), 0.0, 1.0)
-        return {"full": iv}
-    out = {}
-    for branch, (x0, x1) in _BRANCH_ALPHA.items():
-        # probe strictly inside the branch so case_chains picks its formula
-        eps = 1e-9
-        p0, p1 = x0 + eps, x1 - eps
-        m0, m1 = margins_at(p0), margins_at(p1)
-        # margins are linear in alpha: extrapolate back to the closed ends
-        mlo = [a - (b - a) * (p0 - x0) / (p1 - p0) for a, b in zip(m0, m1)]
-        mhi = [b + (b - a) * (x1 - p1) / (p1 - p0) for a, b in zip(m0, m1)]
-        out[branch] = _feasible_from_margins(mlo, mhi, x0, x1)
-    return out
+        # both vehicles decode clean, so either branch gives the same chains
+        return {"full": _feasible_along(
+            lambda x: case_chains(case, x, sc, "low"), 0.0, 1.0)}
+    return {branch: _feasible_along(
+                lambda x, br=branch: case_chains(case, x, sc, br), x0, x1)
+            for branch, (x0, x1) in _BRANCH_ALPHA.items()}
 
 
 def split_line_feasible(sc, branch, axis, fixed):
@@ -268,15 +261,10 @@ def split_line_feasible(sc, branch, axis, fixed):
     coordinate spans the branch's alpha range or [0, 1] respectively.
     """
     if axis == "alpha":
-        x0, x1 = _BRANCH_ALPHA[branch]
-
-        def margins_at(x):
-            return _chain_margins(split_case_chains(x, fixed, sc, branch))
-    elif axis == "beta":
-        x0, x1 = 0.0, 1.0
-
-        def margins_at(x):
-            return _chain_margins(split_case_chains(fixed, x, sc, branch))
-    else:
-        raise ValueError(f"axis must be 'alpha' or 'beta', got {axis!r}")
-    return _feasible_from_margins(margins_at(x0), margins_at(x1), x0, x1)
+        return _feasible_along(
+            lambda x: split_case_chains(x, fixed, sc, branch),
+            *_BRANCH_ALPHA[branch])
+    if axis == "beta":
+        return _feasible_along(
+            lambda x: split_case_chains(fixed, x, sc, branch), 0.0, 1.0)
+    raise ValueError(f"axis must be 'alpha' or 'beta', got {axis!r}")

@@ -23,11 +23,12 @@ from cachenoma.cli import main, run_validate
 from cachenoma.config import load_config
 from cachenoma.noma_full import (
     average_success,
+    branch_of,
     case_objective,
     oma_average_success,
     single_user_success,
 )
-from cachenoma.noma_split import SplitAllocation, split_objective, split_objective_branch
+from cachenoma.noma_split import split_objective_branch
 from cachenoma.optimizer import (
     INTERIOR_TRIM,
     case_branch_feasible,
@@ -276,9 +277,9 @@ def test_criterion_7_optimizer_soundness(capsys):
     split_res = optimize_split(cfg.split)
     grid = np.linspace(0.0, 1.0, 201)
     split_grid_best = 0.0
-    for a in grid:
-        for b in grid:
-            val = split_objective(SplitAllocation(float(a), float(b)), cfg.split)
+    for a in map(float, grid):
+        for b in map(float, grid):
+            val = split_objective_branch(a, b, cfg.split, branch_of(a))
             split_grid_best = max(split_grid_best, val)
     worst_gap = min(worst_gap, split_res.value - split_grid_best)
     elapsed = time.perf_counter() - t0

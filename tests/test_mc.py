@@ -12,7 +12,7 @@ from cachenoma.channel import (
     survival_gain_sq,
 )
 from cachenoma.config import load_config
-from cachenoma.mc import McConfig, mc_case, mc_chain_probability, mc_split
+from cachenoma.mc import McConfig, _chain_estimate, mc_case, mc_split
 from cachenoma.noma_full import (
     DecodeChain,
     FullScenario,
@@ -22,6 +22,12 @@ from cachenoma.noma_full import (
 
 CHAN = DoubleNakagamiParams(m1=1.0, m2=1.0, omega1=2.0, omega2=2.0)
 GEOM = LinkGeometry(distance=1.0, pathloss_exp=2.0)
+
+
+def chain_estimate(chain, mode, cfg):
+    """(estimate, half-width) of one chain on the CHAN/GEOM link."""
+    est = _chain_estimate(chain, CHAN, GEOM, mode, cfg, user=0)
+    return est.value, est.half_width
 
 
 def test_config_validation():
@@ -39,7 +45,7 @@ def test_config_validation():
 def test_single_condition_matches_survival():
     chain = DecodeChain((SinrCondition(6.0, 0.0, 1.0, 1.0),))
     cfg = McConfig(samples=200_000, seed=911, workers=2)
-    est, hw = mc_chain_probability(chain, CHAN, GEOM, "product", cfg)
+    est, hw = chain_estimate(chain, "product", cfg)
     t = gain_threshold(6.0, 0.0, 1.0, 1.0)
     truth = survival_gain_sq(t / effective_scale(GEOM), CHAN)
     assert abs(est - truth) <= 3.0 * hw
@@ -50,16 +56,9 @@ def test_infeasible_chain_is_exact_zero():
     chain = DecodeChain((SinrCondition(1.0, 2.0, 1.0, 1.0),))
     cfg = McConfig(samples=1000, seed=3, workers=1)
     for mode in ("joint", "product"):
-        est, hw = mc_chain_probability(chain, CHAN, GEOM, mode, cfg)
+        est, hw = chain_estimate(chain, mode, cfg)
         assert est == 0.0
         assert hw == 0.0
-
-
-def test_mode_validation():
-    chain = DecodeChain((SinrCondition(6.0, 0.0, 1.0, 1.0),))
-    cfg = McConfig(samples=100, seed=1, workers=1)
-    with pytest.raises(ValueError):
-        mc_chain_probability(chain, CHAN, GEOM, "mean", cfg)
 
 
 def test_worker_count_does_not_change_counts():
@@ -70,7 +69,7 @@ def test_worker_count_does_not_change_counts():
     results = []
     for workers in (1, 4, 8):
         cfg = McConfig(samples=400_000, seed=1234, workers=workers)
-        results.append(mc_chain_probability(chain, CHAN, GEOM, "product", cfg))
+        results.append(chain_estimate(chain, "product", cfg))
     assert results[0] == results[1] == results[2]
 
 
@@ -79,8 +78,8 @@ def test_sample_count_determinism_across_modes():
     # but each is reproducible on its own
     chain = DecodeChain((SinrCondition(7.0, 3.0, 1.0, 1.0),))
     cfg = McConfig(samples=50_000, seed=77, workers=2)
-    a = mc_chain_probability(chain, CHAN, GEOM, "joint", cfg)
-    b = mc_chain_probability(chain, CHAN, GEOM, "joint", cfg)
+    a = chain_estimate(chain, "joint", cfg)
+    b = chain_estimate(chain, "joint", cfg)
     assert a == b
 
 
@@ -88,7 +87,7 @@ def test_estimates_stay_in_unit_interval():
     cfg = McConfig(samples=2_000, seed=5, workers=1)
     for sig, thr in ((0.5, 2.0), (6.0, 1.0), (9.5, 0.1)):
         chain = DecodeChain((SinrCondition(sig, 0.0, 1.0, thr),))
-        est, hw = mc_chain_probability(chain, CHAN, GEOM, "product", cfg)
+        est, hw = chain_estimate(chain, "product", cfg)
         assert 0.0 <= est <= 1.0
         assert hw >= 0.0
 
@@ -98,7 +97,7 @@ def test_half_width_scales_with_samples():
     hw = {}
     for n in (10_000, 100_000):
         cfg = McConfig(samples=n, seed=60, workers=2)
-        _, hw[n] = mc_chain_probability(chain, CHAN, GEOM, "product", cfg)
+        _, hw[n] = chain_estimate(chain, "product", cfg)
     ratio = hw[10_000] / hw[100_000]
     assert abs(ratio - math.sqrt(10.0)) <= 0.2 * math.sqrt(10.0)
 
@@ -109,8 +108,8 @@ def test_joint_mode_not_below_product_mode():
         SinrCondition(3.0, 0.0, 1.0, 1.0),
     ))
     cfg = McConfig(samples=300_000, seed=2024, workers=2)
-    joint, jhw = mc_chain_probability(chain, CHAN, GEOM, "joint", cfg)
-    product, phw = mc_chain_probability(chain, CHAN, GEOM, "product", cfg)
+    joint, jhw = chain_estimate(chain, "joint", cfg)
+    product, phw = chain_estimate(chain, "product", cfg)
     assert joint >= product - 3.0 * (jhw + phw)
 
 

@@ -1,6 +1,7 @@
 """Checks for the full-file transmission cases and baselines."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from cachenoma.noma_full import (
     FullScenario,
     SinrCondition,
     average_success,
+    branch_of,
     case_chains,
     case_objective,
     case_success,
@@ -65,7 +67,7 @@ def test_scenario_validation():
 
 def test_case_a_is_two_clean_links():
     sc = default_scenario()
-    v1, v2 = case_chains(CacheCase.A, 0.6, sc)
+    v1, v2 = case_chains(CacheCase.A, 0.6, sc, "high")
     assert len(v1.conditions) == 1 and len(v2.conditions) == 1
     assert v1.conditions[0] == SinrCondition(6.0, 0.0, 1.0, 1.0)
     assert v2.conditions[0] == SinrCondition(4.0, 0.0, 1.0, 1.0)
@@ -79,7 +81,7 @@ def test_case_a_is_two_clean_links():
 def test_case_b_low_branch_single_condition():
     sc = default_scenario()
     alpha = 0.3
-    v1, v2 = case_chains(CacheCase.B, alpha, sc)
+    v1, v2 = case_chains(CacheCase.B, alpha, sc, "low")
     assert len(v1.conditions) == 1          # vehicle 1 cancels the interferer
     assert len(v2.conditions) == 1          # weak component decoded directly
     c = v2.conditions[0]
@@ -90,7 +92,7 @@ def test_case_b_low_branch_single_condition():
 
 def test_case_b_high_branch_strips_first():
     sc = default_scenario()
-    v1, v2 = case_chains(CacheCase.B, 0.8, sc)
+    v1, v2 = case_chains(CacheCase.B, 0.8, sc, "high")
     assert len(v1.conditions) == 1
     assert len(v2.conditions) == 2
     first, second = v2.conditions
@@ -102,8 +104,8 @@ def test_case_b_high_branch_strips_first():
 
 def test_case_c_mirrors_case_b():
     sc = default_scenario()
-    b1, b2 = case_chains(CacheCase.B, 0.7, sc)
-    c1, c2 = case_chains(CacheCase.C, 0.3, sc)
+    b1, b2 = case_chains(CacheCase.B, 0.7, sc, "high")
+    c1, c2 = case_chains(CacheCase.C, 0.3, sc, "low")
     # with symmetric thresholds, C at 1 - alpha swaps the vehicles' roles
     assert len(c2.conditions) == len(b1.conditions)
     assert len(c1.conditions) == len(b2.conditions)
@@ -111,23 +113,81 @@ def test_case_c_mirrors_case_b():
 
 def test_case_d_branch_structure():
     sc = default_scenario()
-    v1, v2 = case_chains(CacheCase.D, 0.8, sc)
+    v1, v2 = case_chains(CacheCase.D, 0.8, sc, "high")
     assert (len(v1.conditions), len(v2.conditions)) == (1, 2)
-    v1, v2 = case_chains(CacheCase.D, 0.2, sc)
+    v1, v2 = case_chains(CacheCase.D, 0.2, sc, "low")
     assert (len(v1.conditions), len(v2.conditions)) == (2, 1)
     # the boundary point belongs to the weak-component branch
-    v1, v2 = case_chains(CacheCase.D, 0.5, sc)
+    v1, v2 = case_chains(CacheCase.D, 0.5, sc, branch_of(0.5))
     assert (len(v1.conditions), len(v2.conditions)) == (2, 1)
+
+
+def asymmetric_scenario(semantics):
+    return FullScenario(
+        power=10.0,
+        sigma1_sq=1.0,
+        sigma2_sq=0.6,
+        gamma1=0.8,
+        gamma2=0.5,
+        chan1=DoubleNakagamiParams(m1=1.0, m2=2.0, omega1=2.0, omega2=1.5),
+        chan2=DoubleNakagamiParams(m1=2.0, m2=3.0, omega1=1.0, omega2=2.5),
+        geom1=LinkGeometry(distance=1.0, pathloss_exp=2.0),
+        geom2=LinkGeometry(distance=0.6, pathloss_exp=2.0),
+        semantics=semantics,
+    )
+
+
+def swapped_links(sc):
+    """The same scenario with vehicles 1 and 2 exchanged."""
+    return replace(sc, sigma1_sq=sc.sigma2_sq, sigma2_sq=sc.sigma1_sq,
+                   gamma1=sc.gamma2, gamma2=sc.gamma1, chan1=sc.chan2,
+                   chan2=sc.chan1, geom1=sc.geom2, geom2=sc.geom1)
+
+
+@pytest.mark.parametrize("semantics", ["product", "joint"])
+def test_cases_mirror_when_links_swap(semantics):
+    # exchanging the vehicles turns B into C and keeps A and D, with the
+    # power split read from the other side
+    sc = asymmetric_scenario(semantics)
+    mirror = swapped_links(sc)
+    pairs = ((CacheCase.A, CacheCase.A), (CacheCase.B, CacheCase.C),
+             (CacheCase.C, CacheCase.B), (CacheCase.D, CacheCase.D))
+    positive = 0
+    for alpha in (0.1, 0.3, 0.7, 0.9):
+        for case, image in pairs:
+            p1, p2 = case_success(case, alpha, sc)
+            q1, q2 = case_success(image, 1.0 - alpha, mirror)
+            assert math.isclose(p1, q2, rel_tol=1e-12, abs_tol=0.0)
+            assert math.isclose(p2, q1, rel_tol=1e-12, abs_tol=0.0)
+            positive += p1 * p2 > 0.0
+    assert positive >= 10
+
+
+@pytest.mark.parametrize("semantics", ["product", "joint"])
+def test_case_success_nondecreasing_in_snr(semantics):
+    sc = asymmetric_scenario(semantics)
+    snrs = np.linspace(-10.0, 40.0, 21)
+    for case in (CacheCase.A, CacheCase.B, CacheCase.C, CacheCase.D):
+        for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
+            values = []
+            for snr in snrs:
+                at = replace(sc, power=sc.sigma1_sq * 10.0 ** (snr / 10.0))
+                p1, p2 = case_success(case, alpha, at)
+                values.append(p1 * p2)
+            assert all(b >= a for a, b in zip(values, values[1:])), \
+                (case, alpha, values)
 
 
 def test_case_chains_rejects_bad_alpha():
     sc = default_scenario()
     with pytest.raises(ValueError):
-        case_chains(CacheCase.A, -0.01, sc)
+        case_chains(CacheCase.A, -0.01, sc, "low")
     with pytest.raises(ValueError):
-        case_chains(CacheCase.D, 1.01, sc)
+        case_chains(CacheCase.D, 1.01, sc, "high")
     with pytest.raises(ValueError):
-        case_chains(CacheCase.SELF_HIT_1, 0.5, sc)
+        case_chains(CacheCase.SELF_HIT_1, 0.5, sc, "low")
+    with pytest.raises(ValueError):
+        case_chains(CacheCase.D, 0.5, sc, "full")
 
 
 def test_zero_power_share_kills_success():

@@ -1,17 +1,21 @@
 """Checks for the two-part split transmission objective."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from cachenoma.channel import DoubleNakagamiParams, LinkGeometry
 from cachenoma.config import load_config
-from cachenoma.noma_full import DecodeChain, FullScenario, chain_probability
+from cachenoma.noma_full import (
+    DecodeChain,
+    FullScenario,
+    branch_of,
+    chain_probability,
+)
 from cachenoma.noma_split import (
-    SplitAllocation,
     SplitScenario,
     split_case_chains,
-    split_objective,
     split_objective_branch,
 )
 
@@ -49,9 +53,9 @@ def test_scenario_validation():
         SplitScenario(base=sc.base, gamma11=0.0, gamma12=0.25,
                       gamma21=0.25, gamma22=0.25)
     with pytest.raises(ValueError):
-        SplitAllocation(alpha=1.2, beta=0.5)
+        split_case_chains(1.2, 0.5, sc, "high")
     with pytest.raises(ValueError):
-        SplitAllocation(alpha=0.5, beta=-0.1)
+        split_case_chains(0.5, -0.1, sc, "low")
 
 
 def test_high_branch_coefficients():
@@ -156,24 +160,56 @@ def test_alpha_zero_strip_condition_is_clean():
     assert strip.interference_coef == 0.0
 
 
-def test_split_objective_picks_branch_by_alpha():
-    sc = default_split()
-    assert split_objective(SplitAllocation(0.7, 0.5), sc) == \
-        split_objective_branch(0.7, 0.5, sc, "high")
-    assert split_objective(SplitAllocation(0.3, 0.5), sc) == \
-        split_objective_branch(0.3, 0.5, sc, "low")
+def test_branch_of_picks_branch_by_alpha():
+    assert branch_of(0.7) == "high"
+    assert branch_of(0.3) == "low"
     # the boundary allocation evaluates on the weak-component side
-    assert split_objective(SplitAllocation(0.5, 0.5), sc) == \
-        split_objective_branch(0.5, 0.5, sc, "low")
+    assert branch_of(0.5) == "low"
+    assert branch_of(math.nextafter(0.5, 1.0)) == "high"
+
+
+def swapped_links(sc):
+    """The same split scenario with vehicles 1 and 2 exchanged."""
+    b = sc.base
+    base = replace(b, sigma1_sq=b.sigma2_sq, sigma2_sq=b.sigma1_sq,
+                   gamma1=b.gamma2, gamma2=b.gamma1, chan1=b.chan2,
+                   chan2=b.chan1, geom1=b.geom2, geom2=b.geom1)
+    return replace(sc, base=base, gamma11=sc.gamma21, gamma12=sc.gamma22,
+                   gamma21=sc.gamma11, gamma22=sc.gamma12)
+
+
+@pytest.mark.parametrize("semantics", ["product", "joint"])
+def test_branches_mirror_when_links_swap(semantics):
+    # unequal links, noises and part thresholds: the high branch at alpha is
+    # the low branch at 1 - alpha once the two vehicles trade places
+    sc = default_split(semantics)
+    sc = replace(
+        sc,
+        base=replace(
+            sc.base, sigma2_sq=0.6,
+            chan1=DoubleNakagamiParams(m1=1.0, m2=2.0, omega1=2.0, omega2=1.5),
+            chan2=DoubleNakagamiParams(m1=2.0, m2=3.0, omega1=1.0, omega2=2.5),
+            geom2=LinkGeometry(distance=0.6, pathloss_exp=2.0),
+        ),
+        gamma11=0.3, gamma12=0.2, gamma21=0.5, gamma22=0.1,
+    )
+    mirror = swapped_links(sc)
+    positive = 0
+    for alpha in (0.6, 0.75, 0.9):
+        for beta in (0.45, 0.6, 0.75):
+            high = split_objective_branch(alpha, beta, sc, "high")
+            low = split_objective_branch(1.0 - alpha, beta, mirror, "low")
+            assert math.isclose(high, low, rel_tol=1e-12, abs_tol=0.0)
+            positive += high > 0.0
+    assert positive == 9
 
 
 def test_joint_semantics_not_below_product():
     product = default_split("product")
     joint = default_split("joint")
     for alpha, beta in ((0.7, 0.4), (0.35, 0.55), (0.6, 0.8)):
-        branch = "high" if alpha > 0.5 else "low"
-        pj = split_objective_branch(alpha, beta, joint, branch)
-        pp = split_objective_branch(alpha, beta, product, branch)
+        pj = split_objective_branch(alpha, beta, joint, branch_of(alpha))
+        pp = split_objective_branch(alpha, beta, product, branch_of(alpha))
         assert pj >= pp - 1e-12
 
 

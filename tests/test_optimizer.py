@@ -203,6 +203,13 @@ def test_case_feasible_intervals():
     assert math.isclose(hi, 0.5, abs_tol=1e-9)
 
 
+def test_case_feasible_ends_are_exact():
+    # both branch ends are closed, so the margins are taken right there
+    sc = load_config(None).scenario
+    assert case_branch_feasible(CacheCase.D, sc) == {
+        "high": (0.5, 1.0), "low": (0.0, 0.5)}
+
+
 def test_split_line_feasible_interval():
     cfg = load_config(None)
     lo, hi = split_line_feasible(cfg.split, "low", "alpha", 0.3)
