@@ -10,7 +10,7 @@ from .caching import CacheCase, Catalog, case_distribution, zipf_popularity
 from .channel import DoubleNakagamiParams, LinkGeometry, bessel_k
 from .config import ScenarioConfig, load_config, parse_config
 from .errors import QuadratureAccuracyError
-from .mc import McConfig, mc_case, mc_split
+from .mc import McConfig, mc_case, mc_cells, mc_split
 from .noma_full import (
     DecodeChain,
     FullScenario,
@@ -50,6 +50,7 @@ __all__ = [
     "QuadratureAccuracyError",
     "McConfig",
     "mc_case",
+    "mc_cells",
     "mc_split",
     "DecodeChain",
     "FullScenario",

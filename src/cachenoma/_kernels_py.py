@@ -105,9 +105,9 @@ def _temme_series(mu, x):
     return total, total1 * (2.0 / x)
 
 
-def _cf2(mu, x):
-    """K_mu(x) and K_{mu+1}(x) for x > 2, |mu| <= 0.5 (Steed's algorithm)."""
-    scale = math.exp(-x)
+def _cf2(mu, x, scale):
+    """scale e^x K_mu(x) and scale e^x K_{mu+1}(x) for x > 2, |mu| <= 0.5
+    (Steed's algorithm): K itself at scale e^-x, e^x K at scale 1."""
     if scale == 0.0:
         # both values underflow; 2 (1 + x) below would overflow near 9e307
         return 0.0, 0.0
@@ -143,15 +143,18 @@ def _cf2(mu, x):
     return kmu, kmu1
 
 
-def _start(nu, x):
-    """Split |nu| = mu + nl with |mu| <= 0.5; K_mu(x) and K_{mu+1}(x)."""
+def _start(nu, x, scaled=False):
+    """Split |nu| = mu + nl with |mu| <= 0.5; K_mu(x) and K_{mu+1}(x),
+    both times e^x when ``scaled``."""
     anu = abs(nu)
     nl = int(anu + 0.5)
     mu = anu - nl
     if x <= 2.0:
         k0, k1 = _temme_series(mu, x)
+        if scaled:
+            k0, k1 = k0 * math.exp(x), k1 * math.exp(x)
     else:
-        k0, k1 = _cf2(mu, x)
+        k0, k1 = _cf2(mu, x, 1.0 if scaled else math.exp(-x))
     return mu, nl, k0, k1
 
 
@@ -164,10 +167,12 @@ def bessel_k(nu, x):
     return k1 if nl > 0 else k0
 
 
-def log_bessel_k(nu, x):
+def log_bessel_k(nu, x, scaled=False):
     """log K_nu(x), finite where K_nu(x) itself overflows (small x, large
-    order).  The upward recurrence is renormalised at every step."""
-    mu, nl, k0, k1 = _start(nu, x)
+    order); log(e^x K_nu(x)) when ``scaled``, finite where K_nu(x)
+    underflows (large x).  The upward recurrence is renormalised at every
+    step."""
+    mu, nl, k0, k1 = _start(nu, x, scaled)
     if nl == 0:
         return math.log(k0)
     log_scale = 0.0
@@ -296,8 +301,8 @@ def _integer_shape_sf(c, m1, m2):
 
     Every term is positive, so the sum has no cancellation; each is formed
     in log space so that neither the power nor the factorial overflows, and
-    a Bessel value that overflows (tiny c with a large order) is taken as
-    its logarithm.
+    a Bessel value that overflows (tiny c with a large order) or underflows
+    (large c) is taken as its logarithm.
     """
     m, n = m1, m2
     if not _short_integer(n):
@@ -311,8 +316,9 @@ def _integer_shape_sf(c, m1, m2):
     for k in range(int(n)):
         kv = bessel_k(m - k, z)
         if kv == 0.0:
-            continue
-        if math.isinf(kv):
+            # K underflows (z beyond about 745) while e^z K does not
+            log_kv = log_bessel_k(m - k, z, scaled=True) - z
+        elif math.isinf(kv):
             log_kv = log_bessel_k(m - k, z)
         else:
             log_kv = math.log(kv)

@@ -27,10 +27,11 @@ from .errors import QuadratureAccuracyError
 from .noma_full import (
     average_success,
     branch_of,
+    case_chains,
     case_objective,
     oma_average_success,
 )
-from .noma_split import split_objective_branch
+from .noma_split import split_case_chains, split_objective_branch
 from .optimizer import (
     INTERIOR_TRIM,
     case_branch_feasible,
@@ -38,7 +39,7 @@ from .optimizer import (
     optimize_case,
     optimize_split,
 )
-from .mc import McConfig, mc_case, mc_split
+from .mc import McConfig, mc_cells
 
 __all__ = [
     "main",
@@ -215,35 +216,38 @@ def _with_semantics(cfg, semantics):
 def run_validate(cfg, samples, seed, workers):
     """Analytic-vs-MC rows; returns (rows, all_passed).
 
-    The k-th cell (and row) samples with base seed ``seed + k``.
+    All 130 cells are estimated in one ``mc_cells`` batch with base seed
+    ``seed``, so they share common random numbers (see ``mc``).
     """
-    rows = []
-
-    def cell(kind, label, semantics, alpha, beta, analytic, sample):
-        mc_cfg = McConfig(samples=samples, seed=(seed + len(rows)) % (2 ** 64),
-                          workers=workers)
-        est = sample(mc_cfg).joint
-        tol = max(_PASS_ABS, _PASS_CI_FACTOR * est.half_width)
-        diff = abs(analytic - est.value)
-        rows.append((kind, label, semantics, alpha, beta, analytic, est.value,
-                     est.half_width, diff, "pass" if diff <= tol else "fail"))
-
+    labels, analytic, cells = [], [], []
     for name in ("a", "b", "c", "d"):
         case = _CASES[name]
         for semantics in ("product", "joint"):
             scen = _with_semantics(cfg, semantics).scenario
             objective = case_objective(case, scen)
             for alpha in VALIDATE_ALPHAS:
-                cell("case", case.value, semantics, alpha, "", objective(alpha),
-                     lambda mc_cfg: mc_case(case, alpha, scen, mc_cfg))
+                labels.append(("case", case.value, semantics, alpha, ""))
+                analytic.append(objective(alpha))
+                cells.append((case_chains(case, alpha, scen, branch_of(alpha)),
+                              scen))
     for semantics in ("product", "joint"):
         split = _with_semantics(cfg, semantics).split
         for alpha in VALIDATE_SPLIT_GRID:
             branch = branch_of(alpha)
             for beta in VALIDATE_SPLIT_GRID:
-                cell("split", "split", semantics, alpha, beta,
-                     split_objective_branch(alpha, beta, split, branch),
-                     lambda mc_cfg: mc_split(alpha, beta, split, mc_cfg))
+                labels.append(("split", "split", semantics, alpha, beta))
+                analytic.append(split_objective_branch(alpha, beta, split, branch))
+                cells.append((split_case_chains(alpha, beta, split, branch),
+                              split.base))
+    results = mc_cells(cells, McConfig(samples=samples, seed=seed,
+                                       workers=workers))
+    rows = []
+    for label, value, res in zip(labels, analytic, results):
+        est = res.joint
+        tol = max(_PASS_ABS, _PASS_CI_FACTOR * est.half_width)
+        diff = abs(value - est.value)
+        rows.append((*label, value, est.value, est.half_width, diff,
+                     "pass" if diff <= tol else "fail"))
     return rows, all(row[-1] == "pass" for row in rows)
 
 
@@ -364,6 +368,8 @@ def _dispatch(args, out):
             raise ValueError("--samples must be at least 10000")
         if args.workers < 1:
             raise ValueError("--workers must be at least 1")
+        if not 0 <= args.seed < 2 ** 64:
+            raise ValueError("--seed must lie in [0, 2**64)")
         cfg = load_config(args.config)
         rows, ok = run_validate(cfg, args.samples, args.seed, args.workers)
         _write_csv(out, ("kind", "case", "semantics", "alpha", "beta",

@@ -1,16 +1,26 @@
 """Monte Carlo validation of the analytic success probabilities.
 
-Sampling is organized in fixed-size blocks.  Every (stream, block) pair is
-seeded independently via SeedSequence([seed, user, condition, block]), so a
-run produces byte-identical counts for any worker count: block results are
-integers summed in block order no matter which worker finished first.
+A stream is the squared gain of one vehicle's link, for one condition
+index: (params, geom, user, condition).  It is drawn in fixed-size blocks,
+each seeded by SeedSequence([seed, user, condition, block]) alone, so every
+estimate of one run that uses a stream sees the same draws.  ``mc_cells``
+first collects every gain threshold its cells need, then draws each stream
+once, sorts each block and counts every threshold on it by binary search.
+Block counts are integers summed in block order, so a run produces
+byte-identical output for any worker count.
+
+Cells therefore share common random numbers: each cell's estimate and
+confidence interval are valid on their own, but the estimates of different
+cells in one run are correlated.  A one-cell call (``mc_case``,
+``mc_split``) draws exactly what the same cell draws inside a batch.
 
 Modes mirror the two analytic semantics:
 
-* ``joint``    one sample set per decode chain; a sample counts when it
-               clears the largest per-condition gain threshold;
-* ``product``  an independent sample set per condition; the per-condition
-               rates are multiplied.
+* ``joint``    one sample set per decode chain (condition stream 0); a
+               sample counts when it clears the largest per-condition gain
+               threshold;
+* ``product``  the j-th condition counts on condition stream j; the
+               per-condition rates are multiplied.
 
 Estimates expose a 99% normal-approximation confidence half-width, with a
 continuity guard so an all-or-nothing count still reports a nonzero width.
@@ -30,6 +40,7 @@ __all__ = [
     "McConfig",
     "McEstimate",
     "McCaseResult",
+    "mc_cells",
     "mc_case",
     "mc_split",
     "BLOCK",
@@ -84,23 +95,43 @@ def _block_sizes(n):
     return sizes
 
 
-def _count_survivors(threshold, seed_key, n, workers):
-    """#(g^2 >= threshold) out of n draws from one seeded stream."""
-    params, geom, seed, user, cond = seed_key
+def _slot(streams, key, threshold):
+    """(key, index) of ``threshold`` among the thresholds counted on a stream."""
+    slots = streams.setdefault(key, {})
+    return key, slots.setdefault(threshold, len(slots))
 
-    def task(k, m):
-        ss = np.random.SeedSequence([seed, user, cond, k])
-        rng = np.random.default_rng(ss)
-        g = sample_gain_sq(params, geom, rng, size=m)
-        return int((g >= threshold).sum())
 
+def _count_streams(streams, n, seed, workers):
+    """Per stream, the number of the n draws >= each of its thresholds.
+
+    ``streams`` maps (params, geom, user, condition) to {threshold: index}.
+    Every block of every stream is one job: it draws the block, sorts it in
+    place and counts each threshold with one binary search, so a job holds
+    one block and keeps only the counts.  Counts are summed in job order.
+    """
     sizes = _block_sizes(n)
-    if workers == 1 or len(sizes) == 1:
-        parts = [task(k, m) for k, m in enumerate(sizes)]
+    thresholds = {key: np.array(list(slots), dtype=float)
+                  for key, slots in streams.items()}
+    jobs = [(key, k, m) for key in streams for k, m in enumerate(sizes)]
+
+    def job(spec):
+        key, k, m = spec
+        params, geom, user, cond = key
+        rng = np.random.default_rng(np.random.SeedSequence([seed, user, cond, k]))
+        g = sample_gain_sq(params, geom, rng, size=m)
+        g.sort()
+        return m - np.searchsorted(g, thresholds[key], "left")
+
+    if workers == 1 or len(jobs) == 1:
+        parts = [job(spec) for spec in jobs]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(task, range(len(sizes)), sizes))
-    return sum(parts)
+            parts = list(pool.map(job, jobs))
+    counts = {key: np.zeros(len(ts), dtype=np.int64)
+              for key, ts in thresholds.items()}
+    for (key, _k, _m), part in zip(jobs, parts):
+        counts[key] += part
+    return counts
 
 
 def _guarded(p, n):
@@ -129,39 +160,57 @@ def _product_of(estimates):
     return McEstimate(value, math.sqrt(var))
 
 
-def _chain_estimate(chain, params, geom, mode, cfg, user):
-    """One decode chain, sampled on this user's independent streams."""
-    ts = _chain_thresholds(chain)
-    if ts is None:
-        return McEstimate(0.0, 0.0)
+def _chain_estimates(requests, cfg):
+    """Estimates of decode chains, each request (chain, params, geom, mode,
+    user) sampled on that user's streams; every stream is drawn once for
+    all requests."""
+    streams = {}
+    plans = []
+    for chain, params, geom, mode, user in requests:
+        ts = _chain_thresholds(chain)
+        if ts is None:
+            plans.append((mode, None))
+        elif mode == "joint":
+            plans.append((mode, [_slot(streams, (params, geom, user, 0), max(ts))]))
+        else:
+            plans.append((mode, [_slot(streams, (params, geom, user, j), t)
+                                 for j, t in enumerate(ts)]))
     n = cfg.samples
-    if mode == "joint":
-        key = (params, geom, cfg.seed, user, 0)
-        count = _count_survivors(max(ts), key, n, cfg.workers)
-        return _binomial_estimate(count, n)
-    parts = []
-    for j, t in enumerate(ts):
-        key = (params, geom, cfg.seed, user, j)
-        count = _count_survivors(t, key, n, cfg.workers)
-        parts.append(_binomial_estimate(count, n))
-    return _product_of(parts)
+    counts = _count_streams(streams, n, cfg.seed, cfg.workers)
+    out = []
+    for mode, slots in plans:
+        if slots is None:
+            out.append(McEstimate(0.0, 0.0))
+            continue
+        parts = [_binomial_estimate(int(counts[key][i]), n) for key, i in slots]
+        out.append(parts[0] if mode == "joint" else _product_of(parts))
+    return out
 
 
-def _two_user_estimate(chains, base, cfg):
-    chain1, chain2 = chains
-    mode = base.semantics
-    e1 = _chain_estimate(chain1, base.chan1, base.geom1, mode, cfg, user=1)
-    e2 = _chain_estimate(chain2, base.chan2, base.geom2, mode, cfg, user=2)
-    return McCaseResult(p1=e1, p2=e2, joint=_product_of([e1, e2]))
+def mc_cells(cells, cfg: McConfig):
+    """Monte Carlo estimates of many cells from one draw of their streams.
+
+    Each cell is ``(chains, base)``: the decode chains of vehicle 1 (on link
+    1) and vehicle 2 (on link 2), and the ``FullScenario`` that supplies the
+    links and the semantics.  Returns one ``McCaseResult`` per cell, in order.
+    """
+    requests = []
+    for (chain1, chain2), base in cells:
+        mode = base.semantics
+        requests.append((chain1, base.chan1, base.geom1, mode, 1))
+        requests.append((chain2, base.chan2, base.geom2, mode, 2))
+    est = _chain_estimates(requests, cfg)
+    return [McCaseResult(p1=e1, p2=e2, joint=_product_of([e1, e2]))
+            for e1, e2 in zip(est[0::2], est[1::2])]
 
 
 def mc_case(case: CacheCase, alpha, sc, cfg: McConfig) -> McCaseResult:
     """Monte Carlo estimate of a full-file case under the scenario semantics."""
     chains = case_chains(case, alpha, sc, branch_of(alpha))
-    return _two_user_estimate(chains, sc, cfg)
+    return mc_cells([(chains, sc)], cfg)[0]
 
 
 def mc_split(alpha, beta, sc, cfg: McConfig) -> McCaseResult:
     """Monte Carlo estimate of the split-file success probability."""
     chains = split_case_chains(alpha, beta, sc, branch_of(alpha))
-    return _two_user_estimate(chains, sc.base, cfg)
+    return mc_cells([(chains, sc.base)], cfg)[0]

@@ -150,6 +150,19 @@ def test_validate_rejects_tiny_sample_count(tmp_path):
     assert code == 1
 
 
+def test_validate_seed_range(tmp_path, capsys):
+    for seed in ("-1", str(2 ** 64), str(2 ** 65 + 3)):
+        capsys.readouterr()
+        code, _ = run_cli(tmp_path, "validate", "--samples", "10000",
+                          "--seed", seed)
+        assert code == 1, seed
+        assert "--seed" in capsys.readouterr().err, seed
+    code, text = run_cli(tmp_path, "validate", "--samples", "10000",
+                         "--seed", str(2 ** 64 - 1))
+    assert code == 0
+    assert len(rows_of(text)) == 131
+
+
 def test_concavity_cases(tmp_path, capsys):
     code, text = run_cli(tmp_path, "concavity", "--case", "a",
                          "--grid", "41")

@@ -147,3 +147,23 @@ def test_routes_are_invariant(m1, m2, r, x):
         if sf > 1e-12:
             quad = quad_sf(x, m1, m2, r)
             assert abs(quad / sf - 1.0) <= 1e-6, (sf, quad)
+
+
+def test_integer_shape_sum_where_bessel_k_underflows():
+    # 2 sqrt(c) > 745, so every K_{m-k}(2 sqrt(c)) of the sum underflows to
+    # 0 while the survival value is still a normal float
+    def oracle(c, m, n):
+        with mp.workdps(40):
+            c = mp.mpf(c)
+            z = 2 * mp.sqrt(c)
+            return (2 / mp.gamma(m)
+                    * mp.fsum(c ** ((m + k) / mp.mpf(2)) / mp.factorial(k)
+                              * mp.besselk(m - k, z) for k in range(n)))
+
+    for c, m1, m2 in ((1.4e5, 64.0, 1.0), (1.4e5, 64.0, 64.0),
+                      (2e5, 64.0, 64.0)):
+        assert _kernels_py.bessel_k(m1 - 1.0, 2.0 * math.sqrt(c)) == 0.0
+        want = oracle(c, m1, int(m2))
+        for a, b in ((m1, m2), (m2, m1)):
+            got = _kernels_py.sf_w(c, a, b, 1.0)
+            assert math.isclose(got, float(want), rel_tol=1e-10), (c, a, b, got)

@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from cachenoma import mc
 from cachenoma.caching import CacheCase
 from cachenoma.channel import (
     DoubleNakagamiParams,
@@ -11,8 +13,9 @@ from cachenoma.channel import (
     effective_scale,
     survival_gain_sq,
 )
+from cachenoma.cli import main, run_validate
 from cachenoma.config import load_config
-from cachenoma.mc import McConfig, _chain_estimate, mc_case, mc_split
+from cachenoma.mc import BLOCK, McConfig, mc_case, mc_split
 from cachenoma.noma_full import (
     DecodeChain,
     FullScenario,
@@ -26,7 +29,7 @@ GEOM = LinkGeometry(distance=1.0, pathloss_exp=2.0)
 
 def chain_estimate(chain, mode, cfg):
     """(estimate, half-width) of one chain on the CHAN/GEOM link."""
-    est = _chain_estimate(chain, CHAN, GEOM, mode, cfg, user=0)
+    (est,) = mc._chain_estimates([(chain, CHAN, GEOM, mode, 0)], cfg)
     return est.value, est.half_width
 
 
@@ -74,13 +77,17 @@ def test_worker_count_does_not_change_counts():
 
 
 def test_sample_count_determinism_across_modes():
-    # same seed, same chain: joint and product draw from distinct streams,
-    # but each is reproducible on its own
+    # same seed, same chain: a run is reproducible, and on a one-condition
+    # chain joint and product both count the one threshold on condition
+    # stream 0, so they give the same estimate
     chain = DecodeChain((SinrCondition(7.0, 3.0, 1.0, 1.0),))
     cfg = McConfig(samples=50_000, seed=77, workers=2)
     a = chain_estimate(chain, "joint", cfg)
     b = chain_estimate(chain, "joint", cfg)
     assert a == b
+    product = chain_estimate(chain, "product", cfg)
+    assert product[0] == a[0]
+    assert math.isclose(product[1], a[1], rel_tol=1e-15)
 
 
 def test_estimates_stay_in_unit_interval():
@@ -165,3 +172,52 @@ def test_split_boundary_alpha_uses_low_branch():
     v1, _ = split_case_chains(0.5, 0.5, cfg_model.split, "low")
     assert len(v1.conditions) == 3
     assert 0.0 <= res_low.joint.value <= 1.0
+
+
+def test_sorted_block_counts_equal_brute_force():
+    # two blocks of one stream, counted by binary search on the sorted
+    # blocks, against (g >= t).sum() on the same draws
+    n, seed, user, cond = BLOCK + 5, 2718, 1, 2
+    blocks = []
+    for k, m in enumerate((BLOCK, 5)):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, user, cond, k]))
+        blocks.append(mc.sample_gain_sq(CHAN, GEOM, rng, size=m))
+    g = np.concatenate(blocks)
+    picks = np.random.default_rng(3).uniform(0.0, 4.0, size=20)
+    thresholds = [0.0, math.inf, float(g[17]), float(g[BLOCK + 2]),
+                  float(np.max(g)), *map(float, picks)]
+    key = (CHAN, GEOM, user, cond)
+    streams = {key: {t: i for i, t in enumerate(thresholds)}}
+    for workers in (1, 2):
+        counts = mc._count_streams(streams, n, seed, workers)[key]
+        want = [int((g >= t).sum()) for t in thresholds]
+        assert [int(c) for c in counts] == want
+    assert want[0] == n and want[1] == 0 and want[4] >= 1
+
+
+def test_validate_draws_each_stream_once(monkeypatch):
+    calls = []
+    draw = mc.sample_gain_sq
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["size"])
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "sample_gain_sq", counted)
+    rows, _ = run_validate(load_config(None), samples=3 * BLOCK, seed=0,
+                           workers=1)
+    assert len(rows) == 130
+    # two vehicles x three condition streams x three blocks
+    assert len(calls) == 2 * 3 * 3
+    assert set(calls) == {BLOCK}
+
+
+def test_validate_multi_block_output_independent_of_workers(tmp_path):
+    outputs = []
+    for workers in (1, 2, 4):
+        path = tmp_path / f"validate-{workers}.csv"
+        argv = ["validate", "--samples", str(2 * BLOCK + 7), "--seed", "3",
+                "--workers", str(workers), "--out", str(path)]
+        assert main(argv) == 0
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]

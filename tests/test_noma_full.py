@@ -29,6 +29,8 @@ from cachenoma.noma_full import (
     oma_success,
     single_user_success,
 )
+from cachenoma.config import load_config
+from cachenoma.noma_split import split_case_chains
 from cachenoma.optimizer import optimize_case
 
 
@@ -232,6 +234,30 @@ def test_joint_never_below_product():
         joint = chain_probability(chain, sc.chan1, sc.geom1, "joint")
         product = chain_probability(chain, sc.chan1, sc.geom1, "product")
         assert joint >= product - 1e-12
+
+
+def test_joint_never_below_product_on_built_chains():
+    # every chain the cases A-D and the split file build, both branches
+    split = load_config(None).split
+    base = split.base
+    links = ((base.chan1, base.geom1), (base.chan2, base.geom2))
+    grid = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
+    pairs = []
+    for alpha in grid:
+        for branch in ("high", "low"):
+            for case in (CacheCase.A, CacheCase.B, CacheCase.C, CacheCase.D):
+                pairs.append(case_chains(case, alpha, base, branch))
+            for beta in grid:
+                pairs.append(split_case_chains(alpha, beta, split, branch))
+    strict = 0
+    for chains in pairs:
+        for chain, (chan, geom) in zip(chains, links):
+            joint = chain_probability(chain, chan, geom, "joint")
+            product = chain_probability(chain, chan, geom, "product")
+            assert joint >= product, (chain, joint, product)
+            strict += joint > product > 0.0
+    # the multi-condition chains make the inequality strict
+    assert strict >= 50, strict
 
 
 def test_infeasible_chain_probability_is_zero():
