@@ -13,30 +13,46 @@ X ~ Gamma(m1, omega1/m1), Y ~ Gamma(m2, omega2/m2) and is summarised here by
 ``cdf_w`` and ``sf_w`` alone decide how P(W <= x) and P(W > x) are
 computed.  Both work with the unit-rate variable V = r W, whose density is
 the one above with r = 1 and whose mean is m1 m2: P(W <= x) = P(V <= c)
-with c = r x.  c = 0 and c = inf are answered exactly; otherwise one of two
-routes runs:
+with c = r x.  c = 0 and c = inf are answered exactly; otherwise one of
+three routes runs, the first that applies:
 
 * Bessel-K sum, when either shape is an integer up to ``_MAX_SUM_TERMS``:
   P(V > c) is a finite sum of Bessel K terms (Karagiannidis, Sagias and
   Mathiopoulos, "N*Nakagami", IEEE Trans. Commun. 2007; Gradshteyn and
   Ryzhik 3.471.9), exact to full relative precision deep into the tail,
-  and P(V <= c) is 1 minus it.  No quadrature runs.
-* Quadrature, for every other shape pair, split at the mean: for c up to
-  m1 m2 the density is integrated over (0, c] and P(V > c) is 1 minus that;
-  above it the density is integrated over (c, inf) and P(V <= c) is 1 minus
-  that, so the deep tail keeps its relative precision.  Both integrals use
-  globally adaptive Gauss-Kronrod 7-15 quadrature.
+  and P(V <= c) is 1 minus it.
+* Series, for every other shape pair, where its error bound holds: the
+  ascending series of K_nu (DLMF 10.27.4 and 10.25.2; for an integer order
+  nu = m1 - m2, its limit form DLMF 10.31.1) integrated term by term gives
+  P(V <= c) in closed form, and P(V > c) is 1 minus it.  The terms
+  alternate in sign, and the cancellation grows with c (like e^(4 sqrt c)
+  relative to a small P(V > c)) and as nu nears an integer (like
+  1/|nu - n|).  Each call bounds its own rounding error and keeps the
+  value only where the bound is at most ``_ABS_TOL`` and ``_REL_TOL``
+  times min(P(V <= c), P(V > c)), the tolerances the quadrature is held
+  to.  No constant picks a crossover.
+* Quadrature, wherever the series' bound fails, split at the mean: for c
+  up to m1 m2 the density is integrated over (0, c] and P(V > c) is 1
+  minus that; above it the density is integrated over (c, inf) and
+  P(V <= c) is 1 minus that, so the deep tail keeps its relative
+  precision.  Both integrals use globally adaptive Gauss-Kronrod 7-15
+  quadrature.  The lower integral still runs for orders within about 1e-4
+  of an integer and for large shapes, whose series cancels below the mean;
+  a tail integral would lose a small c's mass altogether.
 
 A quadrature that exhausts ``_MAX_SUBDIV`` subdivisions raises
 ``QuadratureAccuracyError`` with its best estimate.
 """
 import math
+import sys
 
 from .errors import QuadratureAccuracyError
 
+_EULER_GAMMA = 0.5772156649015329
+
 # Odd Taylor coefficients of 1/Gamma(1+z): indices z^1, z^3, ..., z^11.
 _INV_GAMMA_TAYLOR_ODD = (
-    0.5772156649015329,
+    _EULER_GAMMA,
     -0.0420026350340952,
     -0.0421977345555443,
     0.0072189432466630,
@@ -45,6 +61,7 @@ _INV_GAMMA_TAYLOR_ODD = (
 )
 
 _EPS = 1e-16
+_U = sys.float_info.epsilon / 2  # unit roundoff
 _MAXIT = 30000
 
 # Internal quadrature budget for the distribution integrals.
@@ -301,8 +318,8 @@ def _integer_shape_sf(c, m1, m2):
 
     Every term is positive, so the sum has no cancellation; each is formed
     in log space so that neither the power nor the factorial overflows, and
-    a Bessel value that overflows (tiny c with a large order) or underflows
-    (large c) is taken as its logarithm.
+    a Bessel value that overflows (tiny c with a large order) or falls below
+    the smallest normal float (large c) is taken as its logarithm.
     """
     m, n = m1, m2
     if not _short_integer(n):
@@ -315,8 +332,9 @@ def _integer_shape_sf(c, m1, m2):
     total = 0.0
     for k in range(int(n)):
         kv = bessel_k(m - k, z)
-        if kv == 0.0:
-            # K underflows (z beyond about 745) while e^z K does not
+        if kv < sys.float_info.min:
+            # K is subnormal or underflows (z beyond about 708) while e^z K
+            # is a normal float
             log_kv = log_bessel_k(m - k, z, scaled=True) - z
         elif math.isinf(kv):
             log_kv = log_bessel_k(m - k, z)
@@ -325,6 +343,160 @@ def _integer_shape_sf(c, m1, m2):
         total += math.exp(head + 0.5 * (m + k) * log_c - math.lgamma(k + 1.0)
                           + log_kv)
     return min(total, 1.0)
+
+
+def _size_limit(scale):
+    """The largest sum of term magnitudes, in units of e^scale, whose
+    rounding can still meet ``_ABS_TOL``; capped so no term overflows."""
+    return math.exp(min(math.log(_ABS_TOL / _U) - scale, 700.0))
+
+
+def _gamma_sign(x):
+    """Sign of Gamma(x) at a non-integer x."""
+    return -1.0 if x < 0.0 and math.floor(x) % 2 else 1.0
+
+
+def _fractional_order_sums(c, log_c, lo, hi, nu, n, log_front):
+    """The series of P(V <= c) for non-integer order nu = hi - lo > 0 with
+    nearest integer n, and log_front = -log(Gamma(lo) Gamma(hi)):
+
+        pi / (sin(nu pi) Gamma(lo) Gamma(hi))
+          * sum_k [c^(lo+k) / ((lo+k) k! Gamma(k+1-nu))
+                   - c^(hi+k) / ((hi+k) k! Gamma(k+1+nu))].
+
+    Returns (value, size, terms, log_mag, scale): value * e^scale is the
+    sum, size * e^scale the sum of its terms' magnitudes, and log_mag the
+    magnitude of the logarithms the first terms are formed from, beyond
+    log_front.  None once the size passes ``_size_limit``.
+    """
+    d = nu - n  # exact: nu lies within a factor of 2 of n
+    s = math.sin(math.pi * d)  # sin(nu pi) = (-1)^n sin(d pi)
+    sign = math.copysign(1.0, s) * (-1.0 if n % 2 else 1.0)
+    log_pi_sin = math.log(math.pi / abs(s))
+    lg_a, lg_b = math.lgamma(1.0 - nu), math.lgamma(1.0 + nu)
+    la = log_front + log_pi_sin + lo * log_c - lg_a
+    lb = log_front + log_pi_sin + hi * log_c - lg_b
+    scale = max(la, lb)
+    limit = _size_limit(scale)
+    if limit < 1.0:
+        return None
+    # c^(lo+k) / (k! Gamma(k+1-nu)) and c^(hi+k) / (k! Gamma(k+1+nu))
+    a = _gamma_sign(1.0 - nu) * math.exp(la - scale)
+    b = math.exp(lb - scale)
+    total = size = 0.0
+    k = 0
+    while True:
+        ta, tb = a / (lo + k), b / (hi + k)
+        total += ta - tb
+        size += abs(ta) + abs(tb)
+        if not size <= limit:  # nan too, from a nan c
+            return None
+        k += 1
+        a *= c / (k * (k - nu))
+        b *= c / (k * (k + nu))
+        # from here on each term is at most half the one before, so the
+        # rest of the sum is below u size
+        if (k + 1 > nu and 2.0 * c <= (k + 1) * (k + 1 - nu)
+                and abs(a) + abs(b) <= 0.5 * _U * size):
+            break
+    log_mag = (log_pi_sin + abs(lo * log_c) + abs(hi * log_c) + abs(lg_a)
+               + abs(lg_b))
+    return sign * total, size, k, log_mag, scale
+
+
+def _integer_order_sums(c, log_c, lo, hi, n, log_front):
+    """The limit of the series for integer order n = hi - lo: the ascending
+    series of K_n with its psi terms (DLMF 10.31.1) integrated term by term,
+    with int_0^c v^(a-1) ln v dv = c^a (ln c / a - 1 / a^2):
+
+        1 / (Gamma(lo) Gamma(hi))
+          * (sum_{k<n} (-1)^k (n-k-1)! / k! c^(lo+k) / (lo+k)
+             + (-1)^n sum_k c^a / (a k! (n+k)!)
+               * (psi(k+1) + psi(n+k+1) - ln c + 1 / a)),   a = lo + n + k,
+
+    where psi(j+1) = H_j - gamma.  Returns what ``_fractional_order_sums``
+    does.
+    """
+    lg = log_front + math.lgamma(n) + lo * log_c if n else -math.inf
+    lh = log_front + (lo + n) * log_c - math.lgamma(n + 1.0)
+    scale = max(lg, lh)
+    limit = _size_limit(scale)
+    if limit < 1.0:
+        return None
+    total = size = 0.0
+    g = math.exp(lg - scale)  # (-1)^k (n-k-1)! / k! c^(lo+k)
+    for k in range(n):
+        t = g / (lo + k)
+        total += t
+        size += abs(t)
+        if not size <= limit:
+            return None
+        if k + 1 < n:
+            g *= -c / ((k + 1) * (n - k - 1))
+    h = math.copysign(math.exp(lh - scale), -1.0 if n % 2 else 1.0)
+    harmonic = sum(1.0 / j for j in range(1, n + 1))
+    psi_sum = harmonic - 2.0 * _EULER_GAMMA  # psi(k+1) + psi(n+k+1)
+    psi_mag = harmonic + 2.0 * _EULER_GAMMA  # |psi(k+1)| + |psi(n+k+1)| at most
+    k = 0
+    while True:
+        a = lo + n + k
+        t = h / a
+        total += t * (psi_sum - log_c + 1.0 / a)
+        size += abs(t) * (psi_mag + abs(log_c) + 1.0 / a)
+        if not size <= limit:  # nan too, from a nan c
+            return None
+        k += 1
+        psi_sum += 1.0 / k + 1.0 / (n + k)
+        psi_mag += 1.0 / k + 1.0 / (n + k)
+        h *= c / (k * (n + k))
+        if (2.0 * c <= (k + 1) * (n + k + 1)
+                and abs(h) * (psi_mag + abs(log_c) + 1.0) <= 0.5 * _U * size):
+            break
+    log_mag = (abs((lo + n) * log_c) + math.lgamma(n + 1.0)
+               + (math.lgamma(n) + abs(lo * log_c) if n else 0.0))
+    return total, size, n + k, log_mag, scale
+
+
+def _series_cdf_sf(c, m1, m2):
+    """(P(V <= c), P(V > c)), 0 < c < inf, from the ascending series of the
+    density integrated term by term, or None where the series' error bound
+    misses the quadrature's tolerances.
+
+    The bound is u times the sum of the terms' magnitudes times the
+    roundings a term goes through: up to 4 per step of the recurrence that
+    forms it, 1 for its share of the running sum, the magnitude of the
+    logarithms the first terms come from, and a few for the exp, log, sin
+    and lgamma calls that form them.  Where m1 - m2 is not a float, the
+    rounding of nu shifts the order the series is summed at; the bound adds
+    that shift times the sensitivity of the terms to it, which grows like
+    1/|nu - n| next to an integer n.  The value is kept where the bound is
+    at most ``_ABS_TOL`` and ``_REL_TOL`` times min(cdf, sf).
+    """
+    lo, hi = min(m1, m2), max(m1, m2)
+    nu = hi - lo
+    nu_err = abs((hi - (nu - (nu - hi))) + (-lo - (nu - hi)))  # TwoSum
+    n = round(nu)
+    log_c = math.log(c)
+    lg_lo, lg_hi = math.lgamma(lo), math.lgamma(hi)
+    log_front = -lg_lo - lg_hi
+    if nu == n:
+        sums = _integer_order_sums(c, log_c, lo, hi, n, log_front)
+        near = 0.0
+    else:
+        sums = _fractional_order_sums(c, log_c, lo, hi, nu, n, log_front)
+        near = 2.0 / abs(nu - n)
+    if sums is None:
+        return None
+    value, size, terms, log_mag, scale = sums
+    weight = math.exp(scale)
+    cdf = min(max(value * weight, 0.0), 1.0)
+    sf = 1.0 - cdf
+    roundings = 5.0 * terms + log_mag + abs(lg_lo) + abs(lg_hi) + 8.0
+    shift = abs(log_c) + math.log(terms + hi + 2.0) + near
+    bound = size * weight * (_U * roundings + nu_err * shift)
+    if bound <= _ABS_TOL and bound <= _REL_TOL * min(cdf, sf):
+        return cdf, sf
+    return None
 
 
 def _quad_or_raise(f, a, b, what):
@@ -386,7 +558,7 @@ def _cdf_sf(x, m1, m2, r):
     sf = _integer_shape_sf(c, m1, m2)
     if sf is not None:
         return 1.0 - sf, sf
-    return _quad_cdf_sf(c, m1, m2)
+    return _series_cdf_sf(c, m1, m2) or _quad_cdf_sf(c, m1, m2)
 
 
 def cdf_w(x, m1, m2, r):

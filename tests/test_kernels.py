@@ -5,11 +5,14 @@ of the product-Gamma variable on integer and non-integer shape pairs, three
 rates and arguments from 1e-8 deep into the upper tail.  The public
 ``cdf_w``/``sf_w`` are checked together with the private quadrature
 ``_quad_cdf_sf`` on every pair, so the quadrature stays covered on the
-integer pairs too, where the public functions take the Bessel-K sum.  The
-oracle for the tail is mpmath's Meijer G form,
-P(W > x) = G^{3,0}_{1,3}(r x | 1; m1, m2, 0) / (Gamma(m1) Gamma(m2)).
+pairs where the public functions take the Bessel-K sum or the series.  The
+oracles are mpmath's Meijer G forms,
+P(W > x) = G^{3,0}_{1,3}(r x | 1; m1, m2, 0) / (Gamma(m1) Gamma(m2)) for
+the tail and P(W <= x) = G^{2,1}_{1,3}(r x | 1; m1, m2, 0) / (Gamma(m1)
+Gamma(m2)) for the lower range.
 """,
 import math
+import sys
 
 import mpmath as mp
 from hypothesis import given, settings, strategies as st
@@ -38,6 +41,31 @@ def oracle_sf(x, m1, m2, r):
     with mp.workdps(30):
         return (mp.meijerg([[], [1]], [[m1, m2, 0], []], mp.mpf(r) * mp.mpf(x))
                 / (mp.gamma(m1) * mp.gamma(m2)))
+
+
+def oracle_cdf(c, m1, m2):
+    with mp.workdps(30):
+        return (mp.meijerg([[1], []], [[m1, m2], [0]], mp.mpf(c))
+                / (mp.gamma(m1) * mp.gamma(m2)))
+
+
+def oracle_bessel_sum(c, m, n):
+    """The Bessel-K sum for integer shape n, in 40-digit arithmetic."""
+    with mp.workdps(40):
+        c = mp.mpf(c)
+        z = 2 * mp.sqrt(c)
+        return (2 / mp.gamma(m)
+                * mp.fsum(c ** ((m + k) / mp.mpf(2)) / mp.factorial(k)
+                          * mp.besselk(m - k, z) for k in range(n)))
+
+
+def route(c, m1, m2):
+    """The route ``_cdf_sf`` takes at 0 < c < inf."""
+    if _kernels_py._integer_shape_sf(c, m1, m2) is not None:
+        return "bessel-k sum"
+    if _kernels_py._series_cdf_sf(c, m1, m2) is not None:
+        return "series" if (m1 - m2) % 1.0 else "integer-order series"
+    return "lower quadrature" if c <= m1 * m2 else "tail quadrature"
 
 
 def test_bessel_k_matches_oracle():
@@ -152,18 +180,134 @@ def test_routes_are_invariant(m1, m2, r, x):
 def test_integer_shape_sum_where_bessel_k_underflows():
     # 2 sqrt(c) > 745, so every K_{m-k}(2 sqrt(c)) of the sum underflows to
     # 0 while the survival value is still a normal float
-    def oracle(c, m, n):
-        with mp.workdps(40):
-            c = mp.mpf(c)
-            z = 2 * mp.sqrt(c)
-            return (2 / mp.gamma(m)
-                    * mp.fsum(c ** ((m + k) / mp.mpf(2)) / mp.factorial(k)
-                              * mp.besselk(m - k, z) for k in range(n)))
-
     for c, m1, m2 in ((1.4e5, 64.0, 1.0), (1.4e5, 64.0, 64.0),
                       (2e5, 64.0, 64.0)):
         assert _kernels_py.bessel_k(m1 - 1.0, 2.0 * math.sqrt(c)) == 0.0
-        want = oracle(c, m1, int(m2))
+        want = oracle_bessel_sum(c, m1, int(m2))
         for a, b in ((m1, m2), (m2, m1)):
             got = _kernels_py.sf_w(c, a, b, 1.0)
             assert math.isclose(got, float(want), rel_tol=1e-10), (c, a, b, got)
+
+
+def test_integer_shape_sum_where_bessel_k_is_subnormal():
+    # 709 < 2 sqrt(c) < 745: some K_{m-k}(2 sqrt(c)) of the sum are
+    # subnormal, with only a few significant bits left
+    for c in (1.3e5, 1.33e5, 1.36e5):
+        assert 0.0 < _kernels_py.bessel_k(63.0, 2.0 * math.sqrt(c)) \
+            < sys.float_info.min
+        want = float(oracle_bessel_sum(c, 64.0, 64))
+        got = _kernels_py.sf_w(c, 64.0, 64.0, 1.0)
+        assert math.isclose(got, want, rel_tol=1e-12), (c, got, want)
+
+
+SERIES_SHAPES = (
+    (0.75, 1.25), (1.5, 2.5), (3.5, 2.25), (0.6, 7.3), (0.5, 0.5),
+    (2.5, 0.75), (1.5, 3.5), (0.7, 3.7),
+)
+# orders within 1e-4, 1e-7 and 1e-5 of an integer
+NEAR_INTEGER_SHAPES = ((1.5, 2.4999), (1.5, 2.4999999), (0.5, 0.50001))
+SERIES_CS = (1e-8, 1e-3, 0.05, 0.4, 1.3, 3.0, 6.0, 12.0, 30.0)
+
+
+def test_series_matches_oracle():
+    # wherever the series' error bound keeps it, both cdf and sf are within
+    # the quadrature's relative tolerance of the oracle; at the same points
+    # the quadrature is held to the tolerances of the tests above
+    taken = {}
+    for m1, m2 in SERIES_SHAPES + NEAR_INTEGER_SHAPES:
+        for c in SERIES_CS:
+            want_cdf, want_sf = oracle_cdf(c, m1, m2), oracle_sf(c, m1, m2, 1.0)
+            got = _kernels_py._series_cdf_sf(c, m1, m2)
+            if got is not None:
+                taken.setdefault((m1, m2), []).append(c)
+                assert float(abs(got[0] / want_cdf - 1)) <= 1e-9, (m1, m2, c)
+                assert float(abs(got[1] / want_sf - 1)) <= 1e-9, (m1, m2, c)
+            cdf, sf = _kernels_py._quad_cdf_sf(c, m1, m2)
+            assert float(abs(cdf - want_cdf)) <= 1e-9, (m1, m2, c)
+            assert float(abs(sf / want_sf - 1)) <= 1e-6, (m1, m2, c)
+    # the series covers every c up to 5 away from an integer order, and at
+    # least the smallest c next to one
+    for pair in SERIES_SHAPES:
+        assert all(c in taken[pair] for c in SERIES_CS if c <= 5.0), pair
+    for pair in NEAR_INTEGER_SHAPES:
+        assert SERIES_CS[0] in taken[pair], pair
+
+
+def test_series_keeps_small_cdf_values_relatively_precise():
+    # the lower integral converges to its absolute tolerance only, 2e-5
+    # relative here; the series keeps about 1e-14
+    for c in (1e-3, 1.0):
+        assert route(c, 30.5, 40.25) == "series"
+        want = oracle_cdf(c, 30.5, 40.25)
+        got = _kernels_py.cdf_w(c, 30.5, 40.25, 1.0)
+        assert float(abs(got / want - 1)) <= 1e-12, (c, got, want)
+
+
+def test_quadrature_runs_unchanged_where_the_series_bound_fails(monkeypatch):
+    calls = []
+    quad = _kernels_py._quad_cdf_sf
+
+    def recorded(c, m1, m2):
+        calls.append((c, m1, m2))
+        return quad(c, m1, m2)
+
+    monkeypatch.setattr(_kernels_py, "_quad_cdf_sf", recorded)
+    # small c: the series, and no quadrature
+    for c, m1, m2 in ((1.0, 0.75, 1.25), (1.0, 1.5, 2.5)):
+        assert _kernels_py._cdf_sf(c, m1, m2, 1.0) \
+            == _kernels_py._series_cdf_sf(c, m1, m2)
+    assert calls == []
+    # large c, and an order 1e-7 from an integer: the quadrature's own value
+    for c, m1, m2 in ((30.0, 0.75, 1.25), (1.0, 1.5, 2.4999999)):
+        assert _kernels_py._series_cdf_sf(c, m1, m2) is None
+        assert _kernels_py._cdf_sf(c, m1, m2, 1.0) == quad(c, m1, m2)
+    assert calls == [(30.0, 0.75, 1.25), (1.0, 1.5, 2.4999999)]
+
+
+def test_cdf_plus_sf_is_one_on_every_route():
+    seen = set()
+    for m1, m2 in SHAPES + NEAR_INTEGER_SHAPES:
+        for c in SERIES_CS + (120.0,):
+            seen.add(route(c, m1, m2))
+            cdf, sf = _kernels_py._cdf_sf(c, m1, m2, 1.0)
+            assert abs(cdf + sf - 1.0) <= sys.float_info.epsilon, (m1, m2, c)
+    assert seen == {"bessel-k sum", "series", "integer-order series",
+                    "lower quadrature", "tail quadrature"}
+
+
+def _handoff(inside, outside, accepted):
+    """Bisect in log space to a pair of arguments 1e-12 apart (relatively)
+    on either side of the series' handoff to quadrature."""
+    assert accepted(inside) and not accepted(outside)
+    while abs(outside / inside - 1.0) > 1e-12:
+        mid = math.sqrt(inside * outside)
+        if accepted(mid):
+            inside = mid
+        else:
+            outside = mid
+    return inside, outside
+
+
+def _assert_no_jump(series_side, quad_side):
+    cdf, sf = series_side
+    tol = max(_kernels_py._ABS_TOL, _kernels_py._REL_TOL * min(cdf, sf))
+    assert abs(cdf - quad_side[0]) <= tol, (series_side, quad_side)
+    assert abs(sf - quad_side[1]) <= tol, (series_side, quad_side)
+
+
+def test_no_jump_at_the_series_handoff():
+    # in c, as the cancellation grows
+    for m1, m2 in SERIES_SHAPES + ((30.5, 40.25),):
+        c_in, c_out = _handoff(
+            1e-3, 1e3, lambda c: _kernels_py._series_cdf_sf(c, m1, m2) is not None)
+        assert route(c_out, m1, m2).endswith("quadrature")
+        _assert_no_jump(_kernels_py._cdf_sf(c_in, m1, m2, 1.0),
+                        _kernels_py._cdf_sf(c_out, m1, m2, 1.0))
+    # in the distance of the order from an integer
+    for m1, m2 in ((1.5, 2.5), (0.5, 0.5), (0.75, 2.75)):
+        for c in (0.3, 1.0, 3.0):
+            d_in, d_out = _handoff(
+                1e-2, 1e-12,
+                lambda d: _kernels_py._series_cdf_sf(c, m1, m2 - d) is not None)
+            _assert_no_jump(_kernels_py._cdf_sf(c, m1, m2 - d_in, 1.0),
+                            _kernels_py._cdf_sf(c, m1, m2 - d_out, 1.0))

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from cachenoma.channel import DoubleNakagamiParams, LinkGeometry
-from cachenoma.config import load_config
+from cachenoma.config import load_config, parse_config
 from cachenoma.noma_full import (
     DecodeChain,
     FullScenario,
@@ -18,6 +18,7 @@ from cachenoma.noma_split import (
     split_case_chains,
     split_objective_branch,
 )
+from cachenoma.optimizer import optimize_split
 
 
 def default_split(semantics="product"):
@@ -217,3 +218,36 @@ def test_interior_objective_positive():
     sc = default_split()
     assert split_objective_branch(0.7, 0.5, sc, "high") > 0.0
     assert split_objective_branch(0.35, 0.5, sc, "low") > 0.0
+
+
+# non-integer shapes on both links, as in the surface-nonint benchmark
+NONINT_SCENARIO = {
+    "chan1": {"m1": 1.5, "m2": 2.5, "omega1": 2.0, "omega2": 2.0},
+    "chan2": {"m1": 0.75, "m2": 1.25, "omega1": 2.0, "omega2": 2.0},
+    "snr_db": 2.8,
+}
+
+
+def at_snr(sc, snr_db):
+    base = replace(sc.base, power=sc.base.sigma1_sq * 10.0 ** (snr_db / 10.0))
+    return replace(sc, base=base)
+
+
+@pytest.mark.parametrize("scenario", ["default", "nonint"])
+def test_split_objective_nondecreasing_in_snr(scenario):
+    sc = (load_config(None) if scenario == "default"
+          else parse_config(NONINT_SCENARIO)).split
+    snrs = [-10.0 + 5.0 * i for i in range(11)]
+    # at every (alpha, beta) of either branch
+    for branch, alphas in (("high", (0.6, 0.75, 0.9)),
+                           ("low", (0.1, 0.25, 0.4, 0.5))):
+        for alpha in alphas:
+            for beta in (0.1, 0.3, 0.5, 0.7, 0.9):
+                values = [split_objective_branch(alpha, beta, at_snr(sc, snr),
+                                                 branch) for snr in snrs]
+                assert all(b >= a for a, b in zip(values, values[1:])), \
+                    (branch, alpha, beta, values)
+    # and at the optimum over both branches
+    best = [optimize_split(at_snr(sc, snr)).value
+            for snr in (0.0, 2.8, 6.0, 10.0, 20.0)]
+    assert all(b >= a for a, b in zip(best, best[1:])), best
