@@ -23,8 +23,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "Catalog",
     "CacheCase",
@@ -65,11 +63,12 @@ class CacheCase(enum.Enum):
     COMMON_REQUEST = "CommonRequest"
 
 
-def zipf_popularity(catalog: Catalog) -> np.ndarray:
-    """Request probabilities q_t = t^(-zeta) / sum_i i^(-zeta), t = 1..T."""
-    ranks = np.arange(1, catalog.num_files + 1, dtype=float)
-    weights = ranks ** (-catalog.zeta)
-    return weights / weights.sum()
+def zipf_popularity(catalog: Catalog) -> tuple:
+    """Request probabilities q_t = t^(-zeta) / sum_i i^(-zeta), t = 1..T,
+    as a tuple of floats."""
+    weights = [float(t) ** -catalog.zeta for t in range(1, catalog.num_files + 1)]
+    total = math.fsum(weights)
+    return tuple([w / total for w in weights])
 
 
 def populate_cache(catalog: Catalog) -> frozenset:
@@ -109,14 +108,16 @@ def case_distribution(catalog: Catalog) -> dict:
 
     The closed forms of the module docstring; A-C are exactly 0.0, since
     both vehicles hold the same files.  The tail is summed from q, not taken
-    as 1 - head, so that no mass rounds below zero.
+    as 1 - head, so that no mass rounds below zero; every sum is a
+    correctly rounded ``math.fsum``.
     """
     q = zipf_popularity(catalog)
-    head_q, tail_q = q[:catalog.cache_size], q[catalog.cache_size:]
-    head, tail = float(head_q.sum()), float(tail_q.sum())
+    sq = [x * x for x in q]
+    k = catalog.cache_size
+    head, tail = math.fsum(q[:k]), math.fsum(q[k:])
     return {CacheCase.A: 0.0, CacheCase.B: 0.0, CacheCase.C: 0.0,
-            CacheCase.D: tail * tail - float(tail_q @ tail_q),
+            CacheCase.D: tail * tail - math.fsum(sq[k:]),
             CacheCase.SELF_HIT_1: head * tail,
             CacheCase.SELF_HIT_2: head * tail,
-            CacheCase.SELF_HIT_BOTH: head * head - float(head_q @ head_q),
-            CacheCase.COMMON_REQUEST: float(q @ q)}
+            CacheCase.SELF_HIT_BOTH: head * head - math.fsum(sq[:k]),
+            CacheCase.COMMON_REQUEST: math.fsum(sq)}

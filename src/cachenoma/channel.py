@@ -123,4 +123,7 @@ def sample_gain_sq(params: DoubleNakagamiParams, geom: LinkGeometry, rng, size=N
     s = effective_scale(geom)
     x = rng.gamma(params.m1, params.omega1 / params.m1, size)
     y = rng.gamma(params.m2, params.omega2 / params.m2, size)
-    return s * x * y
+    # in place, in the order of s * x * y: the same bits, two fewer arrays
+    x *= s
+    x *= y
+    return x

@@ -19,8 +19,6 @@ import math
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .caching import CacheCase, Catalog
 from .config import ConfigError, _snr_power, load_config
 from .errors import QuadratureAccuracyError
@@ -34,6 +32,7 @@ from .noma_full import (
 from .noma_split import split_case_chains, split_objective_branch
 from .optimizer import (
     INTERIOR_TRIM,
+    _linspace,
     case_branch_feasible,
     check_concavity,
     optimize_case,
@@ -75,8 +74,8 @@ def _fmt(x):
     """Locale-independent cell formatting."""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
+    if isinstance(x, int):
+        return str(x)
     if isinstance(x, float):
         return f"{x:.12g}"
     return str(x)
@@ -197,13 +196,12 @@ def run_surface(cfg, grid):
     if grid < 2:
         raise ValueError("--grid must be at least 2")
     rows = []
-    betas = np.linspace(0.0, 1.0, grid)
+    betas = _linspace(0.0, 1.0, grid)
     for branch, alo, ahi in (("low", 0.0, 0.5), ("high", 0.5, 1.0)):
-        for alpha in np.linspace(alo, ahi, grid):
+        for alpha in _linspace(alo, ahi, grid):
             for beta in betas:
-                v = split_objective_branch(float(alpha), float(beta),
-                                           cfg.split, branch)
-                rows.append((float(alpha), float(beta), v, branch))
+                v = split_objective_branch(alpha, beta, cfg.split, branch)
+                rows.append((alpha, beta, v, branch))
     return rows
 
 
@@ -281,9 +279,8 @@ def run_concavity(cfg, selector, grid):
             lo, hi = _interior(*interval)
             concave, worst = check_concavity(objective, lo, hi, grid_n=grid)
             verdicts.append((case.value, branch, concave, worst))
-            for alpha in np.linspace(lo, hi, grid):
-                rows.append((case.value, branch, float(alpha),
-                             objective(float(alpha))))
+            for alpha in _linspace(lo, hi, grid):
+                rows.append((case.value, branch, alpha, objective(alpha)))
     return rows, verdicts
 
 

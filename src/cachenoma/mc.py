@@ -24,12 +24,15 @@ Modes mirror the two analytic semantics:
 
 Estimates expose a 99% normal-approximation confidence half-width, with a
 continuity guard so an all-or-nothing count still reports a nonzero width.
+
+numpy is imported inside ``_count_streams``, the one function that samples,
+not at the top of the module: the package and ``cli`` import this module
+eagerly, and the analytic commands, which never sample, would otherwise
+spend most of their set-up time importing numpy.  The thread pool is
+imported there too, and only when more than one worker runs.
 """
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
 
 from .caching import CacheCase
 from .channel import sample_gain_sq
@@ -109,6 +112,8 @@ def _count_streams(streams, n, seed, workers):
     place and counts each threshold with one binary search, so a job holds
     one block and keeps only the counts.  Counts are summed in job order.
     """
+    import numpy as np
+
     sizes = _block_sizes(n)
     thresholds = {key: np.array(list(slots), dtype=float)
                   for key, slots in streams.items()}
@@ -125,6 +130,8 @@ def _count_streams(streams, n, seed, workers):
     if workers == 1 or len(jobs) == 1:
         parts = [job(spec) for spec in jobs]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(job, jobs))
     counts = {key: np.zeros(len(ts), dtype=np.int64)

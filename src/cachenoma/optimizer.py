@@ -10,8 +10,6 @@ evaluated under both decode orders.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .caching import CacheCase
 from .noma_full import branch_of, case_chains, case_objective
 from .noma_split import split_case_chains, split_objective_branch
@@ -92,21 +90,53 @@ def maximize_1d(f, lo, hi, tol=1e-6):
     return OptResult(argmax=best_x, value=best_v, evaluations=evals, branch="")
 
 
+def _linspace(lo, hi, n):
+    """``numpy.linspace(lo, hi, n)`` as a list of floats, bit for bit.
+
+    Point i is ``lo + i * step`` and the last point is ``hi`` itself; where
+    the step underflows to zero, point i is ``lo + (i / (n - 1)) * (hi - lo)``
+    instead, as in numpy.
+    """
+    lo, hi = float(lo), float(hi)
+    delta = hi - lo
+    div = n - 1
+    if div < 1:
+        return [lo + 0.0 * delta] * n
+    step = delta / div
+    if step == 0.0:
+        xs = [(i / div) * delta + lo for i in range(n)]
+    else:
+        xs = [i * step + lo for i in range(n)]
+    xs[-1] = hi
+    return xs
+
+
+def _argmax(vs):
+    """Index of the first maximum, or of the first NaN, as ``numpy.argmax``."""
+    best = 0
+    for i, v in enumerate(vs):
+        if v != v:
+            return i
+        if v > vs[best]:
+            best = i
+    return best
+
+
 def _coarse_then_golden(f, lo, hi, tol, coarse):
     """Scan a coarse grid, then golden-refine around the best cell."""
-    xs = np.linspace(lo, hi, coarse)
-    vs = [f(float(x)) for x in xs]
+    xs = _linspace(lo, hi, coarse)
+    vs = [f(x) for x in xs]
     evals = len(xs)
-    i = int(np.argmax(vs))
-    blo = float(xs[max(0, i - 1)])
-    bhi = float(xs[min(len(xs) - 1, i + 1)])
+    i = _argmax(vs)
+    blo = xs[max(0, i - 1)]
+    bhi = xs[min(len(xs) - 1, i + 1)]
     if bhi - blo < tol:
-        return float(xs[i]), float(vs[i]), evals
+        return xs[i], float(vs[i]), evals
     res = maximize_1d(f, blo, bhi, tol)
     evals += res.evaluations
     if res.value >= vs[i]:
         return res.argmax, res.value, evals
-    return float(xs[i]), float(vs[i]), evals
+    return xs[i], float(vs[i]), evals
 
 
 def _case_pieces(case, sc):
@@ -158,16 +188,16 @@ def optimize_split(sc, tol=1e-6, coarse=21) -> OptResult:
         def f(alpha, beta, _branch=branch):
             return split_objective_branch(alpha, beta, sc, _branch)
 
-        alphas = np.linspace(alo, ahi, coarse)
-        betas = np.linspace(0.0, 1.0, coarse)
+        alphas = _linspace(alo, ahi, coarse)
+        betas = _linspace(0.0, 1.0, coarse)
         evals = 0
-        ca, cb, cv = float(alphas[0]), float(betas[0]), -math.inf
+        ca, cb, cv = alphas[0], betas[0], -math.inf
         for a in alphas:
             for b in betas:
-                v = f(float(a), float(b))
+                v = f(a, b)
                 evals += 1
                 if v > cv:
-                    ca, cb, cv = float(a), float(b), v
+                    ca, cb, cv = a, b, v
         ba, bb, bv = ca, cb, cv
         for _ in range(60):
             xa, _, used = _coarse_then_golden(
@@ -198,12 +228,10 @@ def check_concavity(f, lo, hi, grid_n=101, tol=1e-6):
         raise ValueError("grid_n must be at least 5")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError("check_concavity requires finite bounds with lo < hi")
-    xs = np.linspace(lo, hi, grid_n)
-    vs = np.array([f(float(x)) for x in xs])
-    if not np.all(np.isfinite(vs)):
+    vs = [f(x) for x in _linspace(lo, hi, grid_n)]
+    if not all(math.isfinite(v) for v in vs):
         raise ValueError("objective returned a non-finite value on the grid")
-    second = vs[:-2] - 2.0 * vs[1:-1] + vs[2:]
-    worst = float(second.max())
+    worst = float(max(a - 2.0 * b + c for a, b, c in zip(vs, vs[1:], vs[2:])))
     return worst <= tol, worst
 
 

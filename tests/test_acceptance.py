@@ -171,7 +171,7 @@ def test_criterion_4_cacheless_equals_conventional(capsys):
     route_a = average_success(sc, empty, optimize_case)
 
     # independent route: request-pair mass times closed-form values
-    q = zipf_popularity(empty)
+    q = np.asarray(zipf_popularity(empty))
     p_common = float(np.sum(q * q))
     common_value = (single_user_success(sc, 1, sc.gamma1)
                     * single_user_success(sc, 2, sc.gamma1))

@@ -49,7 +49,7 @@ def test_zipf_normalized_and_sorted():
     for _ in range(25):
         t = int(rng.integers(1, 60))
         zeta = float(rng.uniform(0.0, 3.0))
-        q = zipf_popularity(Catalog(num_files=t, zeta=zeta, cache_size=0))
+        q = np.asarray(zipf_popularity(Catalog(num_files=t, zeta=zeta, cache_size=0)))
         assert q.shape == (t,)
         assert math.isclose(float(q.sum()), 1.0, abs_tol=1e-12)
         assert np.all(np.diff(q) <= 1e-15)

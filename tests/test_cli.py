@@ -3,7 +3,11 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -310,3 +314,24 @@ def test_float_formatting_is_short(tmp_path):
     for row in rows_of(text)[1:]:
         for cell in (row[0], row[1], row[2]):
             assert len(cell) <= 18          # .12g keeps cells compact
+
+
+_IMPORT_GUARD = """
+import os, sys
+import cachenoma
+from cachenoma import cli
+for argv in (["optimize"], ["sweep", "--variable", "zeta", "--values", "0.5"],
+             ["surface", "--grid", "3"], ["concavity", "--grid", "11"]):
+    assert cli.main(argv + ["--out", os.devnull]) == 0, argv
+    assert "numpy" not in sys.modules, argv
+assert cli.main(["validate", "--samples", "10000", "--out", os.devnull]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_only_monte_carlo_imports_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from cachenoma import optimizer
 from cachenoma.caching import CacheCase
 from cachenoma.channel import DoubleNakagamiParams, LinkGeometry
+from cachenoma.cli import _interior
 from cachenoma.config import load_config
 from cachenoma.noma_full import FullScenario, case_objective
 from cachenoma.noma_split import SplitScenario, split_objective_branch
@@ -220,3 +222,35 @@ def test_split_line_feasible_interval():
     assert interval is not None
     blo, bhi = interval
     assert 0.0 <= blo < bhi <= 1.0
+
+
+def test_linspace_matches_numpy_bit_for_bit():
+    ranges = [(0.0, 1.0), (0.0, 0.5), (0.5, 1.0), (0.3, 0.3), (-2.5, -0.1),
+              (-1.0, 3.0), (1.0, 0.0), (0.7, -0.2), (0.0, 1e-300),
+              (1e-300, 3e-300), (0.0, 5e-324), (1e300, 3e300),
+              (-1e300, 1e300), (2e300, 1e300)]
+    # the interior ranges the concavity command scans
+    for sc in (load_config(None).scenario, scaled_scenario(3.7)):
+        for case in (CacheCase.A, CacheCase.B, CacheCase.C, CacheCase.D):
+            for interval in case_branch_feasible(case, sc).values():
+                if interval is not None:
+                    ranges.append(_interior(*interval))
+    for lo, hi in ranges:
+        for n in (0, 1, 2, 3, 21, 101):
+            got = optimizer._linspace(lo, hi, n)
+            want = np.linspace(lo, hi, n)
+            assert got == want.tolist(), (lo, hi, n)
+            assert np.array(got).tobytes() == want.tobytes(), (lo, hi, n)
+
+
+def test_coarse_scan_keeps_first_of_tied_maxima():
+    vs = [0.0, 2.0, 1.0, 2.0, 2.0, -1.0]
+    assert optimizer._argmax(vs) == int(np.argmax(vs)) == 1
+    with_nan = [0.0, 3.0, math.nan, 3.0, math.nan]
+    assert optimizer._argmax(with_nan) == int(np.argmax(with_nan)) == 2
+    # peaks of equal height at grid points 8 and 24 of the 33-point scan:
+    # the search refines around the first
+    f = lambda x: 1.0 - min(abs(x - 0.25), abs(x - 0.75))
+    x, v, _ = optimizer._coarse_then_golden(f, 0.0, 1.0, 1e-6, 33)
+    assert abs(x - 0.25) <= 1e-6
+    assert v == 1.0
