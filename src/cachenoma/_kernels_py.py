@@ -14,7 +14,7 @@ X ~ Gamma(m1, omega1/m1), Y ~ Gamma(m2, omega2/m2) and is summarised here by
 computed.  Both work with the unit-rate variable V = r W, whose density is
 the one above with r = 1 and whose mean is m1 m2: P(W <= x) = P(V <= c)
 with c = r x.  c = 0 and c = inf are answered exactly; otherwise one of
-three routes runs, the first that applies:
+four routes runs, the first that applies:
 
 * Bessel-K sum, when either shape is an integer up to ``_MAX_SUM_TERMS``:
   P(V > c) is a finite sum of Bessel K terms (Karagiannidis, Sagias and
@@ -31,14 +31,23 @@ three routes runs, the first that applies:
   value only where the bound is at most ``_ABS_TOL`` and ``_REL_TOL``
   times min(P(V <= c), P(V > c)), the tolerances the quadrature is held
   to.  No constant picks a crossover.
-* Quadrature, wherever the series' bound fails, split at the mean: for c
-  up to m1 m2 the density is integrated over (0, c] and P(V > c) is 1
-  minus that; above it the density is integrated over (c, inf) and
-  P(V <= c) is 1 minus that, so the deep tail keeps its relative
-  precision.  Both integrals use globally adaptive Gauss-Kronrod 7-15
-  quadrature.  The lower integral still runs for orders within about 1e-4
-  of an integer and for large shapes, whose series cancels below the mean;
-  a tail integral would lose a small c's mass altogether.
+* Gauss-Laguerre tail, above the mean m1 m2 wherever the series' bound
+  fails: with z = 2 sqrt(v) = 2 sqrt(c) + t, P(V > c) is e^(-t) times a
+  factor that grows only like a power of t, integrated over t > 0 by a
+  fixed 16-point rule (DLMF 3.5.v); P(V <= c) is 1 minus it.  The value is
+  kept where a 10-point rule agrees with it to ``_REL_TOL``, relative
+  only, so the deep tail keeps its relative precision.  The rules
+  disagree near the mean for large shapes and for small shapes whose
+  order lies near an integer.
+* Quadrature, wherever none of the routes above applies, split at the mean:
+  for c up to m1 m2 the density is integrated over (0, c] and P(V > c) is
+  1 minus that; above it the density is integrated over (c, inf) and
+  P(V <= c) is 1 minus that.  Both integrals use globally adaptive
+  Gauss-Kronrod 7-15 quadrature held to ``_ABS_TOL`` or ``_REL_TOL``,
+  whichever is looser, so a tail value far below ``_ABS_TOL`` is only
+  absolutely precise.  The lower integral runs for orders within about
+  1e-4 of an integer and for large shapes, whose series cancels below the
+  mean; a tail integral would lose a small c's mass altogether.
 
 A quadrature that exhausts ``_MAX_SUBDIV`` subdivisions raises
 ``QuadratureAccuracyError`` with its best estimate.
@@ -175,9 +184,10 @@ def _start(nu, x, scaled=False):
     return mu, nl, k0, k1
 
 
-def bessel_k(nu, x):
-    """K_nu(x) for real order, x > 0.  K_{-nu} = K_nu by construction."""
-    mu, nl, k0, k1 = _start(nu, x)
+def bessel_k(nu, x, scaled=False):
+    """K_nu(x) for real order, x > 0.  K_{-nu} = K_nu by construction.
+    e^x K_nu(x) when ``scaled``, finite where K_nu(x) underflows (large x)."""
+    mu, nl, k0, k1 = _start(nu, x, scaled)
     xi = 2.0 / x
     for l in range(1, nl):
         k0, k1 = k1, k0 + (mu + l) * xi * k1
@@ -499,6 +509,112 @@ def _series_cdf_sf(c, m1, m2):
     return None
 
 
+# Gauss-Laguerre rules (DLMF 3.5.v) for int_0^inf e^-t f(t) dt, used by the
+# survival tail: the roots x of L_n and the weights x / ((n+1) L_{n+1}(x))^2
+# of the 16- and 10-point rules, correctly rounded.
+_XGL16 = (
+    0.08764941047892784,
+    0.46269632891508083,
+    1.141057774831227,
+    2.1292836450983805,
+    3.4370866338932067,
+    5.078018614549768,
+    7.070338535048234,
+    9.438314336391938,
+    12.21422336886616,
+    15.441527368781617,
+    19.180156856753136,
+    23.515905693991908,
+    28.57872974288214,
+    34.58339870228662,
+    41.94045264768833,
+    51.70116033954332,
+)
+_WGL16 = (
+    0.206151714957801,
+    0.3310578549508842,
+    0.26579577764421414,
+    0.13629693429637754,
+    0.04732892869412522,
+    0.011299900080339454,
+    0.0018490709435263109,
+    0.00020427191530827845,
+    1.4844586873981299e-05,
+    6.828319330871199e-07,
+    1.8810248410796733e-08,
+    2.8623502429738814e-10,
+    2.1270790332241028e-12,
+    6.297967002517868e-15,
+    5.050473700035513e-18,
+    4.161462370372855e-22,
+)
+_XGL10 = (
+    0.13779347054049243,
+    0.7294545495031705,
+    1.808342901740316,
+    3.4014336978548996,
+    5.552496140063804,
+    8.330152746764497,
+    11.843785837900066,
+    16.279257831378104,
+    21.99658581198076,
+    29.92069701227389,
+)
+_WGL10 = (
+    0.30844111576502015,
+    0.40111992915527356,
+    0.2180682876118094,
+    0.062087456098677746,
+    0.0095015169751811,
+    0.0007530083885875388,
+    2.8259233495995656e-05,
+    4.2493139849626863e-07,
+    1.8395648239796308e-09,
+    9.911827219609008e-13,
+)
+
+
+def _laguerre_sf(c, m1, m2):
+    """P(V > c), c above the mean, by a fixed Gauss-Laguerre rule, or None
+    where the rule's own error check fails.
+
+    With z = 2 sqrt(v) = z0 + t, z0 = 2 sqrt(c), h = (m1 + m2) / 2 and
+    nu = m1 - m2,
+
+        P(V > c) = 2 c^(h-1/2) e^(-z0) / (Gamma(m1) Gamma(m2))
+                   * int_0^inf e^(-t) (z/z0)^(2h-1) e^z K_nu(z) dt,
+
+    and the factor after e^(-t) is smooth and grows only like a power of
+    t, which a 16-point rule integrates well.  The factor in front is
+    formed in log space, so a large c gives 0 rather than an overflow.
+    The 16-point value is kept where the 10-point rule agrees with it to
+    ``_REL_TOL`` relative, with no absolute floor, so a deep-tail value
+    keeps its relative precision.
+    """
+    lo, hi = min(m1, m2), max(m1, m2)
+    nu = hi - lo
+    p = m1 + m2 - 1.0  # 2h - 1
+    z0 = 2.0 * math.sqrt(c)
+
+    def rule(nodes, weights):
+        return sum(w * math.exp(p * math.log1p(t / z0))
+                   * bessel_k(nu, z0 + t, scaled=True)
+                   for t, w in zip(nodes, weights))
+
+    try:
+        g16 = rule(_XGL16, _WGL16)
+        g10 = rule(_XGL10, _WGL10)
+    except OverflowError:
+        # (z/z0)^(2h-1) overflows at the outer nodes (a large shape near
+        # the mean): the factor is far from a power of t
+        return None
+    if not (0.0 < g16 < math.inf and abs(g16 - g10) <= _REL_TOL * g16):
+        return None
+    log_front = (math.log(2.0) + 0.5 * p * math.log(c) - z0
+                 - math.lgamma(lo) - math.lgamma(hi))
+    return math.exp(log_front + math.log(g16))
+
+
 def _quad_or_raise(f, a, b, what):
     val, err, used, ok = adaptive_gk15(f, a, b, _ABS_TOL, _REL_TOL, _MAX_SUBDIV)
     if not ok:
@@ -517,7 +633,7 @@ def _quad_cdf_sf(c, m1, m2):
     Up to the mean m1 m2 of V the lower integral runs, with v = u^2 so that
     the integrable singularity at v = 0 (when m1 + m2 <= 2) goes away.
     Above the mean the tail integral runs, with v = c / t mapping (c, inf)
-    onto (0, 1], so a small survival value keeps its relative precision.
+    onto (0, 1].
     """
     if c <= m1 * m2:
 
@@ -558,7 +674,14 @@ def _cdf_sf(x, m1, m2, r):
     sf = _integer_shape_sf(c, m1, m2)
     if sf is not None:
         return 1.0 - sf, sf
-    return _series_cdf_sf(c, m1, m2) or _quad_cdf_sf(c, m1, m2)
+    cdf_sf = _series_cdf_sf(c, m1, m2)
+    if cdf_sf is not None:
+        return cdf_sf
+    if c > m1 * m2:
+        sf = _laguerre_sf(c, m1, m2)
+        if sf is not None:
+            return 1.0 - sf, sf
+    return _quad_cdf_sf(c, m1, m2)
 
 
 def cdf_w(x, m1, m2, r):

@@ -34,6 +34,29 @@ def sf_w(x, m1, m2, omega1, omega2):
     return mp.quad(lambda w: pdf_w(w, m1, m2, omega1, omega2), pts)
 
 
+def sf_unit(c, m1, m2):
+    """P(V > c) of the unit-rate variable V = r W, for deep-tail literals.
+
+    With z = 2 sqrt(v) = z0 + t and z0 = 2 sqrt(c),
+    P(V > c) = 4^(1-h) / (Gamma(m1) Gamma(m2)) int_z0^inf z^(2h-1) K_nu(z) dz.
+    The integrand is taken relative to its size z0^(2h-1) e^(-z0) at the
+    lower end, since mpmath's quadrature judges convergence in absolute
+    terms and would accept a coarse estimate of a value near 1e-80, and the
+    range is split on the decay scale of e^(-t), at z0 + 1, 5, 20, 60 and 200.
+    """
+    m1, m2 = mp.mpf(m1), mp.mpf(m2)
+    p, nu = m1 + m2 - 1, m1 - m2
+    z0 = 2 * mp.sqrt(mp.mpf(c))
+
+    def scaled(t):
+        z = z0 + t
+        return (z / z0) ** p * mp.besselk(nu, z) * mp.exp(z0)
+
+    pts = [0, 1, 5, 20, 60, 200, mp.inf]
+    return (4 ** ((1 - p) / 2) * z0 ** p * mp.exp(-z0) * mp.quad(scaled, pts)
+            / (mp.gamma(m1) * mp.gamma(m2)))
+
+
 def emit(name, value):
     print(f"{name} = {mp.nstr(value, 18)}")
 
@@ -66,6 +89,14 @@ def main():
     # one integer and one non-integer shape, rate 4
     emit("SF_ONE_THREEQ_AT_6",
          sf_w(6, mp.mpf(1), mp.mpf("0.75"), mp.mpf("0.75"), mp.mpf("0.25")))
+
+    # deep tail of the unit-rate variable with non-integer shapes, as
+    # (m1, m2, c) keys of DEEP_TAIL_SF in tests/test_kernels.py
+    for m1, m2 in (("1.5", "2.5"), ("0.75", "1.25"), ("5.5", "0.6"),
+                   ("0.3", "0.45"), ("30.5", "40.25")):
+        for c in ("1e3", "1e4", "1e5"):
+            emit(f"({m1}, {m2}, {c})",
+                 sf_unit(mp.mpf(c), mp.mpf(m1), mp.mpf(m2)))
 
     half = mp.mpf("0.5")
     emit("CDF_HALF_AT_1", cdf_w(1, half, half, mp.mpf(1), mp.mpf(1)))

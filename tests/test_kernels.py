@@ -5,12 +5,13 @@ of the product-Gamma variable on integer and non-integer shape pairs, three
 rates and arguments from 1e-8 deep into the upper tail.  The public
 ``cdf_w``/``sf_w`` are checked together with the private quadrature
 ``_quad_cdf_sf`` on every pair, so the quadrature stays covered on the
-pairs where the public functions take the Bessel-K sum or the series.  The
-oracles are mpmath's Meijer G forms,
+pairs where the public functions take the Bessel-K sum, the series or the
+Gauss-Laguerre tail.  The oracles are mpmath's Meijer G forms,
 P(W > x) = G^{3,0}_{1,3}(r x | 1; m1, m2, 0) / (Gamma(m1) Gamma(m2)) for
 the tail and P(W <= x) = G^{2,1}_{1,3}(r x | 1; m1, m2, 0) / (Gamma(m1)
-Gamma(m2)) for the lower range.
-""",
+Gamma(m2)) for the lower range, and for the deep tail literals from
+``tests/make_reference_values.py``.
+"""
 import math
 import sys
 
@@ -65,6 +66,8 @@ def route(c, m1, m2):
         return "bessel-k sum"
     if _kernels_py._series_cdf_sf(c, m1, m2) is not None:
         return "series" if (m1 - m2) % 1.0 else "integer-order series"
+    if c > m1 * m2 and _kernels_py._laguerre_sf(c, m1, m2) is not None:
+        return "laguerre tail"
     return "lower quadrature" if c <= m1 * m2 else "tail quadrature"
 
 
@@ -77,6 +80,17 @@ def test_bessel_k_matches_oracle():
             err = float(abs(_kernels_py.bessel_k(nu, x) / want - 1))
             worst = max(worst, (err, (nu, x)))
     assert worst[0] <= 1e-12, worst
+
+
+def test_scaled_bessel_k_matches_oracle():
+    # e^x K_nu(x); K itself underflows at x = 800
+    assert _kernels_py.bessel_k(1.0, 800.0) == 0.0
+    for nu in ORDERS + (9.5,):
+        for x in (0.5, 3.0, 40.0, 800.0):
+            with mp.workdps(30):
+                want = mp.exp(x) * mp.besselk(nu, x)
+            got = _kernels_py.bessel_k(nu, x, scaled=True)
+            assert float(abs(got / want - 1)) <= 1e-13, (nu, x, got)
 
 
 def test_cdf_w_matches_oracle():
@@ -207,6 +221,10 @@ SERIES_SHAPES = (
 # orders within 1e-4, 1e-7 and 1e-5 of an integer
 NEAR_INTEGER_SHAPES = ((1.5, 2.4999), (1.5, 2.4999999), (0.5, 0.50001))
 SERIES_CS = (1e-8, 1e-3, 0.05, 0.4, 1.3, 3.0, 6.0, 12.0, 30.0)
+# (c, m1, m2) above the mean where the 16- and 10-point Laguerre rules
+# disagree: large shapes near the mean, and small shapes whose order lies
+# 1e-7 from an integer
+LAGUERRE_FALLBACKS = [(1300.0, 30.5, 40.25), (0.05, 0.1, 0.1000001)]
 
 
 def test_series_matches_oracle():
@@ -257,22 +275,29 @@ def test_quadrature_runs_unchanged_where_the_series_bound_fails(monkeypatch):
         assert _kernels_py._cdf_sf(c, m1, m2, 1.0) \
             == _kernels_py._series_cdf_sf(c, m1, m2)
     assert calls == []
-    # large c, and an order 1e-7 from an integer: the quadrature's own value
-    for c, m1, m2 in ((30.0, 0.75, 1.25), (1.0, 1.5, 2.4999999)):
+    # large c: the Gauss-Laguerre tail, and no quadrature
+    assert _kernels_py._series_cdf_sf(30.0, 0.75, 1.25) is None
+    sf = _kernels_py._laguerre_sf(30.0, 0.75, 1.25)
+    assert _kernels_py._cdf_sf(30.0, 0.75, 1.25, 1.0) == (1.0 - sf, sf)
+    assert calls == []
+    # an order 1e-7 from an integer below the mean, and large shapes just
+    # above it where the Laguerre rules disagree: the quadrature's own value
+    for c, m1, m2 in ((1.0, 1.5, 2.4999999), (1300.0, 30.5, 40.25)):
         assert _kernels_py._series_cdf_sf(c, m1, m2) is None
         assert _kernels_py._cdf_sf(c, m1, m2, 1.0) == quad(c, m1, m2)
-    assert calls == [(30.0, 0.75, 1.25), (1.0, 1.5, 2.4999999)]
+    assert calls == [(1.0, 1.5, 2.4999999), (1300.0, 30.5, 40.25)]
 
 
 def test_cdf_plus_sf_is_one_on_every_route():
     seen = set()
-    for m1, m2 in SHAPES + NEAR_INTEGER_SHAPES:
-        for c in SERIES_CS + (120.0,):
-            seen.add(route(c, m1, m2))
-            cdf, sf = _kernels_py._cdf_sf(c, m1, m2, 1.0)
-            assert abs(cdf + sf - 1.0) <= sys.float_info.epsilon, (m1, m2, c)
+    points = [(c, m1, m2) for m1, m2 in SHAPES + NEAR_INTEGER_SHAPES
+              for c in SERIES_CS + (120.0,)]
+    for c, m1, m2 in points + LAGUERRE_FALLBACKS:
+        seen.add(route(c, m1, m2))
+        cdf, sf = _kernels_py._cdf_sf(c, m1, m2, 1.0)
+        assert abs(cdf + sf - 1.0) <= sys.float_info.epsilon, (m1, m2, c)
     assert seen == {"bessel-k sum", "series", "integer-order series",
-                    "lower quadrature", "tail quadrature"}
+                    "laguerre tail", "lower quadrature", "tail quadrature"}
 
 
 def _handoff(inside, outside, accepted):
@@ -300,7 +325,16 @@ def test_no_jump_at_the_series_handoff():
     for m1, m2 in SERIES_SHAPES + ((30.5, 40.25),):
         c_in, c_out = _handoff(
             1e-3, 1e3, lambda c: _kernels_py._series_cdf_sf(c, m1, m2) is not None)
-        assert route(c_out, m1, m2).endswith("quadrature")
+        # the next route: the Laguerre tail above the mean, else quadrature
+        assert route(c_out, m1, m2) == (
+            "laguerre tail" if c_out > m1 * m2 else "lower quadrature")
+        _assert_no_jump(_kernels_py._cdf_sf(c_in, m1, m2, 1.0),
+                        _kernels_py._cdf_sf(c_out, m1, m2, 1.0))
+    # in c, where the Laguerre rules start to agree above the mean
+    for c, m1, m2 in LAGUERRE_FALLBACKS:
+        c_in, c_out = _handoff(
+            1e4, c, lambda c: _kernels_py._laguerre_sf(c, m1, m2) is not None)
+        assert route(c_out, m1, m2) == "tail quadrature"
         _assert_no_jump(_kernels_py._cdf_sf(c_in, m1, m2, 1.0),
                         _kernels_py._cdf_sf(c_out, m1, m2, 1.0))
     # in the distance of the order from an integer
@@ -311,3 +345,91 @@ def test_no_jump_at_the_series_handoff():
                 lambda d: _kernels_py._series_cdf_sf(c, m1, m2 - d) is not None)
             _assert_no_jump(_kernels_py._cdf_sf(c, m1, m2 - d_in, 1.0),
                             _kernels_py._cdf_sf(c, m1, m2 - d_out, 1.0))
+
+
+# P(V > c) of the unit-rate variable from tests/make_reference_values.py
+DEEP_TAIL_SF = {
+    (1.5, 2.5, 1e3): 3.01956631238762175e-24,
+    (1.5, 2.5, 1e4): 2.11222885920105571e-82,
+    (1.5, 2.5, 1e5): 5.72032170388145306e-269,
+    (0.75, 1.25, 1e3): 3.08438710105083166e-27,
+    (0.75, 1.25, 1e4): 2.21388659310111774e-86,
+    (0.75, 1.25, 1e5): 6.04456955590638453e-274,
+    (5.5, 0.6, 1e3): 7.96879916915024249e-23,
+    (5.5, 0.6, 1e4): 5.41410111354711495e-80,
+    (5.5, 0.6, 1e5): 1.57080891343973047e-265,
+    (0.3, 0.45, 1e3): 7.59661277436322384e-30,
+    (0.3, 0.45, 1e4): 1.31178181579802906e-89,
+    (0.3, 0.45, 1e5): 8.53259806787048656e-278,
+    (30.5, 40.25, 1e3): 0.769953673213765095,
+    (30.5, 40.25, 1e4): 6.05453724214537874e-27,
+    (30.5, 40.25, 1e5): 2.4660110821034133e-180,
+}
+
+
+def test_deep_tail_keeps_relative_precision():
+    # an adaptive tail integral held to an absolute floor is 1.4e-3 off at
+    # c = 1e4 and 5e-2 at 1e5
+    for (m1, m2, c), want in DEEP_TAIL_SF.items():
+        got = _kernels_py.sf_w(c, m1, m2, 1.0)
+        assert math.isclose(got, want, rel_tol=1e-12), (m1, m2, c, got, want)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(m1=st.integers(1, 64).map(float), m2=st.integers(1, 64).map(float))
+def test_laguerre_tail_matches_the_bessel_k_sum(m1, m2):
+    # the Laguerre formula holds at integer shapes too, where the Bessel-K
+    # sum is exact; from the mean out to where sf leaves the normal floats
+    c = m1 * m2
+    while True:
+        want = _kernels_py._integer_shape_sf(c, m1, m2)
+        if want < sys.float_info.min:
+            break
+        got = _kernels_py._laguerre_sf(c, m1, m2)
+        assert got == _kernels_py._laguerre_sf(c, m2, m1), (m1, m2, c)
+        if got is not None:
+            assert math.isclose(got, want, rel_tol=1e-12), \
+                (m1, m2, c, got, want)
+        else:
+            # only near the mean does the error check reject the rule
+            assert c < 16.0 * m1 * m2, (m1, m2, c)
+        c *= 4.0
+
+
+def test_laguerre_tail_falls_back_to_quadrature(monkeypatch):
+    calls = []
+    quad = _kernels_py._quad_cdf_sf
+
+    def recorded(c, m1, m2):
+        calls.append((c, m1, m2))
+        return quad(c, m1, m2)
+
+    monkeypatch.setattr(_kernels_py, "_quad_cdf_sf", recorded)
+    # the last point is a large shape, where the power factor of the rule
+    # overflows at the outer nodes: no OverflowError, the quadrature runs
+    points = LAGUERRE_FALLBACKS + [(7500.46875, 1.5, 4000.25)]
+    for c, m1, m2 in points:
+        assert c > m1 * m2
+        assert _kernels_py._series_cdf_sf(c, m1, m2) is None
+        assert _kernels_py._laguerre_sf(c, m1, m2) is None
+        assert _kernels_py._cdf_sf(c, m1, m2, 1.0) == quad(c, m1, m2)
+    assert calls == points
+
+
+def test_laguerre_node_tables():
+    import numpy as np
+
+    # an n-point rule integrates x^k e^-x exactly for k <= 2n - 1
+    for n, nodes, weights in ((16, _kernels_py._XGL16, _kernels_py._WGL16),
+                              (10, _kernels_py._XGL10, _kernels_py._WGL10)):
+        assert len(nodes) == len(weights) == n
+        for k in range(2 * n):
+            got = math.fsum(w * x ** k for x, w in zip(nodes, weights))
+            assert math.isclose(got, math.factorial(k), rel_tol=1e-13), (n, k)
+        # numpy's weights come out of a normalisation and sit up to about
+        # 150 ulps from the correctly rounded ones held here; its nodes
+        # within a few ulps
+        want_x, want_w = np.polynomial.laguerre.laggauss(n)
+        for x, w, wx, ww in zip(nodes, weights, want_x, want_w):
+            assert abs(x - wx) <= 8 * np.spacing(wx), (n, x, wx)
+            assert math.isclose(w, ww, rel_tol=1e-13), (n, w, ww)
