@@ -20,7 +20,9 @@ four routes runs, the first that applies:
   P(V > c) is a finite sum of Bessel K terms (Karagiannidis, Sagias and
   Mathiopoulos, "N*Nakagami", IEEE Trans. Commun. 2007; Gradshteyn and
   Ryzhik 3.471.9), exact to full relative precision deep into the tail,
-  and P(V <= c) is 1 minus it.
+  and P(V <= c) is 1 minus it.  That difference keeps a small P(V <= c)
+  only to absolute precision, so below the mean ``cdf_w`` tries the
+  series first; ``sf_w`` keeps the sum, which is cheaper there.
 * Series, for every other shape pair, where its error bound holds: the
   ascending series of K_nu (DLMF 10.27.4 and 10.25.2; for an integer order
   nu = m1 - m2, its limit form DLMF 10.31.1) integrated term by term gives
@@ -686,6 +688,11 @@ def _cdf_sf(x, m1, m2, r):
 
 def cdf_w(x, m1, m2, r):
     """P(W <= x) by the route the module docstring describes."""
+    c = r * x
+    if 0.0 < c < m1 * m2 and (_short_integer(m1) or _short_integer(m2)):
+        cdf_sf = _series_cdf_sf(c, m1, m2)
+        if cdf_sf is not None:
+            return cdf_sf[0]
     return _cdf_sf(x, m1, m2, r)[0]
 
 

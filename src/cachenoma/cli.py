@@ -15,6 +15,7 @@ and LF line endings.  Exit codes: 0 success, 1 usage or config error,
 """
 import argparse
 import csv
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -32,9 +33,9 @@ from .noma_full import (
 from .noma_split import split_case_chains, split_objective_branch
 from .optimizer import (
     INTERIOR_TRIM,
+    _concavity_verdict,
     _linspace,
     case_branch_feasible,
-    check_concavity,
     optimize_case,
     optimize_split,
 )
@@ -134,10 +135,9 @@ def sweep_values(variable, start, stop, steps, values):
     if variable in _INT_VARIABLES:
         ints = []
         for v in out:
-            r = round(v)
-            if abs(v - r) > 1e-9:
+            if not (math.isfinite(v) and abs(v - round(v)) <= 1e-9):
                 raise ValueError(f"{variable} values must be integers, got {v!r}")
-            ints.append(int(r))
+            ints.append(int(round(v)))
         return ints
     return out
 
@@ -178,15 +178,21 @@ def run_sweep(cfg, variable, values):
 
     The conventional column reruns the average with emptied caches, so it
     coincides with the NOMA column exactly when cache_size is already 0.
+
+    ``optimize_case`` is a pure function of its (case, scenario) arguments,
+    so each distinct optimum is computed once per call and shared by both
+    averages and by every step whose scenario is unchanged: a zeta,
+    cache_size or num_files sweep optimizes once in total.
     """
+    optimum = functools.cache(optimize_case)
     rows = []
     for value in values:
         step = _apply_sweep(cfg, variable, value)
         scen, cat, avg = step.scenario, step.catalog, step.averaging
-        noma = average_success(scen, cat, optimize_case, averaging=avg)
+        noma = average_success(scen, cat, optimum, averaging=avg)
         oma = oma_average_success(scen, cat, averaging=avg)
         empty = Catalog(num_files=cat.num_files, zeta=cat.zeta, cache_size=0)
-        conv = average_success(scen, empty, optimize_case, averaging=avg)
+        conv = average_success(scen, empty, optimum, averaging=avg)
         rows.append((value, noma, oma, conv))
     return rows
 
@@ -276,11 +282,12 @@ def run_concavity(cfg, selector, grid):
         for branch, interval in case_branch_feasible(case, cfg.scenario).items():
             if interval is None:
                 continue
-            lo, hi = _interior(*interval)
-            concave, worst = check_concavity(objective, lo, hi, grid_n=grid)
+            alphas = _linspace(*_interior(*interval), grid)
+            values = [objective(alpha) for alpha in alphas]
+            concave, worst = _concavity_verdict(values)
             verdicts.append((case.value, branch, concave, worst))
-            for alpha in _linspace(lo, hi, grid):
-                rows.append((case.value, branch, alpha, objective(alpha)))
+            rows.extend((case.value, branch, alpha, value)
+                        for alpha, value in zip(alphas, values))
     return rows, verdicts
 
 

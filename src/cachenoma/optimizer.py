@@ -228,7 +228,11 @@ def check_concavity(f, lo, hi, grid_n=101, tol=1e-6):
         raise ValueError("grid_n must be at least 5")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError("check_concavity requires finite bounds with lo < hi")
-    vs = [f(x) for x in _linspace(lo, hi, grid_n)]
+    return _concavity_verdict([f(x) for x in _linspace(lo, hi, grid_n)], tol)
+
+
+def _concavity_verdict(vs, tol=1e-6):
+    """``check_concavity``'s verdict on values already taken on its grid."""
     if not all(math.isfinite(v) for v in vs):
         raise ValueError("objective returned a non-finite value on the grid")
     worst = float(max(a - 2.0 * b + c for a, b, c in zip(vs, vs[1:], vs[2:])))

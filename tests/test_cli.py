@@ -11,8 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from cachenoma import _kernels_py
-from cachenoma.cli import main, sweep_values
+from cachenoma import _kernels_py, cli
+from cachenoma.caching import Catalog
+from cachenoma.cli import SWEEP_VARIABLES, main, run_sweep, sweep_values
+from cachenoma.config import load_config
+from cachenoma.noma_full import average_success, oma_average_success
+from cachenoma.optimizer import optimize_case
 
 
 def run_cli(tmp_path, *argv):
@@ -104,6 +108,71 @@ def test_sweep_zeta(tmp_path):
         assert n >= c - 1e-12
 
 
+def test_sweep_rejects_non_finite_integer_values(tmp_path, capsys):
+    for variable in ("cache_size", "num_files"):
+        for value in ("inf", "-inf", "nan"):
+            with pytest.raises(ValueError, match=variable):
+                sweep_values(variable, None, None, None, value)
+            capsys.readouterr()
+            code, _ = run_cli(tmp_path, "sweep", "--variable", variable,
+                              f"--values={value}")
+            assert code == 1, (variable, value)
+            err = capsys.readouterr().err
+            assert variable in err and "Traceback" not in err, err
+        code, _ = run_cli(tmp_path, "sweep", "--variable", variable,
+                          "--start", "inf", "--stop", "3", "--steps", "2")
+        assert code == 1
+        assert variable in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variable, values, expected", [
+    # the scenario stays the same, so one optimum serves every step and
+    # both averages of each
+    ("zeta", (0.0, 0.5, 1.0), 1),
+    ("cache_size", (0, 1, 2), 1),
+    # one scenario per step, shared by its NOMA and conventional averages
+    ("snr_db", (5.0, 10.0, 15.0), 3),
+])
+def test_sweep_optimizes_each_distinct_case_once(monkeypatch, variable,
+                                                 values, expected):
+    calls = []
+
+    def counted(case, scenario):
+        calls.append((case, scenario))
+        return optimize_case(case, scenario)
+
+    monkeypatch.setattr(cli, "optimize_case", counted)
+    run_sweep(load_config(None), variable, list(values))
+    assert len(calls) == expected
+    assert len(set(calls)) == len(calls)
+
+
+SWEEP_PROBES = {
+    "zeta": (0.0, 1.0),
+    "snr_db": (5.0, 15.0),
+    "cache_size": (0, 3),
+    "omega": (1.0, 3.0),
+    "m": (1.0, 2.0),
+    "num_files": (3, 8),
+}
+
+
+@pytest.mark.parametrize("variable", SWEEP_VARIABLES)
+def test_sweep_rows_equal_step_by_step_averages(variable):
+    cfg = load_config(None)
+    values = list(SWEEP_PROBES[variable])
+    want = []
+    for value in values:
+        step = cli._apply_sweep(cfg, variable, value)
+        scen, cat, avg = step.scenario, step.catalog, step.averaging
+        empty = Catalog(num_files=cat.num_files, zeta=cat.zeta, cache_size=0)
+        want.append((value,
+                     average_success(scen, cat, optimize_case, averaging=avg),
+                     oma_average_success(scen, cat, averaging=avg),
+                     average_success(scen, empty, optimize_case, averaging=avg)))
+    assert run_sweep(cfg, variable, values) == want
+
+
 def test_sweep_rejects_bad_variable(tmp_path):
     code, _ = run_cli(tmp_path, "sweep", "--variable", "velocity",
                       "--values", "1")
@@ -178,6 +247,24 @@ def test_concavity_cases(tmp_path, capsys):
     assert all(r[0] == "A" and r[1] == "full" for r in body)
     err = capsys.readouterr().err
     assert "case=A branch=full concave=true" in err
+
+
+def test_concavity_evaluates_each_grid_point_once(tmp_path, monkeypatch):
+    calls = []
+    objective_of = cli.case_objective
+
+    def counted(case, scenario):
+        objective = objective_of(case, scenario)
+
+        def f(alpha):
+            calls.append(alpha)
+            return objective(alpha)
+
+        return f
+
+    monkeypatch.setattr(cli, "case_objective", counted)
+    _, text = run_cli(tmp_path, "concavity", "--grid", "21")
+    assert len(calls) == len(rows_of(text)) - 1
 
 
 def test_concavity_grid_floor(tmp_path):

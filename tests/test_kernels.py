@@ -261,6 +261,20 @@ def test_series_keeps_small_cdf_values_relatively_precise():
         assert float(abs(got / want - 1)) <= 1e-12, (c, got, want)
 
 
+def test_small_cdf_of_integer_shapes_is_relatively_precise():
+    # 1 minus the Bessel-K sum is precise only to about 1e-16 absolute, far
+    # above the cdf of 2.5e-21 at (2, 3), c = 1e-10.  Below the mean cdf_w
+    # takes the series first; sf_w keeps the sum.
+    for m1, m2 in ((2.0, 3.0), (3.0, 2.0), (1.0, 1.0), (60.0, 0.75),
+                   (1.0, 4.0)):
+        for c in (1e-10, 1e-4, 0.3):
+            want = oracle_cdf(c, m1, m2)
+            got = _kernels_py.cdf_w(c, m1, m2, 1.0)
+            assert float(abs(got / want - 1)) <= 1e-9, (m1, m2, c, got, want)
+            assert _kernels_py.sf_w(c, m1, m2, 1.0) \
+                == _kernels_py._integer_shape_sf(c, m1, m2)
+
+
 def test_quadrature_runs_unchanged_where_the_series_bound_fails(monkeypatch):
     calls = []
     quad = _kernels_py._quad_cdf_sf
