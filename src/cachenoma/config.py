@@ -14,15 +14,16 @@ Keys:
 * ``gamma_split``: four thresholds [part 1a, 1b, 2a, 2b] for split-file mode.
 * ``chan1``, ``chan2``: objects with ``m1``, ``m2``, ``omega1``, ``omega2``.
 * ``dist1``, ``dist2``, ``pathloss_exp``: link geometry.
-* ``catalog``: object with ``files``, ``zeta``, ``cache_size``.
+* ``catalog``: object with ``files`` (at most ``caching.MAX_FILES``),
+  ``zeta``, ``cache_size``.
 * ``semantics``: "product" or "joint".
 * ``averaging``: "full" or "cases_only".
 """
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .caching import Catalog
+from .caching import MAX_FILES, Catalog
 from .channel import DoubleNakagamiParams, LinkGeometry
 from .noma_full import AVERAGING, FullScenario
 from .noma_split import SplitScenario
@@ -55,21 +56,17 @@ _TOP_KEYS = frozenset(DEFAULTS) | {"power"}
 class ScenarioConfig:
     """Parsed scenario: everything the CLI commands need to run."""
 
-    scenario: FullScenario
     split: SplitScenario
     catalog: Catalog
     averaging: str
 
+    @property
+    def scenario(self) -> FullScenario:
+        """The full-file scenario, which the split scenario is built on."""
+        return self.split.base
+
     def replace_scenario(self, scenario: FullScenario) -> "ScenarioConfig":
-        split = SplitScenario(
-            base=scenario,
-            gamma11=self.split.gamma11,
-            gamma12=self.split.gamma12,
-            gamma21=self.split.gamma21,
-            gamma22=self.split.gamma22,
-        )
-        return ScenarioConfig(scenario=scenario, split=split,
-                              catalog=self.catalog, averaging=self.averaging)
+        return replace(self, split=replace(self.split, base=scenario))
 
 
 class ConfigError(ValueError):
@@ -129,8 +126,9 @@ def _parse_catalog(obj):
     cat = dict(DEFAULTS["catalog"])
     cat.update(obj)
     files = _require_int(cat["files"], "catalog.files")
-    if files < 1:
-        raise ConfigError(f"catalog.files: must be at least 1, got {files!r}")
+    if not 1 <= files <= MAX_FILES:
+        raise ConfigError(f"catalog.files: must lie in [1, {MAX_FILES}], "
+                          f"got {files!r}")
     zeta = _require_number(cat["zeta"], "catalog.zeta", nonneg=True)
     cache_size = _require_int(cat["cache_size"], "catalog.cache_size")
     if not 0 <= cache_size <= files:
@@ -206,8 +204,7 @@ def parse_config(data: dict) -> ScenarioConfig:
     )
     split = SplitScenario(base=scenario, gamma11=g11, gamma12=g12,
                           gamma21=g21, gamma22=g22)
-    return ScenarioConfig(scenario=scenario, split=split,
-                          catalog=catalog, averaging=averaging)
+    return ScenarioConfig(split=split, catalog=catalog, averaging=averaging)
 
 
 def load_config(path=None) -> ScenarioConfig:

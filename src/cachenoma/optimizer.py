@@ -1,11 +1,14 @@
 """Power-split optimization and concavity checks.
 
-1-D searches use golden-section refinement seeded by a coarse scan, which
-keeps the search robust when an objective is piecewise (the decode order
-changes at alpha = 0.5) or vanishes on part of the interval.  The split
-problem runs coordinate ascent per branch from the best cell of a coarse
-(alpha, beta) grid, and the better branch wins; the overlap alpha = 0.5 is
-evaluated under both decode orders.
+Every decode condition's SINR margin is linear in alpha, so the alphas at
+which a case can succeed form at most one interval per decode branch
+(``case_branch_feasible``).  ``optimize_case`` searches only those
+intervals, where the decode order is fixed and the objective is positive,
+with golden-section refinement seeded by a coarse scan; a case with no
+feasible interval has value 0.  The split problem runs coordinate ascent
+per branch from the best cell of a coarse (alpha, beta) grid, and the
+better branch wins; the overlap alpha = 0.5 is evaluated under both decode
+orders.
 """
 import math
 from dataclasses import dataclass
@@ -139,41 +142,21 @@ def _coarse_then_golden(f, lo, hi, tol, coarse):
     return xs[i], float(vs[i]), evals
 
 
-def _case_pieces(case, sc):
-    """Search intervals for one case, split at the decode-order seam."""
-    if case is CacheCase.A:
-        return [(0.0, 1.0)]
-    lo_hi = sc.gamma1 / (1.0 + sc.gamma1)
-    hi_cap = 1.0 / (1.0 + sc.gamma2)
-    pieces = []
-    # interval where handing most power to file 1 can work
-    if lo_hi < 0.5:
-        pieces.append((lo_hi, 0.5))
-        pieces.append((0.5, 1.0))
-    else:
-        pieces.append((lo_hi, 1.0))
-    # interval where file 2 holds the larger share
-    if hi_cap > 0.5:
-        pieces.append((0.0, 0.5))
-        pieces.append((0.5, hi_cap))
-    else:
-        pieces.append((0.0, hi_cap))
-    return pieces
-
-
 def optimize_case(case: CacheCase, sc, tol=1e-6, coarse=33) -> OptResult:
-    """Best power split for one of the cases A-D."""
+    """Best power split for one of the cases A-D.
+
+    Each decode-feasible interval of ``case_branch_feasible`` is searched
+    once, high branch before low.  Where no alpha is feasible the objective
+    is 0 everywhere: the result is alpha 0.5 with value 0.0 and no
+    evaluations.
+    """
     if case not in (CacheCase.A, CacheCase.B, CacheCase.C, CacheCase.D):
         raise ValueError(f"optimize_case handles cases A-D only, got {case!r}")
     f = case_objective(case, sc)
-    best_x = None
-    best_v = -math.inf
-    evals = 0
-    for lo, hi in _case_pieces(case, sc):
-        x, v, used = _coarse_then_golden(f, lo, hi, tol, coarse)
-        evals += used
-        if v > best_v:
-            best_x, best_v = x, v
+    runs = [_coarse_then_golden(f, lo, hi, tol, coarse)
+            for lo, hi in filter(None, case_branch_feasible(case, sc).values())]
+    best_x, best_v, _ = max(runs, key=lambda run: run[1], default=(0.5, 0.0, 0))
+    evals = sum(run[2] for run in runs)
     branch = "full" if case is CacheCase.A else branch_of(best_x)
     return OptResult(argmax=best_x, value=best_v, evaluations=evals, branch=branch)
 
@@ -240,14 +223,21 @@ def _concavity_verdict(vs, tol=1e-6):
 
 
 def _feasible_from_margins(margins_lo, margins_hi, x0, x1):
-    """Intersect {x : margin_i(x) > 0} for margins linear in x."""
+    """Intersect {x : margin_i(x) > 0} for margins linear in x.
+
+    A margin of -inf (its threshold times interference overflows) stays
+    -inf short of the other end, so the root is that end.
+    """
     lo, hi = x0, x1
     for m0, m1 in zip(margins_lo, margins_hi):
         if m0 <= 0.0 and m1 <= 0.0:
             return None
         if m0 > 0.0 and m1 > 0.0:
             continue
-        root = x0 + m0 * (x1 - x0) / (m0 - m1)
+        if m0 == -math.inf:
+            root = x1
+        else:
+            root = x0 + m0 * (x1 - x0) / (m0 - m1)
         if m0 > 0.0:
             hi = min(hi, root)
         else:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cachenoma.caching import (
+    MAX_FILES,
     CacheCase,
     Catalog,
     case_distribution,
@@ -30,6 +31,9 @@ def test_catalog_validation():
         Catalog(num_files=5, zeta=0.5, cache_size=6)
     with pytest.raises(ValueError):
         Catalog(num_files=5, zeta=0.5, cache_size=-1)
+    with pytest.raises(ValueError, match="num_files"):
+        Catalog(num_files=MAX_FILES + 1, zeta=0.5, cache_size=0)
+    assert Catalog(num_files=MAX_FILES, zeta=0.5, cache_size=0).num_files == MAX_FILES
 
 
 def test_zipf_uniform_at_zero_exponent():

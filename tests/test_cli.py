@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from cachenoma import _kernels_py, cli
-from cachenoma.caching import Catalog
+from cachenoma.caching import MAX_FILES, Catalog
 from cachenoma.cli import SWEEP_VARIABLES, main, run_sweep, sweep_values
 from cachenoma.config import load_config
 from cachenoma.noma_full import average_success, oma_average_success
@@ -106,6 +106,16 @@ def test_sweep_zeta(tmp_path):
     # cached operation never loses to the cacheless baseline
     for n, c in zip(noma, conv):
         assert n >= c - 1e-12
+
+
+def test_sweep_rejects_a_catalog_past_the_limit():
+    cfg = load_config(None)
+    at_limit = cli._apply_sweep(cfg, "num_files", MAX_FILES)
+    assert at_limit.catalog.num_files == MAX_FILES
+    for value in (str(MAX_FILES + 1), "1e300"):
+        (files,) = sweep_values("num_files", None, None, None, value)
+        with pytest.raises(ValueError, match="num_files"):
+            cli._apply_sweep(cfg, "num_files", files)
 
 
 def test_sweep_rejects_non_finite_integer_values(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from cachenoma.caching import MAX_FILES
 from cachenoma.config import ConfigError, load_config, parse_config
 
 
@@ -98,6 +99,8 @@ def test_value_range_checks():
                       ({"catalog": {"files": 5, "zeta": 0.5, "cache_size": 9}},
                        "catalog.cache_size"),
                       ({"catalog": {"files": 0}}, "catalog.files"),
+                      ({"catalog": {"files": MAX_FILES + 1}}, "catalog.files"),
+                      ({"catalog": {"files": 10 ** 300}}, "catalog.files"),
                       # 10 ** (snr_db / 10) overflows, or underflows to zero
                       ({"snr_db": 4000}, "snr_db"), ({"snr_db": -4000}, "snr_db")):
         with pytest.raises(ConfigError, match=key):

@@ -1,5 +1,6 @@
 """Checks for the power-split search routines."""
 
+import json
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from cachenoma import optimizer
 from cachenoma.caching import CacheCase
 from cachenoma.channel import DoubleNakagamiParams, LinkGeometry
-from cachenoma.cli import _interior
-from cachenoma.config import load_config
+from cachenoma.cli import _interior, main
+from cachenoma.config import load_config, parse_config
 from cachenoma.noma_full import FullScenario, case_objective
 from cachenoma.noma_split import SplitScenario, split_objective_branch
 from cachenoma.optimizer import (
@@ -74,14 +75,47 @@ def test_maximize_rejects_bad_inputs():
 
 
 def test_optimize_cases_beat_dense_grids():
-    sc = scaled_scenario()
-    for case in (CacheCase.A, CacheCase.B, CacheCase.C, CacheCase.D):
+    # thresholds below and above 1 move the feasible intervals off 0.5
+    scenarios = [scaled_scenario()] + [
+        parse_config({"gamma1": gamma1, "gamma2": gamma2, "dist2": 0.8,
+                      "semantics": semantics}).scenario
+        for gamma1 in (0.9, 2.0) for gamma2 in (0.5, 2.0)
+        for semantics in ("product", "joint")]
+    alphas = optimizer._linspace(0.0, 1.0, 2001)
+    for sc in scenarios:
+        for case in (CacheCase.A, CacheCase.B, CacheCase.C, CacheCase.D):
+            res = optimize_case(case, sc)
+            f = case_objective(case, sc)
+            grid_best = max(f(x) for x in alphas)
+            assert res.value >= grid_best - 1e-7, (sc, case)
+            assert 0.0 <= res.argmax <= 1.0
+            assert math.isclose(res.value, f(res.argmax), rel_tol=1e-12)
+
+
+def test_optimize_case_searches_only_feasible_intervals():
+    # on the low branch case B can succeed only below 1/3, so (1/3, 1/2),
+    # where its objective is 0, is not searched
+    sc = parse_config({"gamma1": 0.8, "gamma2": 2.0}).scenario
+    assert case_branch_feasible(CacheCase.B, sc) == {
+        "high": (0.5, 1.0), "low": (0.0, 1.0 / 3.0)}
+    assert optimize_case(CacheCase.B, sc).evaluations == 117
+
+
+HOPELESS = {"gamma1": 1e308, "gamma2": 1e308}
+
+
+def test_optimize_case_with_no_feasible_split(tmp_path):
+    sc = parse_config(HOPELESS).scenario
+    for case in (CacheCase.B, CacheCase.C, CacheCase.D):
         res = optimize_case(case, sc)
-        f = case_objective(case, sc)
-        grid_best = max(f(x) for x in np.linspace(0.0, 1.0, 1001))
-        assert res.value >= grid_best - 1e-4, case
-        assert 0.0 <= res.argmax <= 1.0
-        assert math.isclose(res.value, f(res.argmax), rel_tol=1e-12)
+        assert res == OptResult(argmax=0.5, value=0.0, evaluations=0,
+                                branch="low"), case
+    path = tmp_path / "hopeless.json"
+    path.write_text(json.dumps(HOPELESS))
+    out = tmp_path / "out.csv"
+    assert main(["optimize", "--config", str(path), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[2:] == [
+        f"{case},low,0.5,,0,0" for case in "BCD"]
 
 
 def test_optimize_case_branch_labels():
@@ -210,6 +244,15 @@ def test_case_feasible_ends_are_exact():
     sc = load_config(None).scenario
     assert case_branch_feasible(CacheCase.D, sc) == {
         "high": (0.5, 1.0), "low": (0.0, 0.5)}
+
+
+def test_case_feasible_overflowing_margin():
+    # threshold * interference overflows, so a margin is -inf at one end of
+    # a branch and no alpha short of the other end is feasible
+    sc = parse_config(HOPELESS).scenario
+    assert case_branch_feasible(CacheCase.A, sc) == {"full": (0.0, 1.0)}
+    for case in (CacheCase.B, CacheCase.C, CacheCase.D):
+        assert case_branch_feasible(case, sc) == {"high": None, "low": None}
 
 
 def test_split_line_feasible_interval():
