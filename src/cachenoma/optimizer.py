@@ -4,14 +4,13 @@ Every decode condition's SINR margin is linear in alpha, so the alphas at
 which a case can succeed form at most one interval per decode branch
 (``case_branch_feasible``).  ``optimize_case`` searches only those
 intervals, where the decode order is fixed and the objective is positive,
-with golden-section refinement seeded by a coarse scan; a case with no
-feasible interval has value 0.  The split problem runs coordinate ascent
-per branch from the best cell of a coarse (alpha, beta) grid, and the
-better branch wins; the overlap alpha = 0.5 is evaluated under both decode
-orders.
+with golden-section refinement seeded by a coarse scan.  The split problem
+runs coordinate ascent per branch from the best cell of a coarse
+(alpha, beta) grid, and the better branch wins; the overlap alpha = 0.5 is
+evaluated under both decode orders.
 """
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .caching import CacheCase
 from .noma_full import branch_of, case_chains, case_objective
@@ -146,16 +145,15 @@ def optimize_case(case: CacheCase, sc, tol=1e-6, coarse=33) -> OptResult:
     """Best power split for one of the cases A-D.
 
     Each decode-feasible interval of ``case_branch_feasible`` is searched
-    once, high branch before low.  Where no alpha is feasible the objective
-    is 0 everywhere: the result is alpha 0.5 with value 0.0 and no
-    evaluations.
+    once, high branch before low.  Every case has one: just above alpha = 0
+    (on the low branch for B-D) all of its SINR margins are positive.
     """
     if case not in (CacheCase.A, CacheCase.B, CacheCase.C, CacheCase.D):
         raise ValueError(f"optimize_case handles cases A-D only, got {case!r}")
     f = case_objective(case, sc)
     runs = [_coarse_then_golden(f, lo, hi, tol, coarse)
             for lo, hi in filter(None, case_branch_feasible(case, sc).values())]
-    best_x, best_v, _ = max(runs, key=lambda run: run[1], default=(0.5, 0.0, 0))
+    best_x, best_v, _ = max(runs, key=lambda run: run[1])
     evals = sum(run[2] for run in runs)
     branch = "full" if case is CacheCase.A else branch_of(best_x)
     return OptResult(argmax=best_x, value=best_v, evaluations=evals, branch=branch)
@@ -223,21 +221,14 @@ def _concavity_verdict(vs, tol=1e-6):
 
 
 def _feasible_from_margins(margins_lo, margins_hi, x0, x1):
-    """Intersect {x : margin_i(x) > 0} for margins linear in x.
-
-    A margin of -inf (its threshold times interference overflows) stays
-    -inf short of the other end, so the root is that end.
-    """
+    """Intersect {x : margin_i(x) > 0} for finite margins linear in x."""
     lo, hi = x0, x1
     for m0, m1 in zip(margins_lo, margins_hi):
         if m0 <= 0.0 and m1 <= 0.0:
             return None
         if m0 > 0.0 and m1 > 0.0:
             continue
-        if m0 == -math.inf:
-            root = x1
-        else:
-            root = x0 + m0 * (x1 - x0) / (m0 - m1)
+        root = x0 + m0 * (x1 - x0) / (m0 - m1)
         if m0 > 0.0:
             hi = min(hi, root)
         else:
@@ -248,7 +239,13 @@ def _feasible_from_margins(margins_lo, margins_hi, x0, x1):
 
 
 def _chain_margins(chains):
-    """margin = signal - threshold * interference for every condition."""
+    """margin = signal - threshold * interference for every condition.
+
+    The callers build their chains at unit transmit power: a margin's sign
+    does not depend on the power, and with power coefficients that are
+    shares of 1 every margin lies in [-threshold, 1], finite for any finite
+    threshold, where at a large power threshold * interference can overflow.
+    """
     out = []
     for chain in chains:
         for c in chain.conditions:
@@ -267,6 +264,7 @@ def case_branch_feasible(case: CacheCase, sc):
 
     Returns {branch: (lo, hi) or None}; case A has the single branch "full".
     """
+    sc = replace(sc, power=1.0)
     if case is CacheCase.A:
         # both vehicles decode clean, so either branch gives the same chains
         return {"full": _feasible_along(
@@ -282,6 +280,7 @@ def split_line_feasible(sc, branch, axis, fixed):
     ``axis`` is "alpha" (fixed = beta) or "beta" (fixed = alpha); the moving
     coordinate spans the branch's alpha range or [0, 1] respectively.
     """
+    sc = replace(sc, base=replace(sc.base, power=1.0))
     if axis == "alpha":
         return _feasible_along(
             lambda x: split_case_chains(x, fixed, sc, branch),

@@ -75,12 +75,14 @@ def test_maximize_rejects_bad_inputs():
 
 
 def test_optimize_cases_beat_dense_grids():
-    # thresholds below and above 1 move the feasible intervals off 0.5
+    # thresholds below and above 1 move the feasible intervals off 0.5;
+    # at the huge power, threshold * interference overflows
     scenarios = [scaled_scenario()] + [
         parse_config({"gamma1": gamma1, "gamma2": gamma2, "dist2": 0.8,
                       "semantics": semantics}).scenario
         for gamma1 in (0.9, 2.0) for gamma2 in (0.5, 2.0)
-        for semantics in ("product", "joint")]
+        for semantics in ("product", "joint")] + [
+        parse_config(HUGE_POWER).scenario]
     alphas = optimizer._linspace(0.0, 1.0, 2001)
     for sc in scenarios:
         for case in (CacheCase.A, CacheCase.B, CacheCase.C, CacheCase.D):
@@ -102,20 +104,18 @@ def test_optimize_case_searches_only_feasible_intervals():
 
 
 HOPELESS = {"gamma1": 1e308, "gamma2": 1e308}
+HUGE_POWER = {"power": 1e308, "gamma1": 4, "gamma2": 4}
 
 
-def test_optimize_case_with_no_feasible_split(tmp_path):
-    sc = parse_config(HOPELESS).scenario
-    for case in (CacheCase.B, CacheCase.C, CacheCase.D):
-        res = optimize_case(case, sc)
-        assert res == OptResult(argmax=0.5, value=0.0, evaluations=0,
-                                branch="low"), case
+def test_optimize_case_at_huge_thresholds(tmp_path):
+    # only alpha below 1 / (1 + gamma2) is decode-feasible, and the noise
+    # makes the objective 0 there too
     path = tmp_path / "hopeless.json"
     path.write_text(json.dumps(HOPELESS))
     out = tmp_path / "out.csv"
     assert main(["optimize", "--config", str(path), "--out", str(out)]) == 0
     assert out.read_text().splitlines()[2:] == [
-        f"{case},low,0.5,,0,0" for case in "BCD"]
+        f"{case},low,0,,0,33" for case in "BCD"]
 
 
 def test_optimize_case_branch_labels():
@@ -247,12 +247,21 @@ def test_case_feasible_ends_are_exact():
 
 
 def test_case_feasible_overflowing_margin():
-    # threshold * interference overflows, so a margin is -inf at one end of
-    # a branch and no alpha short of the other end is feasible
-    sc = parse_config(HOPELESS).scenario
-    assert case_branch_feasible(CacheCase.A, sc) == {"full": (0.0, 1.0)}
-    for case in (CacheCase.B, CacheCase.C, CacheCase.D):
-        assert case_branch_feasible(case, sc) == {"high": None, "low": None}
+    # at the transmit power threshold * interference overflows; the
+    # intervals depend only on the thresholds
+    for config, high, low in ((HOPELESS, None, 1.0 / (1.0 + 1e308)),
+                              (HUGE_POWER, 0.8, 0.2)):
+        sc = parse_config(config).scenario
+        assert case_branch_feasible(CacheCase.A, sc) == {"full": (0.0, 1.0)}
+        for case in (CacheCase.B, CacheCase.C, CacheCase.D):
+            got = case_branch_feasible(case, sc)
+            if high is None:
+                assert got["high"] is None
+            else:
+                assert got["high"][1] == 1.0
+                assert math.isclose(got["high"][0], high, rel_tol=1e-12)
+            assert got["low"][0] == 0.0
+            assert math.isclose(got["low"][1], low, rel_tol=1e-12), case
 
 
 def test_split_line_feasible_interval():
