@@ -118,12 +118,22 @@ def survival_gain_sq(x, params: DoubleNakagamiParams):
     return _kernels_py.sf_w(float(x), params.m1, params.m2, params.rate)
 
 
-def sample_gain_sq(params: DoubleNakagamiParams, geom: LinkGeometry, rng, size=None):
-    """Draw squared-gain samples s * X * Y using the caller's generator."""
+def sample_gain_sq(params: DoubleNakagamiParams, geom: LinkGeometry, rng, size=None,
+                   out=(None, None)):
+    """Draw squared-gain samples s * X * Y using the caller's generator.
+
+    ``out``, a pair of float64 arrays of one shape, receives the draws
+    instead of two new arrays: X and the result go into the first, Y into
+    the second, and the first is returned.  The bits are the same either way.
+    """
     s = effective_scale(geom)
-    x = rng.gamma(params.m1, params.omega1 / params.m1, size)
-    y = rng.gamma(params.m2, params.omega2 / params.m2, size)
-    # in place, in the order of s * x * y: the same bits, two fewer arrays
+    x_out, y_out = out
+    # rng.gamma(m, scale) is scale * rng.standard_gamma(m), element by element
+    x = rng.standard_gamma(params.m1, size, out=x_out)
+    x *= params.omega1 / params.m1
+    y = rng.standard_gamma(params.m2, size, out=y_out)
+    y *= params.omega2 / params.m2
+    # in place, in the order of s * x * y
     x *= s
     x *= y
     return x

@@ -120,7 +120,15 @@ def sweep_values(variable, start, stop, steps, values):
     if values is not None:
         if start is not None or stop is not None or steps is not None:
             raise ValueError("--values excludes --start/--stop/--steps")
-        out = [float(v) for v in values.split(",") if v.strip() != ""]
+        out = []
+        for entry in values.split(","):
+            if entry.strip() == "":
+                continue
+            try:
+                out.append(float(entry))
+            except ValueError:
+                raise ValueError(f"--values entry {entry.strip()!r} is not a "
+                                 f"number") from None
         if not out:
             raise ValueError("--values is empty")
     else:
@@ -154,21 +162,14 @@ def _apply_sweep(cfg, variable, value):
         return replace(cfg, catalog=replace(cfg.catalog, cache_size=int(value)))
     if variable == "num_files":
         return replace(cfg, catalog=replace(cfg.catalog, num_files=int(value)))
-    if variable == "omega":
-        v = float(value)
-        new_sc = replace(
-            sc,
-            chan1=replace(sc.chan1, omega1=v, omega2=v),
-            chan2=replace(sc.chan2, omega1=v, omega2=v),
-        )
-        return cfg.replace_scenario(new_sc)
-    if variable == "m":
-        v = float(value)
-        new_sc = replace(
-            sc,
-            chan1=replace(sc.chan1, m1=v, m2=v),
-            chan2=replace(sc.chan2, m1=v, m2=v),
-        )
+    if variable in ("omega", "m"):
+        # both hops of both links; the channel's message names one field
+        hops = dict.fromkeys((variable + "1", variable + "2"), float(value))
+        try:
+            new_sc = replace(sc, chan1=replace(sc.chan1, **hops),
+                             chan2=replace(sc.chan2, **hops))
+        except ValueError as exc:
+            raise ValueError(f"{variable}: {exc}") from None
         return cfg.replace_scenario(new_sc)
     raise ValueError(f"unknown sweep variable {variable!r}")
 

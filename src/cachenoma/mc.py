@@ -6,8 +6,10 @@ each seeded by SeedSequence([seed, user, condition, block]) alone, so every
 estimate of one run that uses a stream sees the same draws.  ``mc_cells``
 first collects every gain threshold its cells need, then draws each stream
 once, sorts each block and counts every threshold on it by binary search.
-Block counts are integers summed in block order, so a run produces
-byte-identical output for any worker count.
+Each thread draws, sorts and counts its blocks in one pair of block-sized
+arrays that it keeps for the whole batch, so a block allocates no array of
+its size.  Block counts are integers summed in block order, so a run
+produces byte-identical output for any worker count.
 
 Cells therefore share common random numbers: each cell's estimate and
 confidence interval are valid on their own, but the estimates of different
@@ -28,8 +30,9 @@ continuity guard so an all-or-nothing count still reports a nonzero width.
 numpy is imported inside ``_count_streams``, the one function that samples,
 not at the top of the module: the package and ``cli`` import this module
 eagerly, and the analytic commands, which never sample, would otherwise
-spend most of their set-up time importing numpy.  The thread pool is
-imported there too, and only when more than one worker runs.
+spend most of their set-up time importing numpy.  ``threading`` is
+imported there too, and the thread pool only when more than one worker
+runs.
 """
 import math
 from dataclasses import dataclass
@@ -109,21 +112,31 @@ def _count_streams(streams, n, seed, workers):
 
     ``streams`` maps (params, geom, user, condition) to {threshold: index}.
     Every block of every stream is one job: it draws the block, sorts it in
-    place and counts each threshold with one binary search, so a job holds
-    one block and keeps only the counts.  Counts are summed in job order.
+    place and counts each threshold with one binary search, keeping only
+    the counts.  Each thread draws all its blocks into one pair of
+    block-sized arrays, made on its first job and reused for the whole
+    call (a short last block uses their leading part), so no block
+    allocates.  Counts are summed in job order.
     """
+    import threading
+
     import numpy as np
 
     sizes = _block_sizes(n)
     thresholds = {key: np.array(list(slots), dtype=float)
                   for key, slots in streams.items()}
     jobs = [(key, k, m) for key in streams for k, m in enumerate(sizes)]
+    local = threading.local()
 
     def job(spec):
         key, k, m = spec
         params, geom, user, cond = key
         rng = np.random.default_rng(np.random.SeedSequence([seed, user, cond, k]))
-        g = sample_gain_sq(params, geom, rng, size=m)
+        pair = getattr(local, "pair", None)
+        if pair is None:
+            pair = local.pair = (np.empty(sizes[0]), np.empty(sizes[0]))
+        g = sample_gain_sq(params, geom, rng, size=m,
+                           out=(pair[0][:m], pair[1][:m]))
         g.sort()
         return m - np.searchsorted(g, thresholds[key], "left")
 

@@ -22,6 +22,7 @@ from cachenoma.channel import (
     sample_gain_sq,
     survival_gain_sq,
 )
+from cachenoma.mc import BLOCK
 
 UNIT = DoubleNakagamiParams(m1=1.0, m2=1.0, omega1=1.0, omega2=1.0)
 TABLE = DoubleNakagamiParams(m1=1.0, m2=1.0, omega1=2.0, omega2=2.0)
@@ -278,3 +279,23 @@ def test_sampling_deterministic_by_seed():
     a = sample_gain_sq(MIXED, geom, np.random.default_rng(5), size=64)
     b = sample_gain_sq(MIXED, geom, np.random.default_rng(5), size=64)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("m1, m2", [(1.0, 1.0), (1.5, 2.5), (0.75, 1.25),
+                                    (0.5, 7.3)])
+def test_sampling_into_given_arrays_keeps_the_bits(m1, m2):
+    # a full block, then a 5-sample view of the same block-sized pair, as
+    # the Monte Carlo blocks use them
+    params = DoubleNakagamiParams(m1=m1, m2=m2, omega1=2.0, omega2=3.0)
+    geom = LinkGeometry(distance=0.7, pathloss_exp=2.5)
+    s = effective_scale(geom)
+    x, y = np.empty(BLOCK), np.empty(BLOCK)
+    for size in (BLOCK, 5):
+        rng = np.random.default_rng(11)
+        ref = rng.gamma(m1, 2.0 / m1, size) * s * rng.gamma(m2, 3.0 / m2, size)
+        fresh = sample_gain_sq(params, geom, np.random.default_rng(11), size=size)
+        given = sample_gain_sq(params, geom, np.random.default_rng(11), size=size,
+                               out=(x[:size], y[:size]))
+        assert given.__array_interface__["data"][0] == \
+            x.__array_interface__["data"][0]
+        assert given.tobytes() == fresh.tobytes() == ref.tobytes()

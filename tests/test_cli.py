@@ -1,6 +1,8 @@
 """End-to-end checks of the command-line front end (in process)."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -10,6 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cachenoma import _kernels_py, cli
 from cachenoma.caching import MAX_FILES, Catalog
@@ -192,6 +195,57 @@ def test_sweep_rejects_bad_variable(tmp_path):
 def test_sweep_requires_values_or_range(tmp_path):
     code, _ = run_cli(tmp_path, "sweep", "--variable", "zeta")
     assert code == 1
+
+
+def test_sweep_names_a_value_that_is_not_a_number(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, "sweep", "--variable", "zeta",
+                      "--values", "0.5,abc")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--values" in err and "'abc'" in err, err
+    # empty entries are skipped
+    assert sweep_values("zeta", None, None, None, "0.5,,1") == [0.5, 1.0]
+
+
+@pytest.mark.parametrize("variable, value", [
+    ("m", "0.1"), ("omega", "-1"), ("omega", "1e-300"),
+])
+def test_sweep_names_the_variable_of_a_bad_channel_value(tmp_path, capsys,
+                                                         variable, value):
+    code, _ = run_cli(tmp_path, "sweep", "--variable", variable,
+                      f"--values={value}")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cachenoma: error: {variable}: "), err
+
+
+# a fixed alphabet, with a few characters float() reads or trips on
+VALUE_ENTRIES = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10 ** 7, 10 ** 7).map(str),
+    st.text(alphabet="0123456789.,-+eEinfa_ \t\x00\u0663\u00bd\uff45",
+            max_size=8),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(variable=st.sampled_from(SWEEP_VARIABLES),
+       values=st.lists(VALUE_ENTRIES, max_size=4).map(",".join))
+def test_sweep_values_fuzz(variable, values):
+    # The averages are stubbed: this checks how --values is parsed and
+    # applied, and a real sweep of arbitrary values would not fit the budget.
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "average_success", lambda *a, **k: 0.0)
+        mp.setattr(cli, "oma_average_success", lambda *a, **k: 0.0)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["sweep", "--variable", variable, f"--values={values}"])
+    assert code in (0, 1), (variable, values, code)
+    if code == 1:
+        text = err.getvalue()
+        assert re.search(rf"--values|\b{variable}\b", text), (values, text)
+        assert "Traceback" not in text
 
 
 def test_surface_grid(tmp_path):

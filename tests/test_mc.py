@@ -1,6 +1,8 @@
 """Checks for the Monte Carlo validation path."""
 
+import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -212,12 +214,54 @@ def test_validate_draws_each_stream_once(monkeypatch):
     assert set(calls) == {BLOCK}
 
 
-def test_validate_multi_block_output_independent_of_workers(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_validate_reuses_one_pair_of_arrays_per_thread(monkeypatch, workers):
+    pairs = {}
+    calls = []
+    draw = mc.sample_gain_sq
+
+    def recorded(*args, **kwargs):
+        g = draw(*args, **kwargs)
+        x, y = kwargs["out"]
+        assert g.__array_interface__["data"][0] == x.__array_interface__["data"][0]
+        pair = (x.__array_interface__["data"][0], y.__array_interface__["data"][0])
+        pairs.setdefault(threading.get_ident(), set()).add(pair)
+        # holding the arrays keeps a fresh pair from reusing a freed address
+        calls.append((x, y))
+        return g
+
+    monkeypatch.setattr(mc, "sample_gain_sq", recorded)
+    run_validate(load_config(None), samples=3 * BLOCK, seed=0, workers=workers)
+    assert len(calls) == 2 * 3 * 3
+    assert 1 <= len(pairs) <= workers
+    assert all(len(held) == 1 for held in pairs.values())
+
+
+# the surface-nonint shapes: non-integer on every hop, one below 1
+NONINT_CHANNELS = {"chan1": {"m1": 1.5, "m2": 2.5},
+                   "chan2": {"m1": 0.75, "m2": 1.25}}
+
+
+def validate_outputs(tmp_path, config):
+    """CSV bytes of a 3-block validate run at workers 1, 2 and 4."""
     outputs = []
     for workers in (1, 2, 4):
         path = tmp_path / f"validate-{workers}.csv"
         argv = ["validate", "--samples", str(2 * BLOCK + 7), "--seed", "3",
-                "--workers", str(workers), "--out", str(path)]
+                "--workers", str(workers), "--out", str(path), *config]
         assert main(argv) == 0
         outputs.append(path.read_bytes())
+    return outputs
+
+
+def test_validate_multi_block_output_independent_of_workers(tmp_path):
+    outputs = validate_outputs(tmp_path, [])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_validate_nonint_output_independent_of_workers(tmp_path):
+    # shapes below 1 take numpy's other gamma sampler
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(NONINT_CHANNELS))
+    outputs = validate_outputs(tmp_path, ["--config", str(path)])
     assert outputs[0] == outputs[1] == outputs[2]
