@@ -29,7 +29,6 @@ from .noma_split import SplitScenario, split_objective_branch
 from .optimizer import (
     OptResult,
     check_concavity,
-    maximize_1d,
     optimize_case,
     optimize_split,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "split_objective_branch",
     "OptResult",
     "check_concavity",
-    "maximize_1d",
     "optimize_case",
     "optimize_split",
     "bessel_k",

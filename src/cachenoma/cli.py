@@ -24,6 +24,8 @@ from .caching import CacheCase, Catalog
 from .config import ConfigError, _snr_power, load_config
 from .errors import QuadratureAccuracyError
 from .noma_full import (
+    BRANCH_ALPHA,
+    SEMANTICS,
     average_success,
     branch_of,
     case_chains,
@@ -32,8 +34,8 @@ from .noma_full import (
 )
 from .noma_split import split_case_chains, split_objective_branch
 from .optimizer import (
-    INTERIOR_TRIM,
     _concavity_verdict,
+    _interior,
     _linspace,
     case_branch_feasible,
     optimize_case,
@@ -89,18 +91,19 @@ def _write_csv(stream, header, rows):
         writer.writerow([_fmt(c) for c in row])
 
 
+def _selected(selector, extra=()):
+    """What a --case selector names: a case letter, "all" of them, or an extra."""
+    if selector == "all":
+        return list(_CASES)
+    if selector in _CASES or selector in extra:
+        return [selector]
+    raise ValueError(f"unknown case selector {selector!r}")
+
+
 def run_optimize(cfg, selector):
     """Rows of (case, branch, alpha, beta, value, evaluations)."""
     rows = []
-    if selector in _CASES:
-        todo = [selector]
-    elif selector == "all":
-        todo = ["a", "b", "c", "d"]
-    elif selector == "split":
-        todo = ["split"]
-    else:
-        raise ValueError(f"unknown case selector {selector!r}")
-    for name in todo:
+    for name in _selected(selector, ("split",)):
         if name == "split":
             res = optimize_split(cfg.split)
             alpha, beta = res.argmax
@@ -204,7 +207,7 @@ def run_surface(cfg, grid):
         raise ValueError("--grid must be at least 2")
     rows = []
     betas = _linspace(0.0, 1.0, grid)
-    for branch, alo, ahi in (("low", 0.0, 0.5), ("high", 0.5, 1.0)):
+    for branch, (alo, ahi) in reversed(BRANCH_ALPHA.items()):
         for alpha in _linspace(alo, ahi, grid):
             for beta in betas:
                 v = split_objective_branch(alpha, beta, cfg.split, branch)
@@ -225,9 +228,8 @@ def run_validate(cfg, samples, seed, workers):
     ``seed``, so they share common random numbers (see ``mc``).
     """
     labels, analytic, cells = [], [], []
-    for name in ("a", "b", "c", "d"):
-        case = _CASES[name]
-        for semantics in ("product", "joint"):
+    for case in _CASES.values():
+        for semantics in SEMANTICS:
             scen = _with_semantics(cfg, semantics).scenario
             objective = case_objective(case, scen)
             for alpha in VALIDATE_ALPHAS:
@@ -235,7 +237,7 @@ def run_validate(cfg, samples, seed, workers):
                 analytic.append(objective(alpha))
                 cells.append((case_chains(case, alpha, scen, branch_of(alpha)),
                               scen))
-    for semantics in ("product", "joint"):
+    for semantics in SEMANTICS:
         split = _with_semantics(cfg, semantics).split
         for alpha in VALIDATE_SPLIT_GRID:
             branch = branch_of(alpha)
@@ -256,11 +258,6 @@ def run_validate(cfg, samples, seed, workers):
     return rows, all(row[-1] == "pass" for row in rows)
 
 
-def _interior(lo, hi):
-    margin = INTERIOR_TRIM * (hi - lo)
-    return lo + margin, hi - margin
-
-
 def run_concavity(cfg, selector, grid):
     """Objective profiles and per-branch concavity verdicts.
 
@@ -269,15 +266,9 @@ def run_concavity(cfg, selector, grid):
     """
     if grid < 11:
         raise ValueError("--grid must be at least 11")
-    if selector == "all":
-        todo = ["a", "b", "c", "d"]
-    elif selector in _CASES:
-        todo = [selector]
-    else:
-        raise ValueError(f"unknown case selector {selector!r}")
     rows = []
     verdicts = []
-    for name in todo:
+    for name in _selected(selector):
         case = _CASES[name]
         objective = case_objective(case, cfg.scenario)
         for branch, interval in case_branch_feasible(case, cfg.scenario).items():
@@ -319,7 +310,7 @@ def _build_parser():
     p = sub.add_parser("optimize", parents=[common],
                        help="optimal power split per caching case")
     p.add_argument("--case", default="all",
-                   choices=["a", "b", "c", "d", "all", "split"],
+                   choices=[*_CASES, "all", "split"],
                    help="which objective to optimize (default all)")
 
     p = sub.add_parser("sweep", parents=[common],
@@ -343,7 +334,7 @@ def _build_parser():
     p = sub.add_parser("concavity", parents=[common],
                        help="objective profiles with concavity verdicts")
     p.add_argument("--case", default="all",
-                   choices=["a", "b", "c", "d", "all"])
+                   choices=[*_CASES, "all"])
     p.add_argument("--grid", type=int, default=101,
                    help="grid points per branch (default 101, min 11)")
     return parser

@@ -12,7 +12,8 @@ Keys:
 * ``sigma1_sq``, ``sigma2_sq``: receiver noise powers.
 * ``gamma1``, ``gamma2``: full-file SINR thresholds.
 * ``gamma_split``: four thresholds [part 1a, 1b, 2a, 2b] for split-file mode.
-* ``chan1``, ``chan2``: objects with ``m1``, ``m2``, ``omega1``, ``omega2``.
+* ``chan1``, ``chan2``: objects with ``m1``, ``m2`` (shapes in
+  [0.5, ``channel.MAX_SHAPE``]), ``omega1``, ``omega2``.
 * ``dist1``, ``dist2``, ``pathloss_exp``: link geometry.
 * ``catalog``: object with ``files`` (at most ``caching.MAX_FILES``),
   ``zeta``, ``cache_size``.
@@ -25,7 +26,7 @@ from dataclasses import dataclass, replace
 
 from .caching import MAX_FILES, Catalog
 from .channel import DoubleNakagamiParams, LinkGeometry
-from .noma_full import AVERAGING, FullScenario
+from .noma_full import AVERAGING, SEMANTICS, FullScenario
 from .noma_split import SplitScenario
 
 __all__ = ["ScenarioConfig", "ConfigError", "load_config", "parse_config", "DEFAULTS"]
@@ -76,7 +77,10 @@ class ConfigError(ValueError):
 def _require_number(value, path, positive=False, nonneg=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
     if not math.isfinite(v):
         raise ConfigError(f"{path}: must be finite, got {value!r}")
     if positive and not v > 0.0:
@@ -181,7 +185,7 @@ def parse_config(data: dict) -> ScenarioConfig:
     geom2 = _parse_geometry(get("dist2"), "dist2", pathloss)
 
     semantics = get("semantics")
-    if semantics not in ("product", "joint"):
+    if semantics not in SEMANTICS:
         raise ConfigError(
             f"semantics: expected 'product' or 'joint', got {semantics!r}")
     averaging = get("averaging")
@@ -214,7 +218,7 @@ def load_config(path=None) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer past Python's digit limit
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")

@@ -156,6 +156,10 @@ def chain_probability(chain: DecodeChain, params: DoubleNakagamiParams,
     return p
 
 
+# Alpha range of each decode branch; the optimizers visit them in this order.
+BRANCH_ALPHA = {"high": (0.5, 1.0), "low": (0.0, 0.5)}
+
+
 def branch_of(alpha):
     """Decode branch of a power split: "high" when file 1 gets the larger
     share (alpha > 0.5), otherwise "low" (alpha = 0.5 included)."""
@@ -168,7 +172,7 @@ def _check_share(name, value):
 
 
 def _check_branch(branch):
-    if branch not in ("high", "low"):
+    if branch not in BRANCH_ALPHA:
         raise ValueError(f"branch must be 'high' or 'low', got {branch!r}")
 
 

@@ -13,12 +13,11 @@ import math
 from dataclasses import dataclass, replace
 
 from .caching import CacheCase
-from .noma_full import branch_of, case_chains, case_objective
+from .noma_full import BRANCH_ALPHA, branch_of, case_chains, case_objective
 from .noma_split import split_case_chains, split_objective_branch
 
 __all__ = [
     "OptResult",
-    "maximize_1d",
     "optimize_case",
     "optimize_split",
     "check_concavity",
@@ -29,10 +28,24 @@ __all__ = [
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# _TOL: golden-section bracket width, and the split ascent's stopping step.
+# _CASE_COARSE, _SPLIT_COARSE: coarse scan points per feasible case interval
+# and per split axis.  _CONCAVE_TOL: largest second difference deemed concave.
+_TOL = 1e-6
+_CASE_COARSE = 33
+_SPLIT_COARSE = 21
+_CONCAVE_TOL = 1e-6
+
 # Concavity checks run on the middle (1 - 2*INTERIOR_TRIM) of a feasible
 # interval: right at a feasibility edge the objective lifts off from zero
 # with unbounded curvature, which no finite grid treats stably.
 INTERIOR_TRIM = 0.02
+
+
+def _interior(lo, hi):
+    """The middle of [lo, hi] that concavity checks scan."""
+    margin = INTERIOR_TRIM * (hi - lo)
+    return lo + margin, hi - margin
 
 
 @dataclass(frozen=True)
@@ -45,18 +58,14 @@ class OptResult:
     branch: str
 
 
-def maximize_1d(f, lo, hi, tol=1e-6):
-    """Golden-section maximization on [lo, hi].
+def _golden_section(f, lo, hi):
+    """Golden-section maximization on [lo, hi], lo < hi.
 
     Assumes a unimodal objective; shrinks until the bracket is narrower than
-    ``tol``.  Endpoints are evaluated too, so boundary maxima are returned
-    exactly.  Raises ValueError if the objective returns a non-finite value.
+    ``_TOL``.  Endpoints are evaluated too, so boundary maxima are returned
+    exactly.  Returns (argmax, value, evaluations); raises ValueError if the
+    objective returns a non-finite value.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError("maximize_1d requires finite bounds with lo < hi")
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
-
     evals = 0
 
     def call(x):
@@ -77,7 +86,7 @@ def maximize_1d(f, lo, hi, tol=1e-6):
     d = a + _INVPHI * (b - a)
     fc = call(c)
     fd = call(d)
-    while (b - a) > tol:
+    while (b - a) > _TOL:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -89,7 +98,7 @@ def maximize_1d(f, lo, hi, tol=1e-6):
         inner_x, inner_v = (c, fc) if fc > fd else (d, fd)
         if inner_v > best_v:
             best_x, best_v = inner_x, inner_v
-    return OptResult(argmax=best_x, value=best_v, evaluations=evals, branch="")
+    return best_x, best_v, evals
 
 
 def _linspace(lo, hi, n):
@@ -124,24 +133,22 @@ def _argmax(vs):
     return best
 
 
-def _coarse_then_golden(f, lo, hi, tol, coarse):
+def _coarse_then_golden(f, lo, hi, coarse):
     """Scan a coarse grid, then golden-refine around the best cell."""
     xs = _linspace(lo, hi, coarse)
     vs = [f(x) for x in xs]
-    evals = len(xs)
     i = _argmax(vs)
     blo = xs[max(0, i - 1)]
     bhi = xs[min(len(xs) - 1, i + 1)]
-    if bhi - blo < tol:
-        return xs[i], float(vs[i]), evals
-    res = maximize_1d(f, blo, bhi, tol)
-    evals += res.evaluations
-    if res.value >= vs[i]:
-        return res.argmax, res.value, evals
-    return xs[i], float(vs[i]), evals
+    if bhi - blo < _TOL:
+        return xs[i], float(vs[i]), coarse
+    x, v, used = _golden_section(f, blo, bhi)
+    if v >= vs[i]:
+        return x, v, coarse + used
+    return xs[i], float(vs[i]), coarse + used
 
 
-def optimize_case(case: CacheCase, sc, tol=1e-6, coarse=33) -> OptResult:
+def optimize_case(case: CacheCase, sc) -> OptResult:
     """Best power split for one of the cases A-D.
 
     Each decode-feasible interval of ``case_branch_feasible`` is searched
@@ -151,7 +158,7 @@ def optimize_case(case: CacheCase, sc, tol=1e-6, coarse=33) -> OptResult:
     if case not in (CacheCase.A, CacheCase.B, CacheCase.C, CacheCase.D):
         raise ValueError(f"optimize_case handles cases A-D only, got {case!r}")
     f = case_objective(case, sc)
-    runs = [_coarse_then_golden(f, lo, hi, tol, coarse)
+    runs = [_coarse_then_golden(f, lo, hi, _CASE_COARSE)
             for lo, hi in filter(None, case_branch_feasible(case, sc).values())]
     best_x, best_v, _ = max(runs, key=lambda run: run[1])
     evals = sum(run[2] for run in runs)
@@ -159,18 +166,15 @@ def optimize_case(case: CacheCase, sc, tol=1e-6, coarse=33) -> OptResult:
     return OptResult(argmax=best_x, value=best_v, evaluations=evals, branch=branch)
 
 
-_BRANCH_ALPHA = {"high": (0.5, 1.0), "low": (0.0, 0.5)}
-
-
-def optimize_split(sc, tol=1e-6, coarse=21) -> OptResult:
+def optimize_split(sc) -> OptResult:
     """Best (alpha, beta) for the split-file objective, over both branches."""
     best = None
-    for branch, (alo, ahi) in _BRANCH_ALPHA.items():
+    for branch, (alo, ahi) in BRANCH_ALPHA.items():
         def f(alpha, beta, _branch=branch):
             return split_objective_branch(alpha, beta, sc, _branch)
 
-        alphas = _linspace(alo, ahi, coarse)
-        betas = _linspace(0.0, 1.0, coarse)
+        alphas = _linspace(alo, ahi, _SPLIT_COARSE)
+        betas = _linspace(0.0, 1.0, _SPLIT_COARSE)
         evals = 0
         ca, cb, cv = alphas[0], betas[0], -math.inf
         for a in alphas:
@@ -182,16 +186,16 @@ def optimize_split(sc, tol=1e-6, coarse=21) -> OptResult:
         ba, bb, bv = ca, cb, cv
         for _ in range(60):
             xa, _, used = _coarse_then_golden(
-                lambda a: f(a, cb), alo, ahi, tol, coarse)
+                lambda a: f(a, cb), alo, ahi, _SPLIT_COARSE)
             evals += used
             xb, vb, used = _coarse_then_golden(
-                lambda b: f(xa, b), 0.0, 1.0, tol, coarse)
+                lambda b: f(xa, b), 0.0, 1.0, _SPLIT_COARSE)
             evals += used
             moved = abs(xa - ca) + abs(xb - cb)
             ca, cb, cv = xa, xb, vb
             if cv > bv:
                 ba, bb, bv = ca, cb, cv
-            if cv - bv < tol and moved < tol:
+            if cv - bv < _TOL and moved < _TOL:
                 break
         res = OptResult(argmax=(ba, bb), value=bv, evaluations=evals, branch=branch)
         if best is None or res.value > best.value:
@@ -199,25 +203,25 @@ def optimize_split(sc, tol=1e-6, coarse=21) -> OptResult:
     return best
 
 
-def check_concavity(f, lo, hi, grid_n=101, tol=1e-6):
+def check_concavity(f, lo, hi, grid_n=101):
     """Centered second differences on a uniform grid.
 
     Returns (all_concave, worst_second_difference); the differences are not
-    divided by the squared step, so ``tol`` bounds the raw discrete values.
+    divided by the squared step, so ``_CONCAVE_TOL`` bounds the raw values.
     """
     if grid_n < 5:
         raise ValueError("grid_n must be at least 5")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError("check_concavity requires finite bounds with lo < hi")
-    return _concavity_verdict([f(x) for x in _linspace(lo, hi, grid_n)], tol)
+    return _concavity_verdict([f(x) for x in _linspace(lo, hi, grid_n)])
 
 
-def _concavity_verdict(vs, tol=1e-6):
+def _concavity_verdict(vs):
     """``check_concavity``'s verdict on values already taken on its grid."""
     if not all(math.isfinite(v) for v in vs):
         raise ValueError("objective returned a non-finite value on the grid")
     worst = float(max(a - 2.0 * b + c for a, b, c in zip(vs, vs[1:], vs[2:])))
-    return worst <= tol, worst
+    return worst <= _CONCAVE_TOL, worst
 
 
 def _feasible_from_margins(margins_lo, margins_hi, x0, x1):
@@ -271,7 +275,7 @@ def case_branch_feasible(case: CacheCase, sc):
             lambda x: case_chains(case, x, sc, "low"), 0.0, 1.0)}
     return {branch: _feasible_along(
                 lambda x, br=branch: case_chains(case, x, sc, br), x0, x1)
-            for branch, (x0, x1) in _BRANCH_ALPHA.items()}
+            for branch, (x0, x1) in BRANCH_ALPHA.items()}
 
 
 def split_line_feasible(sc, branch, axis, fixed):
@@ -284,7 +288,7 @@ def split_line_feasible(sc, branch, axis, fixed):
     if axis == "alpha":
         return _feasible_along(
             lambda x: split_case_chains(x, fixed, sc, branch),
-            *_BRANCH_ALPHA[branch])
+            *BRANCH_ALPHA[branch])
     if axis == "beta":
         return _feasible_along(
             lambda x: split_case_chains(fixed, x, sc, branch), 0.0, 1.0)

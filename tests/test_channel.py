@@ -14,6 +14,7 @@ import pytest
 
 from cachenoma import _kernels_py
 from cachenoma.channel import (
+    MAX_SHAPE,
     DoubleNakagamiParams,
     LinkGeometry,
     bessel_k,
@@ -67,6 +68,24 @@ def test_params_validation():
         DoubleNakagamiParams(m1=1.0, m2=1.0, omega1=1e-200, omega2=1e-200)
     with pytest.raises(ValueError):
         DoubleNakagamiParams(m1=1.0, m2=1.0, omega1=1e200, omega2=1e200)
+
+
+def test_shape_bound():
+    # a survival call's cost grows with the Bessel order |m1 - m2|, and at
+    # 1e308 lgamma overflows, so shapes above the bound are refused up front
+    for m in (1e308, 1e6, math.nextafter(MAX_SHAPE, math.inf)):
+        for name, shapes in (("m1", (m, 1.0)), ("m2", (1.0, m))):
+            with pytest.raises(ValueError, match=name):
+                DoubleNakagamiParams(*shapes, omega1=1.0, omega2=1.0)
+    # at the bound both the widest order and the largest shapes still work
+    for m1, m2 in ((MAX_SHAPE, 0.5), (0.75, MAX_SHAPE), (MAX_SHAPE, MAX_SHAPE)):
+        params = DoubleNakagamiParams(m1=m1, m2=m2, omega1=2.0, omega2=2.0)
+        mean = params.omega1 * params.omega2
+        for x in (1e-3 * mean, mean, 3.0 * mean):
+            sf = survival_gain_sq(x, params)
+            assert 0.0 <= sf <= 1.0, (m1, m2, x, sf)
+            assert math.isclose(sf + cdf_gain_sq(x, params), 1.0,
+                                abs_tol=1e-9), (m1, m2, x)
 
 
 def test_effective_scale_examples():

@@ -18,7 +18,7 @@ from cachenoma import _kernels_py, cli
 from cachenoma.caching import MAX_FILES, Catalog
 from cachenoma.cli import SWEEP_VARIABLES, main, run_sweep, sweep_values
 from cachenoma.config import load_config
-from cachenoma.noma_full import average_success, oma_average_success
+from cachenoma.noma_full import BRANCH_ALPHA, average_success, oma_average_success
 from cachenoma.optimizer import optimize_case
 
 
@@ -208,7 +208,7 @@ def test_sweep_names_a_value_that_is_not_a_number(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("variable, value", [
-    ("m", "0.1"), ("omega", "-1"), ("omega", "1e-300"),
+    ("m", "0.1"), ("m", "1e6"), ("omega", "-1"), ("omega", "1e-300"),
 ])
 def test_sweep_names_the_variable_of_a_bad_channel_value(tmp_path, capsys,
                                                          variable, value):
@@ -246,6 +246,14 @@ def test_sweep_values_fuzz(variable, values):
         text = err.getvalue()
         assert re.search(rf"--values|\b{variable}\b", text), (values, text)
         assert "Traceback" not in text
+
+
+def test_surface_rows_lie_in_their_branch():
+    rows = cli.run_surface(load_config(None), 7)
+    assert [row[3] for row in rows[::49]] == ["low", "high"]
+    for alpha, _, _, branch in rows:
+        lo, hi = BRANCH_ALPHA[branch]
+        assert lo <= alpha <= hi, (alpha, branch)
 
 
 def test_surface_grid(tmp_path):
@@ -369,7 +377,10 @@ def test_bad_config_exits_one(tmp_path, capsys):
     for data, key in (({"catalog": {"files": 5, "zeta": 0.5, "cache_size": 9}},
                        "catalog.cache_size"),
                       ({"catalog": {"files": 0}}, "catalog.files"),
-                      ({"snr_db": 4000}, "snr_db"), ({"snr_db": -4000}, "snr_db")):
+                      ({"snr_db": 4000}, "snr_db"), ({"snr_db": -4000}, "snr_db"),
+                      # shapes past channel.MAX_SHAPE; 1e308 once overflowed lgamma
+                      ({"chan1": {"m1": 1e308}}, "chan1: m1"),
+                      ({"chan1": {"m1": 1e6}}, "chan1: m1")):
         cfg.write_text(json.dumps(data))
         capsys.readouterr()
         code, _ = run_cli(tmp_path, "optimize", "--config", str(cfg))

@@ -15,6 +15,7 @@ from cachenoma.channel import (
 )
 from cachenoma.noma_full import (
     AVERAGING,
+    BRANCH_ALPHA,
     DecodeChain,
     FullScenario,
     SinrCondition,
@@ -28,6 +29,7 @@ from cachenoma.noma_full import (
     oma_average_success,
     oma_success,
     single_user_success,
+    _check_branch,
 )
 from cachenoma.config import load_config
 from cachenoma.noma_split import split_case_chains
@@ -122,6 +124,22 @@ def test_case_d_branch_structure():
     # the boundary point belongs to the weak-component branch
     v1, v2 = case_chains(CacheCase.D, 0.5, sc, branch_of(0.5))
     assert (len(v1.conditions), len(v2.conditions)) == (2, 1)
+
+
+def test_branch_table_matches_branch_of():
+    # high first: the optimizers visit the branches in table order
+    assert list(BRANCH_ALPHA) == ["high", "low"]
+    alphas = [0.0, 0.5, 1.0, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0),
+              5e-324, math.nextafter(1.0, 0.0)] + [i / 97 for i in range(98)]
+    for alpha in alphas:
+        lo, hi = BRANCH_ALPHA[branch_of(alpha)]
+        assert lo <= alpha <= hi, alpha
+    # the decode rule accepts exactly the table's branches
+    for branch in BRANCH_ALPHA:
+        _check_branch(branch)
+    for bad in ("full", "High", "", None, 0.5):
+        with pytest.raises(ValueError, match="branch"):
+            _check_branch(bad)
 
 
 def asymmetric_scenario(semantics):

@@ -9,15 +9,15 @@ import pytest
 from cachenoma import optimizer
 from cachenoma.caching import CacheCase
 from cachenoma.channel import DoubleNakagamiParams, LinkGeometry
-from cachenoma.cli import _interior, main
+from cachenoma.cli import main
 from cachenoma.config import load_config, parse_config
 from cachenoma.noma_full import FullScenario, case_objective
 from cachenoma.noma_split import SplitScenario, split_objective_branch
 from cachenoma.optimizer import (
-    OptResult,
+    _golden_section,
+    _interior,
     case_branch_feasible,
     check_concavity,
-    maximize_1d,
     optimize_case,
     optimize_split,
     split_line_feasible,
@@ -35,23 +35,22 @@ def scaled_scenario(scale=1.0):
 
 
 def test_maximize_quadratic():
-    res = maximize_1d(lambda x: -(x - 0.3) ** 2, 0.0, 1.0)
-    assert isinstance(res, OptResult)
-    assert abs(res.argmax - 0.3) <= 1e-6
-    assert res.value <= 0.0
-    assert res.evaluations > 0
+    x, v, evals = _golden_section(lambda x: -(x - 0.3) ** 2, 0.0, 1.0)
+    assert abs(x - 0.3) <= 1e-6
+    assert v <= 0.0
+    assert evals > 0
 
 
 def test_maximize_endpoint_optimum():
-    res = maximize_1d(lambda x: x, 0.0, 1.0)
-    assert abs(res.argmax - 1.0) <= 1e-6
-    assert res.value >= 1.0 - 1e-9
+    x, v, _ = _golden_section(lambda x: x, 0.0, 1.0)
+    assert abs(x - 1.0) <= 1e-6
+    assert v >= 1.0 - 1e-9
 
 
 def test_maximize_constant():
-    res = maximize_1d(lambda x: 2.5, 0.2, 0.8)
-    assert res.value == 2.5
-    assert 0.2 <= res.argmax <= 0.8
+    x, v, _ = _golden_section(lambda x: 2.5, 0.2, 0.8)
+    assert v == 2.5
+    assert 0.2 <= x <= 0.8
 
 
 def test_maximize_random_concave_quadratics():
@@ -61,17 +60,15 @@ def test_maximize_random_concave_quadratics():
         k = float(rng.uniform(0.5, 20.0))
         d = float(rng.uniform(-2.0, 2.0))
         f = lambda x, c=c, k=k, d=d: -k * (x - c) ** 2 + d
-        res = maximize_1d(f, 0.0, 1.0)
+        x, v, _ = _golden_section(f, 0.0, 1.0)
         grid_best = max(f(x) for x in np.linspace(0.0, 1.0, 1001))
-        assert res.value >= grid_best - 1e-9
-        assert abs(res.argmax - c) <= 1e-5
+        assert v >= grid_best - 1e-9
+        assert abs(x - c) <= 1e-5
 
 
 def test_maximize_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        maximize_1d(lambda x: x, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        maximize_1d(lambda x: math.nan, 0.0, 1.0)
+        _golden_section(lambda x: math.nan, 0.0, 1.0)
 
 
 def test_optimize_cases_beat_dense_grids():
@@ -126,10 +123,12 @@ def test_optimize_case_branch_labels():
     assert (res_d.argmax > 0.5) == (res_d.branch == "high")
 
 
-def test_optimize_coarse_grid_invariance():
+def test_optimize_coarse_grid_invariance(monkeypatch):
     sc = scaled_scenario()
-    base = optimize_case(CacheCase.B, sc, coarse=33)
-    finer = optimize_case(CacheCase.B, sc, coarse=65)
+    assert optimizer._CASE_COARSE == 33
+    base = optimize_case(CacheCase.B, sc)
+    monkeypatch.setattr(optimizer, "_CASE_COARSE", 65)
+    finer = optimize_case(CacheCase.B, sc)
     assert abs(base.value - finer.value) <= 1e-6
     assert abs(base.argmax - finer.argmax) <= 1e-3
 
@@ -303,6 +302,6 @@ def test_coarse_scan_keeps_first_of_tied_maxima():
     # peaks of equal height at grid points 8 and 24 of the 33-point scan:
     # the search refines around the first
     f = lambda x: 1.0 - min(abs(x - 0.25), abs(x - 0.75))
-    x, v, _ = optimizer._coarse_then_golden(f, 0.0, 1.0, 1e-6, 33)
+    x, v, _ = optimizer._coarse_then_golden(f, 0.0, 1.0, 33)
     assert abs(x - 0.25) <= 1e-6
     assert v == 1.0
