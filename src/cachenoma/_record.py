@@ -1,0 +1,50 @@
+"""Base of the package's immutable value types.
+
+A subclass lists its fields in ``__slots__`` and assigns them in its own
+``__init__`` with ``object.__setattr__``, after checking them.  The base
+supplies what a frozen dataclass would: no assignment or deletion after
+construction, value equality within one class, a hash of the field values,
+``Name(field=value, ...)`` as repr, and ``replace``, which builds the new
+instance through ``__init__`` so that its checks run again.  Nothing is
+generated at import: the one per-class step is a getter of the field values.
+"""
+from operator import attrgetter
+
+
+class Record:
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls.__slots__)
+        # attrgetter of one name returns the value itself, not a 1-tuple
+        cls._values = (staticmethod(lambda obj: (get(obj),))
+                       if len(cls.__slots__) == 1 else get)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, checked again by ``__init__``;
+        an unknown field name raises TypeError."""
+        fields = dict(zip(self.__slots__, self._values(self)))
+        fields.update(changes)
+        return self.__class__(**fields)

@@ -21,14 +21,13 @@ q_t, the tag masses are
 """
 import enum
 import math
-from dataclasses import dataclass
+
+from ._record import Record
 
 __all__ = [
     "Catalog",
     "CacheCase",
     "zipf_popularity",
-    "populate_cache",
-    "classify_case",
     "case_distribution",
 ]
 
@@ -37,24 +36,24 @@ __all__ = [
 MAX_FILES = 1_000_000
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(Record):
     """File catalog size, Zipf exponent, and per-vehicle cache size."""
 
-    num_files: int
-    zeta: float
-    cache_size: int
+    __slots__ = ("num_files", "zeta", "cache_size")
 
-    def __post_init__(self):
-        if not (isinstance(self.num_files, int) and 1 <= self.num_files <= MAX_FILES):
+    def __init__(self, num_files: int, zeta: float, cache_size: int):
+        if not (isinstance(num_files, int) and 1 <= num_files <= MAX_FILES):
             raise ValueError(f"num_files must be an integer in [1, {MAX_FILES}], "
-                             f"got {self.num_files!r}")
-        if not (math.isfinite(self.zeta) and self.zeta >= 0.0):
-            raise ValueError(f"zeta must be finite and >= 0, got {self.zeta!r}")
-        if not (isinstance(self.cache_size, int) and 0 <= self.cache_size <= self.num_files):
+                             f"got {num_files!r}")
+        if not (math.isfinite(zeta) and zeta >= 0.0):
+            raise ValueError(f"zeta must be finite and >= 0, got {zeta!r}")
+        if not (isinstance(cache_size, int) and 0 <= cache_size <= num_files):
             raise ValueError(
-                f"cache_size must be an integer in [0, num_files], got {self.cache_size!r}"
+                f"cache_size must be an integer in [0, num_files], got {cache_size!r}"
             )
+        object.__setattr__(self, "num_files", num_files)
+        object.__setattr__(self, "zeta", zeta)
+        object.__setattr__(self, "cache_size", cache_size)
 
 
 class CacheCase(enum.Enum):
@@ -74,38 +73,6 @@ def zipf_popularity(catalog: Catalog) -> tuple:
     weights = [float(t) ** -catalog.zeta for t in range(1, catalog.num_files + 1)]
     total = math.fsum(weights)
     return tuple([w / total for w in weights])
-
-
-def populate_cache(catalog: Catalog) -> frozenset:
-    """Most-popular placement: both vehicles hold files {1, ..., cache_size}.
-
-    With ``classify_case`` it defines the tags pair by pair, the brute-force
-    reference for ``case_distribution``."""
-    return frozenset(range(1, catalog.cache_size + 1))
-
-
-def classify_case(req1: int, req2: int, cache1, cache2) -> CacheCase:
-    """Map one request pair to its transmission scenario tag (the definition
-    that ``case_distribution`` sums in closed form)."""
-    if req1 == req2:
-        return CacheCase.COMMON_REQUEST
-    hit1 = req1 in cache1
-    hit2 = req2 in cache2
-    if hit1 and hit2:
-        return CacheCase.SELF_HIT_BOTH
-    if hit1:
-        return CacheCase.SELF_HIT_1
-    if hit2:
-        return CacheCase.SELF_HIT_2
-    cross1 = req2 in cache1  # vehicle 1 holds what vehicle 2 wants
-    cross2 = req1 in cache2  # vehicle 2 holds what vehicle 1 wants
-    if cross1 and cross2:
-        return CacheCase.A
-    if cross1:
-        return CacheCase.B
-    if cross2:
-        return CacheCase.C
-    return CacheCase.D
 
 
 def case_distribution(catalog: Catalog) -> dict:

@@ -12,9 +12,9 @@ docstring describes the routes.  ``bessel_k`` is the validated public
 interface to the kernels' Bessel function.
 """
 import math
-from dataclasses import dataclass
 
 from . import _kernels_py
+from ._record import Record
 
 __all__ = [
     "DoubleNakagamiParams",
@@ -33,28 +33,26 @@ __all__ = [
 MAX_SHAPE = 100
 
 
-@dataclass(frozen=True)
-class DoubleNakagamiParams:
+class DoubleNakagamiParams(Record):
     """Shape and spread parameters of the two hops."""
 
-    m1: float
-    m2: float
-    omega1: float
-    omega2: float
+    __slots__ = ("m1", "m2", "omega1", "omega2")
 
-    def __post_init__(self):
-        for name in ("m1", "m2"):
-            v = getattr(self, name)
+    def __init__(self, m1: float, m2: float, omega1: float, omega2: float):
+        for name, v in (("m1", m1), ("m2", m2)):
             if not 0.5 <= v <= MAX_SHAPE:
                 raise ValueError(f"{name} must lie in [0.5, {MAX_SHAPE}], "
                                  f"got {v!r}")
-        for name in ("omega1", "omega2"):
-            v = getattr(self, name)
+        for name, v in (("omega1", omega1), ("omega2", omega2)):
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {v!r}")
-        num, denom = self.m1 * self.m2, self.omega1 * self.omega2
+        num, denom = m1 * m2, omega1 * omega2
         if not (denom > 0.0 and 0.0 < num / denom < math.inf):
             raise ValueError(f"rate {num!r} / {denom!r} must be finite and positive")
+        object.__setattr__(self, "m1", m1)
+        object.__setattr__(self, "m2", m2)
+        object.__setattr__(self, "omega1", omega1)
+        object.__setattr__(self, "omega2", omega2)
 
     @property
     def rate(self):
@@ -62,20 +60,20 @@ class DoubleNakagamiParams:
         return (self.m1 * self.m2) / (self.omega1 * self.omega2)
 
 
-@dataclass(frozen=True)
-class LinkGeometry:
+class LinkGeometry(Record):
     """Transmitter-receiver distance and path-loss exponent."""
 
-    distance: float
-    pathloss_exp: float
+    __slots__ = ("distance", "pathloss_exp")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.distance) and self.distance > 0.0):
-            raise ValueError(f"distance must be positive, got {self.distance!r}")
-        if not (math.isfinite(self.pathloss_exp) and self.pathloss_exp >= 0.0):
+    def __init__(self, distance: float, pathloss_exp: float):
+        if not (math.isfinite(distance) and distance > 0.0):
+            raise ValueError(f"distance must be positive, got {distance!r}")
+        if not (math.isfinite(pathloss_exp) and pathloss_exp >= 0.0):
             raise ValueError(
-                f"pathloss_exp must be nonnegative, got {self.pathloss_exp!r}"
+                f"pathloss_exp must be nonnegative, got {pathloss_exp!r}"
             )
+        object.__setattr__(self, "distance", distance)
+        object.__setattr__(self, "pathloss_exp", pathloss_exp)
         try:
             scale = effective_scale(self)
         except OverflowError:

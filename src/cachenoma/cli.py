@@ -18,7 +18,6 @@ import csv
 import functools
 import math
 import sys
-from dataclasses import replace
 
 from .caching import CacheCase, Catalog
 from .config import ConfigError, _snr_power, load_config
@@ -41,7 +40,7 @@ from .optimizer import (
     optimize_case,
     optimize_split,
 )
-from .mc import McConfig, mc_cells
+from .mc import MAX_WORKERS, McConfig, mc_cells
 
 __all__ = [
     "main",
@@ -71,6 +70,14 @@ VALIDATE_SPLIT_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 _PASS_ABS = 0.005
 _PASS_CI_FACTOR = 3.0
+
+# Largest sizes.  An objective point costs 40-120 us and a held row about
+# 100 bytes on a 2-vCPU machine, so each grid bound keeps a run near 500 000
+# rows (a minute, 50 MB): ``surface`` evaluates 2 N^2 points, ``concavity``
+# at most 7 N.  A sweep step costs 1-10 ms at the default shapes.
+MAX_SURFACE_GRID = 500
+MAX_CONCAVITY_GRID = 70_000
+MAX_STEPS = 10_000
 
 
 def _fmt(x):
@@ -139,6 +146,8 @@ def sweep_values(variable, start, stop, steps, values):
             raise ValueError("sweep needs --values or --start/--stop/--steps")
         if steps < 1:
             raise ValueError("--steps must be at least 1")
+        if steps > MAX_STEPS:
+            raise ValueError(f"--steps must be at most {MAX_STEPS}")
         if steps == 1:
             out = [float(start)]
         else:
@@ -157,20 +166,20 @@ def _apply_sweep(cfg, variable, value):
     """New ScenarioConfig with one variable replaced."""
     sc = cfg.scenario
     if variable == "zeta":
-        return replace(cfg, catalog=replace(cfg.catalog, zeta=float(value)))
+        return cfg.replace(catalog=cfg.catalog.replace(zeta=float(value)))
     if variable == "snr_db":
         power = _snr_power(sc.sigma1_sq, float(value))
-        return cfg.replace_scenario(replace(sc, power=power))
+        return cfg.replace_scenario(sc.replace(power=power))
     if variable == "cache_size":
-        return replace(cfg, catalog=replace(cfg.catalog, cache_size=int(value)))
+        return cfg.replace(catalog=cfg.catalog.replace(cache_size=int(value)))
     if variable == "num_files":
-        return replace(cfg, catalog=replace(cfg.catalog, num_files=int(value)))
+        return cfg.replace(catalog=cfg.catalog.replace(num_files=int(value)))
     if variable in ("omega", "m"):
         # both hops of both links; the channel's message names one field
         hops = dict.fromkeys((variable + "1", variable + "2"), float(value))
         try:
-            new_sc = replace(sc, chan1=replace(sc.chan1, **hops),
-                             chan2=replace(sc.chan2, **hops))
+            new_sc = sc.replace(chan1=sc.chan1.replace(**hops),
+                                chan2=sc.chan2.replace(**hops))
         except ValueError as exc:
             raise ValueError(f"{variable}: {exc}") from None
         return cfg.replace_scenario(new_sc)
@@ -205,6 +214,8 @@ def run_surface(cfg, grid):
     """Rows of (alpha, beta, objective, branch), low branch first."""
     if grid < 2:
         raise ValueError("--grid must be at least 2")
+    if grid > MAX_SURFACE_GRID:
+        raise ValueError(f"--grid must be at most {MAX_SURFACE_GRID}")
     rows = []
     betas = _linspace(0.0, 1.0, grid)
     for branch, (alo, ahi) in reversed(BRANCH_ALPHA.items()):
@@ -218,7 +229,7 @@ def run_surface(cfg, grid):
 def _with_semantics(cfg, semantics):
     if cfg.scenario.semantics == semantics:
         return cfg
-    return cfg.replace_scenario(replace(cfg.scenario, semantics=semantics))
+    return cfg.replace_scenario(cfg.scenario.replace(semantics=semantics))
 
 
 def run_validate(cfg, samples, seed, workers):
@@ -266,6 +277,8 @@ def run_concavity(cfg, selector, grid):
     """
     if grid < 11:
         raise ValueError("--grid must be at least 11")
+    if grid > MAX_CONCAVITY_GRID:
+        raise ValueError(f"--grid must be at most {MAX_CONCAVITY_GRID}")
     rows = []
     verdicts = []
     for name in _selected(selector):
@@ -304,7 +317,8 @@ def _build_parser():
     common.add_argument("--seed", type=int, default=0,
                         help="base random seed (default 0)")
     common.add_argument("--workers", type=int, default=1,
-                        help="worker threads for sampling (default 1)")
+                        help="worker threads for sampling (default 1, "
+                             f"max {MAX_WORKERS})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("optimize", parents=[common],
@@ -318,13 +332,18 @@ def _build_parser():
     p.add_argument("--variable", required=True, choices=list(SWEEP_VARIABLES))
     p.add_argument("--start", type=float)
     p.add_argument("--stop", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--values", help="comma-separated explicit sweep values")
+    p.add_argument("--steps", type=int,
+                   help=f"values from --start to --stop (max {MAX_STEPS})")
+    p.add_argument("--values",
+                   help="comma-separated explicit sweep values; write a list "
+                        "that starts with a minus sign as --values=-10,0, "
+                        "since argparse reads --values -10,0 as an option")
 
     p = sub.add_parser("surface", parents=[common],
                        help="split objective on an (alpha, beta) grid")
     p.add_argument("--grid", type=int, default=51,
-                   help="points per axis per branch (default 51)")
+                   help="points per axis per branch (default 51, "
+                        f"max {MAX_SURFACE_GRID})")
 
     p = sub.add_parser("validate", parents=[common],
                        help="Monte Carlo cross-check of analytic values")
@@ -336,7 +355,8 @@ def _build_parser():
     p.add_argument("--case", default="all",
                    choices=[*_CASES, "all"])
     p.add_argument("--grid", type=int, default=101,
-                   help="grid points per branch (default 101, min 11)")
+                   help="grid points per branch (default 101, min 11, "
+                        f"max {MAX_CONCAVITY_GRID})")
     return parser
 
 
@@ -364,6 +384,8 @@ def _dispatch(args, out):
             raise ValueError("--samples must be at least 10000")
         if args.workers < 1:
             raise ValueError("--workers must be at least 1")
+        if args.workers > MAX_WORKERS:
+            raise ValueError(f"--workers must be at most {MAX_WORKERS}")
         if not 0 <= args.seed < 2 ** 64:
             raise ValueError("--seed must lie in [0, 2**64)")
         cfg = load_config(args.config)

@@ -22,8 +22,8 @@ Keys:
 """
 import json
 import math
-from dataclasses import dataclass, replace
 
+from ._record import Record
 from .caching import MAX_FILES, Catalog
 from .channel import DoubleNakagamiParams, LinkGeometry
 from .noma_full import AVERAGING, SEMANTICS, FullScenario
@@ -53,13 +53,15 @@ _CATALOG_KEYS = ("files", "zeta", "cache_size")
 _TOP_KEYS = frozenset(DEFAULTS) | {"power"}
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Record):
     """Parsed scenario: everything the CLI commands need to run."""
 
-    split: SplitScenario
-    catalog: Catalog
-    averaging: str
+    __slots__ = ("split", "catalog", "averaging")
+
+    def __init__(self, split: SplitScenario, catalog: Catalog, averaging: str):
+        object.__setattr__(self, "split", split)
+        object.__setattr__(self, "catalog", catalog)
+        object.__setattr__(self, "averaging", averaging)
 
     @property
     def scenario(self) -> FullScenario:
@@ -67,7 +69,7 @@ class ScenarioConfig:
         return self.split.base
 
     def replace_scenario(self, scenario: FullScenario) -> "ScenarioConfig":
-        return replace(self, split=replace(self.split, base=scenario))
+        return self.replace(split=self.split.replace(base=scenario))
 
 
 class ConfigError(ValueError):

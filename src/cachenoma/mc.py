@@ -35,8 +35,8 @@ imported there too, and the thread pool only when more than one worker
 runs.
 """
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .caching import CacheCase
 from .channel import sample_gain_sq
 from .noma_full import _chain_thresholds, branch_of, case_chains
@@ -50,47 +50,59 @@ __all__ = [
     "mc_case",
     "mc_split",
     "BLOCK",
+    "MAX_WORKERS",
     "Z99",
 ]
 
 BLOCK = 1 << 17
 
+# Most sampling threads.  Each keeps two block-sized float64 arrays (2 MiB)
+# for the whole batch: ``validate`` peaked at 37 MB with one worker and
+# 69 MB with 16 on a 2-vCPU machine, no faster than with 2.
+MAX_WORKERS = 32
+
 # two-sided 99% normal quantile
 Z99 = 2.5758293035489004
 
 
-@dataclass(frozen=True)
-class McConfig:
+class McConfig(Record):
     """Sample budget, base seed, and worker count for one estimate."""
 
-    samples: int
-    seed: int = 0
-    workers: int = 1
+    __slots__ = ("samples", "seed", "workers")
 
-    def __post_init__(self):
-        if self.samples < 1:
+    def __init__(self, samples: int, seed: int = 0, workers: int = 1):
+        if samples < 1:
             raise ValueError("samples must be at least 1")
-        if not 0 <= self.seed < 2 ** 64:
+        if not 0 <= seed < 2 ** 64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if self.workers < 1:
+        if workers < 1:
             raise ValueError("workers must be at least 1")
+        if workers > MAX_WORKERS:
+            raise ValueError(f"workers must be at most {MAX_WORKERS}")
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "workers", workers)
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(Record):
     """Point estimate with its 99% confidence half-width."""
 
-    value: float
-    half_width: float
+    __slots__ = ("value", "half_width")
+
+    def __init__(self, value: float, half_width: float):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "half_width", half_width)
 
 
-@dataclass(frozen=True)
-class McCaseResult:
+class McCaseResult(Record):
     """Per-vehicle estimates and their product (links are independent)."""
 
-    p1: McEstimate
-    p2: McEstimate
-    joint: McEstimate
+    __slots__ = ("p1", "p2", "joint")
+
+    def __init__(self, p1: McEstimate, p2: McEstimate, joint: McEstimate):
+        object.__setattr__(self, "p1", p1)
+        object.__setattr__(self, "p2", p2)
+        object.__setattr__(self, "joint", joint)
 
 
 def _block_sizes(n):

@@ -28,8 +28,8 @@ Two ways to turn a multi-condition chain into a probability are supported:
 through the same gain.
 """
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .caching import CacheCase, case_distribution
 from .channel import (
     DoubleNakagamiParams,
@@ -58,62 +58,68 @@ __all__ = [
 SEMANTICS = ("product", "joint")
 
 
-@dataclass(frozen=True)
-class FullScenario:
+class FullScenario(Record):
     """Full-file transmission setup for the two-vehicle downlink."""
 
-    power: float
-    sigma1_sq: float
-    sigma2_sq: float
-    gamma1: float
-    gamma2: float
-    chan1: DoubleNakagamiParams
-    chan2: DoubleNakagamiParams
-    geom1: LinkGeometry
-    geom2: LinkGeometry
-    semantics: str = "product"
+    __slots__ = ("power", "sigma1_sq", "sigma2_sq", "gamma1", "gamma2",
+                 "chan1", "chan2", "geom1", "geom2", "semantics")
 
-    def __post_init__(self):
-        for name in ("power", "sigma1_sq", "sigma2_sq", "gamma1", "gamma2"):
-            v = getattr(self, name)
+    def __init__(self, power: float, sigma1_sq: float, sigma2_sq: float,
+                 gamma1: float, gamma2: float, chan1: DoubleNakagamiParams,
+                 chan2: DoubleNakagamiParams, geom1: LinkGeometry,
+                 geom2: LinkGeometry, semantics: str = "product"):
+        for name, v in (("power", power), ("sigma1_sq", sigma1_sq),
+                        ("sigma2_sq", sigma2_sq), ("gamma1", gamma1),
+                        ("gamma2", gamma2)):
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {v!r}")
-        if self.semantics not in SEMANTICS:
+        if semantics not in SEMANTICS:
             raise ValueError(
-                f"semantics must be one of {SEMANTICS}, got {self.semantics!r}"
+                f"semantics must be one of {SEMANTICS}, got {semantics!r}"
             )
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "sigma1_sq", sigma1_sq)
+        object.__setattr__(self, "sigma2_sq", sigma2_sq)
+        object.__setattr__(self, "gamma1", gamma1)
+        object.__setattr__(self, "gamma2", gamma2)
+        object.__setattr__(self, "chan1", chan1)
+        object.__setattr__(self, "chan2", chan2)
+        object.__setattr__(self, "geom1", geom1)
+        object.__setattr__(self, "geom2", geom2)
+        object.__setattr__(self, "semantics", semantics)
 
 
-@dataclass(frozen=True)
-class SinrCondition:
+class SinrCondition(Record):
     """One SINR requirement: signal_coef g^2 / (interference_coef g^2 + noise) > threshold."""
 
-    signal_coef: float
-    interference_coef: float
-    noise: float
-    threshold: float
+    __slots__ = ("signal_coef", "interference_coef", "noise", "threshold")
 
-    def __post_init__(self):
-        if self.signal_coef < 0.0 or self.interference_coef < 0.0:
+    def __init__(self, signal_coef: float, interference_coef: float,
+                 noise: float, threshold: float):
+        if signal_coef < 0.0 or interference_coef < 0.0:
             raise ValueError("power coefficients must be nonnegative")
-        if not self.noise > 0.0:
+        if not noise > 0.0:
             raise ValueError("noise must be positive")
-        if not self.threshold > 0.0:
+        if not threshold > 0.0:
             raise ValueError("threshold must be positive")
+        object.__setattr__(self, "signal_coef", signal_coef)
+        object.__setattr__(self, "interference_coef", interference_coef)
+        object.__setattr__(self, "noise", noise)
+        object.__setattr__(self, "threshold", threshold)
 
 
-@dataclass(frozen=True)
-class DecodeChain:
+class DecodeChain(Record):
     """Ordered SINR conditions evaluated against one squared gain."""
 
-    conditions: tuple
+    __slots__ = ("conditions",)
 
-    def __post_init__(self):
-        if len(self.conditions) == 0:
+    def __init__(self, conditions: tuple):
+        if len(conditions) == 0:
             raise ValueError("a decode chain needs at least one condition")
-        for c in self.conditions:
+        for c in conditions:
             if not isinstance(c, SinrCondition):
                 raise TypeError("conditions must be SinrCondition instances")
+        object.__setattr__(self, "conditions", conditions)
 
 
 def gain_threshold(signal_coef, interference_coef, noise, threshold):

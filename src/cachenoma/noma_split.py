@@ -25,8 +25,8 @@ conditions result: two for one vehicle, three for the other, each mapped to
 a gain threshold on its own link.
 """
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .noma_full import (
     DecodeChain,
     FullScenario,
@@ -43,24 +43,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SplitScenario:
+class SplitScenario(Record):
     """Full scenario plus the four per-part SINR thresholds.
 
     gamma11/gamma12: parts 1 and 2 of file 1; gamma21/gamma22: of file 2.
     """
 
-    base: FullScenario
-    gamma11: float
-    gamma12: float
-    gamma21: float
-    gamma22: float
+    __slots__ = ("base", "gamma11", "gamma12", "gamma21", "gamma22")
 
-    def __post_init__(self):
-        for name in ("gamma11", "gamma12", "gamma21", "gamma22"):
-            v = getattr(self, name)
+    def __init__(self, base: FullScenario, gamma11: float, gamma12: float,
+                 gamma21: float, gamma22: float):
+        for name, v in (("gamma11", gamma11), ("gamma12", gamma12),
+                        ("gamma21", gamma21), ("gamma22", gamma22)):
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {v!r}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "gamma11", gamma11)
+        object.__setattr__(self, "gamma12", gamma12)
+        object.__setattr__(self, "gamma21", gamma21)
+        object.__setattr__(self, "gamma22", gamma22)
 
 
 def _vehicle_chain(mine, other, b, p, noise, own_gammas, other_gamma2, weaker):

@@ -10,8 +10,8 @@ runs coordinate ascent per branch from the best cell of a coarse
 evaluated under both decode orders.
 """
 import math
-from dataclasses import dataclass, replace
 
+from ._record import Record
 from .caching import CacheCase
 from .noma_full import BRANCH_ALPHA, branch_of, case_chains, case_objective
 from .noma_split import split_case_chains, split_objective_branch
@@ -48,14 +48,16 @@ def _interior(lo, hi):
     return lo + margin, hi - margin
 
 
-@dataclass(frozen=True)
-class OptResult:
+class OptResult(Record):
     """Best point found, its objective value, and search accounting."""
 
-    argmax: object
-    value: float
-    evaluations: int
-    branch: str
+    __slots__ = ("argmax", "value", "evaluations", "branch")
+
+    def __init__(self, argmax: object, value: float, evaluations: int, branch: str):
+        object.__setattr__(self, "argmax", argmax)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "evaluations", evaluations)
+        object.__setattr__(self, "branch", branch)
 
 
 def _golden_section(f, lo, hi):
@@ -268,7 +270,7 @@ def case_branch_feasible(case: CacheCase, sc):
 
     Returns {branch: (lo, hi) or None}; case A has the single branch "full".
     """
-    sc = replace(sc, power=1.0)
+    sc = sc.replace(power=1.0)
     if case is CacheCase.A:
         # both vehicles decode clean, so either branch gives the same chains
         return {"full": _feasible_along(
@@ -284,7 +286,7 @@ def split_line_feasible(sc, branch, axis, fixed):
     ``axis`` is "alpha" (fixed = beta) or "beta" (fixed = alpha); the moving
     coordinate spans the branch's alpha range or [0, 1] respectively.
     """
-    sc = replace(sc, base=replace(sc.base, power=1.0))
+    sc = sc.replace(base=sc.base.replace(power=1.0))
     if axis == "alpha":
         return _feasible_along(
             lambda x: split_case_chains(x, fixed, sc, branch),

@@ -187,8 +187,6 @@ def test_criterion_4_cacheless_equals_conventional(capsys):
 
 
 def test_criterion_5_monotone_trends(capsys):
-    import dataclasses
-
     cfg = load_config(None)
     sc = cfg.scenario
 
@@ -209,13 +207,13 @@ def test_criterion_5_monotone_trends(capsys):
         omega_series = []
         for omega in (1.0, 2.0, 4.0):
             chan = DoubleNakagamiParams(m1=1.0, m2=1.0, omega1=omega, omega2=omega)
-            s = dataclasses.replace(sc, power=power, chan1=chan, chan2=chan)
+            s = sc.replace(power=power, chan1=chan, chan2=chan)
             omega_series.append(avg(s, cat))
         results.append((f"spread at {snr_db:g} dB", _nondecreasing(omega_series)))
         m_series = []
         for m in (1.0, 2.0, 3.0):
             chan = DoubleNakagamiParams(m1=m, m2=m, omega1=2.0, omega2=2.0)
-            s = dataclasses.replace(sc, power=power, chan1=chan, chan2=chan)
+            s = sc.replace(power=power, chan1=chan, chan2=chan)
             m_series.append(avg(s, cat))
         results.append((f"shape at {snr_db:g} dB", _nondecreasing(m_series)))
 
@@ -227,13 +225,11 @@ def test_criterion_5_monotone_trends(capsys):
 
 
 def test_criterion_6_noma_vs_oma_ordering(capsys):
-    import dataclasses
-
     cfg = load_config(None)
     zetas = (0.0, 0.25, 0.5, 0.75, 1.0)
     margins = {}
     for semantics in ("product", "joint"):
-        scenario = dataclasses.replace(cfg.scenario, semantics=semantics)
+        scenario = cfg.scenario.replace(semantics=semantics)
         vals = []
         for zeta in zetas:
             cat = Catalog(5, zeta, 1)

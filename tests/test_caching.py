@@ -11,8 +11,6 @@ from cachenoma.caching import (
     CacheCase,
     Catalog,
     case_distribution,
-    classify_case,
-    populate_cache,
     zipf_popularity,
 )
 
@@ -20,6 +18,37 @@ from cachenoma.caching import (
 ZIPF_DENOM_5_HALF = 3.23167064587613123
 ZIPF_Q1_5_HALF = 0.309437473548265054
 ZIPF_Q5_5_HALF = 0.138384645127942743
+
+
+# The tags pair by pair: the brute-force reference for case_distribution.
+
+def populate_cache(catalog):
+    """Most-popular placement: both vehicles hold files {1, ..., cache_size}."""
+    return frozenset(range(1, catalog.cache_size + 1))
+
+
+def classify_case(req1, req2, cache1, cache2):
+    """Map one request pair to its transmission scenario tag (the definition
+    that ``case_distribution`` sums in closed form)."""
+    if req1 == req2:
+        return CacheCase.COMMON_REQUEST
+    hit1 = req1 in cache1
+    hit2 = req2 in cache2
+    if hit1 and hit2:
+        return CacheCase.SELF_HIT_BOTH
+    if hit1:
+        return CacheCase.SELF_HIT_1
+    if hit2:
+        return CacheCase.SELF_HIT_2
+    cross1 = req2 in cache1  # vehicle 1 holds what vehicle 2 wants
+    cross2 = req1 in cache2  # vehicle 2 holds what vehicle 1 wants
+    if cross1 and cross2:
+        return CacheCase.A
+    if cross1:
+        return CacheCase.B
+    if cross2:
+        return CacheCase.C
+    return CacheCase.D
 
 
 def test_catalog_validation():

@@ -14,10 +14,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cachenoma import _kernels_py, cli
+from cachenoma import _kernels_py, cli, mc
 from cachenoma.caching import MAX_FILES, Catalog
 from cachenoma.cli import SWEEP_VARIABLES, main, run_sweep, sweep_values
 from cachenoma.config import load_config
+from cachenoma.mc import MAX_WORKERS, McCaseResult, McConfig, McEstimate
 from cachenoma.noma_full import BRANCH_ALPHA, average_success, oma_average_success
 from cachenoma.optimizer import optimize_case
 
@@ -186,6 +187,14 @@ def test_sweep_rows_equal_step_by_step_averages(variable):
     assert run_sweep(cfg, variable, values) == want
 
 
+def test_sweep_values_may_start_with_a_minus_sign(tmp_path):
+    # "--values -10,0" would be read as an option; the "=" form is not
+    code, text = run_cli(tmp_path, "sweep", "--variable", "snr_db",
+                         "--values=-10,0")
+    assert code == 0
+    assert [row[0] for row in rows_of(text)[1:]] == ["-10", "0"]
+
+
 def test_sweep_rejects_bad_variable(tmp_path):
     code, _ = run_cli(tmp_path, "sweep", "--variable", "velocity",
                       "--values", "1")
@@ -246,6 +255,77 @@ def test_sweep_values_fuzz(variable, values):
         text = err.getvalue()
         assert re.search(rf"--values|\b{variable}\b", text), (values, text)
         assert "Traceback" not in text
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("the work ran although a size was out of bounds")
+
+
+# each size flag: its command, its bound, and what its work calls first
+SIZE_FLAGS = {
+    "--grid surface": (["surface"], cli.MAX_SURFACE_GRID,
+                       (cli, "split_objective_branch")),
+    "--grid concavity": (["concavity"], cli.MAX_CONCAVITY_GRID,
+                         (cli, "case_objective")),
+    "--steps": (["sweep", "--variable", "zeta", "--start", "0", "--stop", "1"],
+                cli.MAX_STEPS, (cli, "average_success")),
+    # no thread is started: sampling never begins
+    "--workers": (["validate", "--samples", "10000"], MAX_WORKERS,
+                  (mc, "_count_streams")),
+}
+
+
+@pytest.mark.parametrize("flag", SIZE_FLAGS)
+def test_size_flags_are_bounded(flag, monkeypatch, capsys):
+    argv, bound, (module, work) = SIZE_FLAGS[flag]
+    monkeypatch.setattr(module, work, _fail)
+    code = main([*argv, flag.split()[0], str(bound + 1), "--out", os.devnull])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == (f"cachenoma: error: {flag.split()[0]} must be at most "
+                   f"{bound}\n"), err
+
+
+def test_mc_config_bounds_the_workers():
+    assert McConfig(samples=1, workers=MAX_WORKERS).workers == MAX_WORKERS
+    with pytest.raises(ValueError, match="workers"):
+        McConfig(samples=1, workers=MAX_WORKERS + 1)
+
+
+def _stub_estimates(cells, cfg):
+    est = McEstimate(0.0, 0.0)
+    return [McCaseResult(est, est, est)] * len(cells)
+
+
+SIZES = st.one_of(st.integers(-10 ** 6, 40), st.integers(10 ** 4, 10 ** 30),
+                  st.text(alphabet="0123456789.-+e ", max_size=6))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(flag=st.sampled_from(sorted(SIZE_FLAGS)), value=SIZES)
+def test_size_flags_fuzz(flag, value):
+    # The objectives and the sampling are stubbed: this checks how a size is
+    # parsed and bounded.  Values from 41 to 9999 are left out, so that no
+    # example pays for a large in-bound grid.
+    argv = SIZE_FLAGS[flag][0]
+    name = flag.split()[0]
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "split_objective_branch", lambda *a, **k: 0.0)
+        mp.setattr(cli, "case_objective", lambda *a, **k: lambda alpha: 0.0)
+        mp.setattr(cli, "average_success", lambda *a, **k: 0.0)
+        mp.setattr(cli, "oma_average_success", lambda *a, **k: 0.0)
+        mp.setattr(cli, "mc_cells", _stub_estimates)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main([*argv, f"{name}={value}", "--out", os.devnull])
+    assert code in (0, 1), (flag, value, code)
+    if code == 1:
+        text = err.getvalue()
+        assert name in text, (flag, value, text)
+        assert "Traceback" not in text
+    elif isinstance(value, int):
+        assert value <= SIZE_FLAGS[flag][1]
 
 
 def test_surface_rows_lie_in_their_branch():
@@ -482,10 +562,13 @@ _IMPORT_GUARD = """
 import os, sys
 import cachenoma
 from cachenoma import cli
+# the value types are plain classes: no dataclasses, and no inspect with it
+SLOW = ("numpy", "dataclasses", "inspect")
+assert not [m for m in SLOW if m in sys.modules]
 for argv in (["optimize"], ["sweep", "--variable", "zeta", "--values", "0.5"],
              ["surface", "--grid", "3"], ["concavity", "--grid", "11"]):
     assert cli.main(argv + ["--out", os.devnull]) == 0, argv
-    assert "numpy" not in sys.modules, argv
+    assert not [m for m in SLOW if m in sys.modules], argv
 assert cli.main(["validate", "--samples", "10000", "--out", os.devnull]) == 0
 assert "numpy" in sys.modules
 """

@@ -147,10 +147,8 @@ def test_load_rejects_bad_json(tmp_path):
 
 
 def test_replace_scenario_rebuilds_split():
-    import dataclasses
-
     cfg = load_config(None)
-    bigger = dataclasses.replace(cfg.scenario, power=40.0)
+    bigger = cfg.scenario.replace(power=40.0)
     swapped = cfg.replace_scenario(bigger)
     assert swapped.scenario.power == 40.0
     assert swapped.split.base.power == 40.0

@@ -1,7 +1,6 @@
 """Checks for the full-file transmission cases and baselines."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -159,9 +158,9 @@ def asymmetric_scenario(semantics):
 
 def swapped_links(sc):
     """The same scenario with vehicles 1 and 2 exchanged."""
-    return replace(sc, sigma1_sq=sc.sigma2_sq, sigma2_sq=sc.sigma1_sq,
-                   gamma1=sc.gamma2, gamma2=sc.gamma1, chan1=sc.chan2,
-                   chan2=sc.chan1, geom1=sc.geom2, geom2=sc.geom1)
+    return sc.replace(sigma1_sq=sc.sigma2_sq, sigma2_sq=sc.sigma1_sq,
+                      gamma1=sc.gamma2, gamma2=sc.gamma1, chan1=sc.chan2,
+                      chan2=sc.chan1, geom1=sc.geom2, geom2=sc.geom1)
 
 
 @pytest.mark.parametrize("semantics", ["product", "joint"])
@@ -191,7 +190,7 @@ def test_case_success_nondecreasing_in_snr(semantics):
         for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
             values = []
             for snr in snrs:
-                at = replace(sc, power=sc.sigma1_sq * 10.0 ** (snr / 10.0))
+                at = sc.replace(power=sc.sigma1_sq * 10.0 ** (snr / 10.0))
                 p1, p2 = case_success(case, alpha, at)
                 values.append(p1 * p2)
             assert all(b >= a for a, b in zip(values, values[1:])), \

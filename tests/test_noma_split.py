@@ -1,7 +1,6 @@
 """Checks for the two-part split transmission objective."""
 
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -172,11 +171,11 @@ def test_branch_of_picks_branch_by_alpha():
 def swapped_links(sc):
     """The same split scenario with vehicles 1 and 2 exchanged."""
     b = sc.base
-    base = replace(b, sigma1_sq=b.sigma2_sq, sigma2_sq=b.sigma1_sq,
-                   gamma1=b.gamma2, gamma2=b.gamma1, chan1=b.chan2,
-                   chan2=b.chan1, geom1=b.geom2, geom2=b.geom1)
-    return replace(sc, base=base, gamma11=sc.gamma21, gamma12=sc.gamma22,
-                   gamma21=sc.gamma11, gamma22=sc.gamma12)
+    base = b.replace(sigma1_sq=b.sigma2_sq, sigma2_sq=b.sigma1_sq,
+                     gamma1=b.gamma2, gamma2=b.gamma1, chan1=b.chan2,
+                     chan2=b.chan1, geom1=b.geom2, geom2=b.geom1)
+    return sc.replace(base=base, gamma11=sc.gamma21, gamma12=sc.gamma22,
+                      gamma21=sc.gamma11, gamma22=sc.gamma12)
 
 
 @pytest.mark.parametrize("semantics", ["product", "joint"])
@@ -184,10 +183,9 @@ def test_branches_mirror_when_links_swap(semantics):
     # unequal links, noises and part thresholds: the high branch at alpha is
     # the low branch at 1 - alpha once the two vehicles trade places
     sc = default_split(semantics)
-    sc = replace(
-        sc,
-        base=replace(
-            sc.base, sigma2_sq=0.6,
+    sc = sc.replace(
+        base=sc.base.replace(
+            sigma2_sq=0.6,
             chan1=DoubleNakagamiParams(m1=1.0, m2=2.0, omega1=2.0, omega2=1.5),
             chan2=DoubleNakagamiParams(m1=2.0, m2=3.0, omega1=1.0, omega2=2.5),
             geom2=LinkGeometry(distance=0.6, pathloss_exp=2.0),
@@ -229,8 +227,8 @@ NONINT_SCENARIO = {
 
 
 def at_snr(sc, snr_db):
-    base = replace(sc.base, power=sc.base.sigma1_sq * 10.0 ** (snr_db / 10.0))
-    return replace(sc, base=base)
+    base = sc.base.replace(power=sc.base.sigma1_sq * 10.0 ** (snr_db / 10.0))
+    return sc.replace(base=base)
 
 
 @pytest.mark.parametrize("scenario", ["default", "nonint"])
