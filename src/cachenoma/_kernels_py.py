@@ -24,35 +24,37 @@ four routes runs, the first that applies:
   only to absolute precision, so below the mean ``cdf_w`` tries the
   series first; ``sf_w`` keeps the sum, which is cheaper there.
 * Series, for every other shape pair, where its error bound holds: the
-  ascending series of K_nu (DLMF 10.27.4 and 10.25.2; for an integer order
-  nu = m1 - m2, its limit form DLMF 10.31.1) integrated term by term gives
-  P(V <= c) in closed form, and P(V > c) is 1 minus it.  The terms
-  alternate in sign, and the cancellation grows with c (like e^(4 sqrt c)
-  relative to a small P(V > c)) and as nu nears an integer (like
-  1/|nu - n|).  Each call bounds its own rounding error and keeps the
-  value only where the bound is at most ``_ABS_TOL`` and ``_REL_TOL``
-  times min(P(V <= c), P(V > c)), the tolerances the quadrature is held
-  to.  No constant picks a crossover.
+  ascending series of K_nu (DLMF 10.27.4 and 10.25.2) integrated term by
+  term gives P(V <= c) in closed form, and P(V > c) is 1 minus it.  One
+  series serves every order nu = m1 - m2: each pole of its first sum is
+  paired with the matching term of its second (Temme's device), so it
+  reduces to DLMF 10.31.1 at an integer order and loses nothing next to
+  one.  The terms alternate in sign, and the cancellation grows with c
+  (like e^(4 sqrt c) relative to a small P(V > c)).  Each call bounds its
+  own rounding error and keeps the value only where the bound is at most
+  ``_ABS_TOL`` and ``_REL_TOL`` times min(P(V <= c), P(V > c)), the
+  tolerances the quadrature is held to.  No constant picks a crossover.
 * Gauss-Laguerre tail, above the mean m1 m2 wherever the series' bound
   fails: with z = 2 sqrt(v) = 2 sqrt(c) + t, P(V > c) is e^(-t) times a
   factor that grows only like a power of t, integrated over t > 0 by a
   fixed 16-point rule (DLMF 3.5.v); P(V <= c) is 1 minus it.  The value is
   kept where a 10-point rule agrees with it to ``_REL_TOL``, relative
   only, so the deep tail keeps its relative precision.  The rules
-  disagree near the mean for large shapes and for small shapes whose
-  order lies near an integer.
+  disagree near the mean for large shapes.
 * Quadrature, wherever none of the routes above applies, split at the mean:
   for c up to m1 m2 the density is integrated over (0, c] and P(V > c) is
   1 minus that; above it the density is integrated over (c, inf) and
   P(V <= c) is 1 minus that.  Both integrals use globally adaptive
   Gauss-Kronrod 7-15 quadrature held to ``_ABS_TOL`` or ``_REL_TOL``,
   whichever is looser, so a tail value far below ``_ABS_TOL`` is only
-  absolutely precise.  The lower integral runs for orders within about
-  1e-4 of an integer and for large shapes, whose series cancels below the
-  mean; a tail integral would lose a small c's mass altogether.
+  absolutely precise.  Only shapes whose mean m1 m2 lies beyond the
+  series' reach (c above about 10) come here: the lower integral between
+  that reach and the mean, and the tail integral above the mean where the
+  Laguerre rules disagree.
 
 A quadrature that exhausts ``_MAX_SUBDIV`` subdivisions raises
-``QuadratureAccuracyError`` with its best estimate.
+``QuadratureAccuracyError`` with its best estimate; no other route raises
+it.
 """
 import math
 import sys
@@ -357,154 +359,138 @@ def _integer_shape_sf(c, m1, m2):
     return min(total, 1.0)
 
 
-def _size_limit(scale):
-    """The largest sum of term magnitudes, in units of e^scale, whose
-    rounding can still meet ``_ABS_TOL``; capped so no term overflows."""
-    return math.exp(min(math.log(_ABS_TOL / _U) - scale, 700.0))
-
-
-def _gamma_sign(x):
-    """Sign of Gamma(x) at a non-integer x."""
-    return -1.0 if x < 0.0 and math.floor(x) % 2 else 1.0
-
-
-def _fractional_order_sums(c, log_c, lo, hi, nu, n, log_front):
-    """The series of P(V <= c) for non-integer order nu = hi - lo > 0 with
-    nearest integer n, and log_front = -log(Gamma(lo) Gamma(hi)):
-
-        pi / (sin(nu pi) Gamma(lo) Gamma(hi))
-          * sum_k [c^(lo+k) / ((lo+k) k! Gamma(k+1-nu))
-                   - c^(hi+k) / ((hi+k) k! Gamma(k+1+nu))].
-
-    Returns (value, size, terms, log_mag, scale): value * e^scale is the
-    sum, size * e^scale the sum of its terms' magnitudes, and log_mag the
-    magnitude of the logarithms the first terms are formed from, beyond
-    log_front.  None once the size passes ``_size_limit``.
-    """
-    d = nu - n  # exact: nu lies within a factor of 2 of n
-    s = math.sin(math.pi * d)  # sin(nu pi) = (-1)^n sin(d pi)
-    sign = math.copysign(1.0, s) * (-1.0 if n % 2 else 1.0)
-    log_pi_sin = math.log(math.pi / abs(s))
-    lg_a, lg_b = math.lgamma(1.0 - nu), math.lgamma(1.0 + nu)
-    la = log_front + log_pi_sin + lo * log_c - lg_a
-    lb = log_front + log_pi_sin + hi * log_c - lg_b
-    scale = max(la, lb)
-    limit = _size_limit(scale)
-    if limit < 1.0:
-        return None
-    # c^(lo+k) / (k! Gamma(k+1-nu)) and c^(hi+k) / (k! Gamma(k+1+nu))
-    a = _gamma_sign(1.0 - nu) * math.exp(la - scale)
-    b = math.exp(lb - scale)
-    total = size = 0.0
-    k = 0
-    while True:
-        ta, tb = a / (lo + k), b / (hi + k)
-        total += ta - tb
-        size += abs(ta) + abs(tb)
-        if not size <= limit:  # nan too, from a nan c
-            return None
-        k += 1
-        a *= c / (k * (k - nu))
-        b *= c / (k * (k + nu))
-        # from here on each term is at most half the one before, so the
-        # rest of the sum is below u size
-        if (k + 1 > nu and 2.0 * c <= (k + 1) * (k + 1 - nu)
-                and abs(a) + abs(b) <= 0.5 * _U * size):
-            break
-    log_mag = (log_pi_sin + abs(lo * log_c) + abs(hi * log_c) + abs(lg_a)
-               + abs(lg_b))
-    return sign * total, size, k, log_mag, scale
-
-
-def _integer_order_sums(c, log_c, lo, hi, n, log_front):
-    """The limit of the series for integer order n = hi - lo: the ascending
-    series of K_n with its psi terms (DLMF 10.31.1) integrated term by term,
-    with int_0^c v^(a-1) ln v dv = c^a (ln c / a - 1 / a^2):
-
-        1 / (Gamma(lo) Gamma(hi))
-          * (sum_{k<n} (-1)^k (n-k-1)! / k! c^(lo+k) / (lo+k)
-             + (-1)^n sum_k c^a / (a k! (n+k)!)
-               * (psi(k+1) + psi(n+k+1) - ln c + 1 / a)),   a = lo + n + k,
-
-    where psi(j+1) = H_j - gamma.  Returns what ``_fractional_order_sums``
-    does.
-    """
-    lg = log_front + math.lgamma(n) + lo * log_c if n else -math.inf
-    lh = log_front + (lo + n) * log_c - math.lgamma(n + 1.0)
-    scale = max(lg, lh)
-    limit = _size_limit(scale)
-    if limit < 1.0:
-        return None
-    total = size = 0.0
-    g = math.exp(lg - scale)  # (-1)^k (n-k-1)! / k! c^(lo+k)
-    for k in range(n):
-        t = g / (lo + k)
-        total += t
-        size += abs(t)
-        if not size <= limit:
-            return None
-        if k + 1 < n:
-            g *= -c / ((k + 1) * (n - k - 1))
-    h = math.copysign(math.exp(lh - scale), -1.0 if n % 2 else 1.0)
-    harmonic = sum(1.0 / j for j in range(1, n + 1))
-    psi_sum = harmonic - 2.0 * _EULER_GAMMA  # psi(k+1) + psi(n+k+1)
-    psi_mag = harmonic + 2.0 * _EULER_GAMMA  # |psi(k+1)| + |psi(n+k+1)| at most
-    k = 0
-    while True:
-        a = lo + n + k
-        t = h / a
-        total += t * (psi_sum - log_c + 1.0 / a)
-        size += abs(t) * (psi_mag + abs(log_c) + 1.0 / a)
-        if not size <= limit:  # nan too, from a nan c
-            return None
-        k += 1
-        psi_sum += 1.0 / k + 1.0 / (n + k)
-        psi_mag += 1.0 / k + 1.0 / (n + k)
-        h *= c / (k * (n + k))
-        if (2.0 * c <= (k + 1) * (n + k + 1)
-                and abs(h) * (psi_mag + abs(log_c) + 1.0) <= 0.5 * _U * size):
-            break
-    log_mag = (abs((lo + n) * log_c) + math.lgamma(n + 1.0)
-               + (math.lgamma(n) + abs(lo * log_c) if n else 0.0))
-    return total, size, n + k, log_mag, scale
-
-
 def _series_cdf_sf(c, m1, m2):
     """(P(V <= c), P(V > c)), 0 < c < inf, from the ascending series of the
     density integrated term by term, or None where the series' error bound
     misses the quadrature's tolerances.
 
+    With lo <= hi and the order nu = hi - lo = n + d, n = round(nu),
+    |d| <= 1/2, the ascending series of K_nu (DLMF 10.27.4, 10.25.2)
+    integrated term by term gives, with a = lo + n + j and b = a + d = hi + j,
+
+        P(V <= c) Gamma(lo) Gamma(hi)
+          = sum_{k<n} (-1)^k Gamma(nu-k) c^(lo+k) / ((lo+k) k!)
+            + (-1)^n (pi d / sin(pi d)) sum_j c^a
+              * (G2 (X_j - Y_j) / d + G1 (X_j + Y_j)),
+        X_j = P_j / a,  P_j = 1 / ((n+j)! (1-d)_j),
+        Y_j = c^d Q_j / b,  Q_j = 1 / (j! (1+d)_(n+j)).
+
+    Each term of the second sum pairs the pole of Gamma(nu - k) at k = n + j
+    with the j-th term of the c^(hi+j) sum, and G1, G2 are ``_gamma_pair(d)``
+    (Temme's device, as in ``_temme_series``).  With R_j = (P_j - Q_j) / d
+    and E = (c^d - 1) / d,
+
+        (X_j - Y_j) / d = R_j / a + Q_j / (a b) - E Q_j / b,
+
+    and R_j = p_j R_(j-1) + (2j + n) p_j q_j Q_(j-1), where
+    P_j = p_j P_(j-1), Q_j = q_j Q_(j-1), p_j = 1 / ((n+j) (j-d)) and
+    q_j = 1 / (j (n+j+d)), takes positive updates only, so nothing is
+    divided by sin(d pi) or by d.  At d = 0 this is DLMF 10.31.1
+    integrated: E = ln c and R_j = P_j (H_j + H_(n+j)).
+
     The bound is u times the sum of the terms' magnitudes times the
-    roundings a term goes through: up to 4 per step of the recurrence that
-    forms it, 1 for its share of the running sum, the magnitude of the
-    logarithms the first terms come from, and a few for the exp, log, sin
-    and lgamma calls that form them.  Where m1 - m2 is not a float, the
+    roundings a term goes through: up to 5 per step of the recurrences that
+    form it and 1 for its share of the running sums; 3 times the magnitude
+    of the logarithms the first terms are summed from (their additions and
+    the lgamma calls); and 50 for forming a term from its parts, for G1
+    (whose difference quotient loses up to about 20 u at |d| = 0.1) and for
+    the exp, expm1 and log calls.  Where m1 - m2 is not a float, the
     rounding of nu shifts the order the series is summed at; the bound adds
-    that shift times the sensitivity of the terms to it, which grows like
-    1/|nu - n| next to an integer n.  The value is kept where the bound is
-    at most ``_ABS_TOL`` and ``_REL_TOL`` times min(cdf, sf).
+    that shift times the sensitivity of the terms to it.  The value is kept
+    where the bound is at most ``_ABS_TOL`` and ``_REL_TOL`` times
+    min(cdf, sf).
     """
     lo, hi = min(m1, m2), max(m1, m2)
     nu = hi - lo
     nu_err = abs((hi - (nu - (nu - hi))) + (-lo - (nu - hi)))  # TwoSum
     n = round(nu)
+    d = nu - n  # exact: nu lies within a factor of 2 of n
     log_c = math.log(c)
     lg_lo, lg_hi = math.lgamma(lo), math.lgamma(hi)
-    log_front = -lg_lo - lg_hi
-    if nu == n:
-        sums = _integer_order_sums(c, log_c, lo, hi, n, log_front)
-        near = 0.0
-    else:
-        sums = _fractional_order_sums(c, log_c, lo, hi, nu, n, log_front)
-        near = 2.0 / abs(nu - n)
-    if sums is None:
+    lg_nu = math.lgamma(nu) if n else 0.0
+    lg_n = math.lgamma(n + 1.0)
+    log_pd = math.log(math.pi * d / math.sin(math.pi * d)) if d else 0.0
+    # the logarithms of the first terms of the two sums.  The sums are kept
+    # in units of e^scale; one whose terms' magnitudes pass the limit cannot
+    # meet _ABS_TOL, and the cap keeps every term finite
+    lg = -lg_lo - lg_hi + lg_nu + lo * log_c if n else -math.inf
+    lh = -lg_lo - lg_hi + log_pd + (lo + n) * log_c - lg_n
+    scale = max(lg, lh)
+    limit = math.exp(min(math.log(_ABS_TOL / _U) - scale, 700.0))
+    if limit < 1.0:
         return None
-    value, size, terms, log_mag, scale = sums
+    # the k < n terms of the first sum, g = (-1)^k Gamma(nu-k) c^(lo+k) / k!,
+    # and n! Q_0 and n! R_0 by the recurrences in n from Q = 1 and R = 0
+    total = size = 0.0
+    g = math.exp(lg - scale)
+    q, r = 1.0, 0.0
+    for k in range(n):
+        t = g / (lo + k)
+        total += t
+        size += abs(t)
+        if k + 1 < n:
+            g *= -c / ((k + 1) * (nu - k - 1))
+        r += q / (k + 1 + d)
+        q *= (k + 1) / (k + 1 + d)
+    p = math.exp(lh - scale)  # c^a P_j; q and r become c^a Q_j and c^a R_j
+    q *= p
+    r *= p
+    e = math.expm1(d * log_c) / d if d else log_c
+    cd = 1.0 + d * e  # c^d
+    g1, g2, _, _ = _gamma_pair(d)
+    ag1, ag2 = -g1, g2  # G1 < 0 < G2 for |d| <= 1/2
+    if n % 2:
+        g1, g2 = -g1, -g2
+    # the second sum is g2 sr + g1 sp + g2 sqab + (g1 c^d - g2 E) sqb, with
+    # the positive sums sr of r / a, sp of p / a, sqab of q / (a b) and sqb
+    # of q / b
+    q_mag = ag1 * cd + ag2 * abs(e)
+    sp_limit = limit / ag1
+    # past j = 0, a and b exceed 1 and b > a - 1/2, so a term is at most
+    # (|G1| + |G2|) (1 + |E| + c^d) (p + q + r) / (a - 1/2)
+    tail = (ag1 + ag2) * (1.0 + abs(e) + cd) / (0.5 * _U)
+    lon = lo + n
+    a = lon
+    j = 0.0
+    nj = float(n)  # n + j
+    sr = sp = sqab = sqb = 0.0
+    while True:
+        qb = q / (a + d)
+        sr += r / a
+        sp += p / a
+        sqab += qb / a
+        sqb += qb
+        j += 1.0
+        nj += 1.0
+        a = lon + j
+        pc = c / (nj * (j - d))
+        qj = 1.0 / (j * (nj + d))
+        qc = c * qj
+        s = (j + nj) * qj
+        r = pc * (r + s * q)
+        p *= pc
+        q *= qc
+        if not (pc + qc) * (1.0 + s) <= 0.5:  # nan too, from a nan c
+            # the terms may still grow
+            if not sp <= sp_limit:  # then so does the sum of magnitudes
+                return None
+        elif tail * (p + q + r) <= (a - 0.5) * (
+                size + ag2 * (sr + sqab) + ag1 * sp + q_mag * sqb):
+            # each step from here on scales p + q + r by at most 1/2, so
+            # the rest of the sum is below u times the sum of magnitudes
+            break
+    size += ag2 * (sr + sqab) + ag1 * sp + q_mag * sqb
+    if not size <= limit:
+        return None
+    total += g2 * (sr + sqab) + g1 * sp + (g1 * cd - g2 * e) * sqb
+    terms = n + j
+    log_mag = (abs(lg_lo) + abs(lg_hi) + abs(lg_nu) + lg_n + log_pd
+               + abs(lo * log_c) + abs(lon * log_c))
     weight = math.exp(scale)
-    cdf = min(max(value * weight, 0.0), 1.0)
+    cdf = min(max(total * weight, 0.0), 1.0)
     sf = 1.0 - cdf
-    roundings = 5.0 * terms + log_mag + abs(lg_lo) + abs(lg_hi) + 8.0
-    shift = abs(log_c) + math.log(terms + hi + 2.0) + near
+    roundings = 6.0 * terms + 3.0 * log_mag + 50.0
+    shift = abs(log_c) + math.log(terms + hi + 2.0)
     bound = size * weight * (_U * roundings + nu_err * shift)
     if bound <= _ABS_TOL and bound <= _REL_TOL * min(cdf, sf):
         return cdf, sf

@@ -314,11 +314,6 @@ def _build_parser():
                         help="scenario file (JSON); defaults are built in")
     common.add_argument("--out", metavar="PATH",
                         help="output file (default stdout)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="base random seed (default 0)")
-    common.add_argument("--workers", type=int, default=1,
-                        help="worker threads for sampling (default 1, "
-                             f"max {MAX_WORKERS})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("optimize", parents=[common],
@@ -349,6 +344,10 @@ def _build_parser():
                        help="Monte Carlo cross-check of analytic values")
     p.add_argument("--samples", type=int, default=1_000_000,
                    help="samples per estimate (default 1000000, min 10000)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="base random seed (default 0)")
+    p.add_argument("--workers", type=int, default=1,
+                   help=f"worker threads for sampling (default 1, max {MAX_WORKERS})")
 
     p = sub.add_parser("concavity", parents=[common],
                        help="objective profiles with concavity verdicts")

@@ -57,6 +57,46 @@ def sf_unit(c, m1, m2):
             / (mp.gamma(m1) * mp.gamma(m2)))
 
 
+def sf_oracle(c, m1, m2):
+    """P(V > c) of the unit-rate variable: mpmath's Meijer G form up to a
+    few times the mean, where it is fast, and ``sf_unit`` beyond it."""
+    c, m1, m2 = mp.mpf(c), mp.mpf(m1), mp.mpf(m2)
+    if c > 4 * m1 * m2:
+        return sf_unit(c, m1, m2)
+    with mp.workdps(40):
+        return (mp.meijerg([[], [1]], [[m1, m2, 0], []], c)
+                / (mp.gamma(m1) * mp.gamma(m2)))
+
+
+# shape pairs of ORACLE_SF in tests/test_kernels.py: integer orders,
+# orders away from an integer, orders 1e-4, 1e-7 and 1e-10 from one, and
+# integer shapes
+ORACLE_SHAPES = (
+    ("0.5", "0.5"), ("1.5", "2.5"), ("7.25", "20.25"), ("40.5", "99.5"),
+    ("0.75", "1.25"), ("0.6", "7.3"), ("30.5", "40.25"), ("99.7", "0.55"),
+    ("1.5", "2.5001"), ("20.5", "30.4999"), ("0.5", "0.5000001"),
+    ("3.25", "10.2500001"), ("2.25", "3.2500000001"), ("60.5", "0.5000000001"),
+    ("1", "4"), ("100", "0.75"),
+)
+
+
+def oracle_points(m1, m2):
+    """c from 1e-12 up, with the mean and twice and half of it, to the
+    first c (to three digits) where P(V > c) falls below 1e-300."""
+    mean = m1 * m2
+    cs = [10.0 ** k for k in (-12, -6, -3, -1, 0, 1, 2, 3, 4, 5, 6)]
+    cs += [0.5 * mean, mean, 2.0 * mean]
+    lo, hi = mp.log(2 * mean + 10), mp.log(mp.mpf(10) ** 7)
+    for _ in range(40):  # bisect log c for P(V > c) = 1e-300
+        mid = (lo + hi) / 2
+        if sf_unit(mp.exp(mid), m1, m2) > mp.mpf("1e-300"):
+            lo = mid
+        else:
+            hi = mid
+    last = float(mp.nstr(mp.exp(hi), 3))
+    return sorted(c for c in set(cs) if c < last) + [last]
+
+
 def emit(name, value):
     print(f"{name} = {mp.nstr(value, 18)}")
 
@@ -97,6 +137,12 @@ def main():
         for c in ("1e3", "1e4", "1e5"):
             emit(f"({m1}, {m2}, {c})",
                  sf_unit(mp.mpf(c), mp.mpf(m1), mp.mpf(m2)))
+
+    # survival values across the shape domain, as (m1, m2, c) keys of
+    # ORACLE_SF in tests/test_kernels.py
+    for m1, m2 in ORACLE_SHAPES:
+        for c in oracle_points(float(m1), float(m2)):
+            emit(f"({m1}, {m2}, {c!r})", sf_oracle(c, m1, m2))
 
     half = mp.mpf("0.5")
     emit("CDF_HALF_AT_1", cdf_w(1, half, half, mp.mpf(1), mp.mpf(1)))

@@ -388,6 +388,26 @@ def test_validate_seed_range(tmp_path, capsys):
     assert len(rows_of(text)) == 131
 
 
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--case", "a"],
+    ["sweep", "--variable", "zeta", "--values", "0.5"],
+    ["surface", "--grid", "3"],
+    ["concavity", "--case", "a", "--grid", "11"],
+])
+def test_only_validate_takes_seed_and_workers(argv, monkeypatch, capsys):
+    # nothing but validate samples, so elsewhere both flags are usage errors
+    # rather than values accepted and ignored; no work runs
+    for work in ("run_optimize", "run_sweep", "run_surface", "run_concavity"):
+        monkeypatch.setattr(cli, work, _fail)
+    for flags in (["--workers", "1000000"], ["--seed", "-5"],
+                  ["--workers", "1000000", "--seed", "-5"]):
+        code = main([*argv, *flags, "--out", os.devnull])
+        assert code == 1, (argv, flags)
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err, err
+        assert all(flag in err for flag in flags[::2]), err
+
+
 def test_concavity_cases(tmp_path, capsys):
     code, text = run_cli(tmp_path, "concavity", "--case", "a",
                          "--grid", "41")
@@ -530,11 +550,11 @@ def test_huge_rate_gives_zero_with_non_integer_shapes(tmp_path, scenario):
 
 def test_numerical_error_exits_three_with_best_estimate(tmp_path, capsys,
                                                         monkeypatch):
-    # link 1's order lies so near an integer that its survival calls take
-    # quadrature, which cannot converge without subdivisions
+    # link 1's shapes are so large that its survival calls below the mean
+    # take quadrature, which cannot converge without subdivisions
     monkeypatch.setattr(_kernels_py, "_MAX_SUBDIV", 0)
     cfg = tmp_path / "scenario.json"
-    cfg.write_text(json.dumps({"chan1": {"m1": 1.5, "m2": 2.4999999},
+    cfg.write_text(json.dumps({"chan1": {"m1": 30.5, "m2": 40.25},
                                "chan2": {"m1": 0.75, "m2": 1.25}}))
     code, _ = run_cli(tmp_path, "optimize", "--case", "d", "--config", str(cfg))
     assert code == 3

@@ -65,7 +65,7 @@ def route(c, m1, m2):
     if _kernels_py._integer_shape_sf(c, m1, m2) is not None:
         return "bessel-k sum"
     if _kernels_py._series_cdf_sf(c, m1, m2) is not None:
-        return "series" if (m1 - m2) % 1.0 else "integer-order series"
+        return "series"
     if c > m1 * m2 and _kernels_py._laguerre_sf(c, m1, m2) is not None:
         return "laguerre tail"
     return "lower quadrature" if c <= m1 * m2 else "tail quadrature"
@@ -218,13 +218,16 @@ SERIES_SHAPES = (
     (0.75, 1.25), (1.5, 2.5), (3.5, 2.25), (0.6, 7.3), (0.5, 0.5),
     (2.5, 0.75), (1.5, 3.5), (0.7, 3.7),
 )
-# orders within 1e-4, 1e-7 and 1e-5 of an integer
-NEAR_INTEGER_SHAPES = ((1.5, 2.4999), (1.5, 2.4999999), (0.5, 0.50001))
+# orders within 1e-4, 1e-7, 1e-5 and 1e-5 of an integer
+NEAR_INTEGER_SHAPES = ((1.5, 2.4999), (1.5, 2.4999999), (0.5, 0.50001),
+                       (1.5, 2.50001))
 SERIES_CS = (1e-8, 1e-3, 0.05, 0.4, 1.3, 3.0, 6.0, 12.0, 30.0)
 # (c, m1, m2) above the mean where the 16- and 10-point Laguerre rules
-# disagree: large shapes near the mean, and small shapes whose order lies
-# 1e-7 from an integer
-LAGUERRE_FALLBACKS = [(1300.0, 30.5, 40.25), (0.05, 0.1, 0.1000001)]
+# disagree: large shapes near the mean, both large or one large and one
+# small
+LAGUERRE_FALLBACKS = [(1300.0, 30.5, 40.25), (200.0, 40.5, 3.25)]
+# large shapes below the mean, where the series cancels: the lower quadrature
+LOWER_QUADRATURE = (100.0, 30.5, 40.25)
 
 
 def test_series_matches_oracle():
@@ -243,12 +246,16 @@ def test_series_matches_oracle():
             cdf, sf = _kernels_py._quad_cdf_sf(c, m1, m2)
             assert float(abs(cdf - want_cdf)) <= 1e-9, (m1, m2, c)
             assert float(abs(sf / want_sf - 1)) <= 1e-6, (m1, m2, c)
-    # the series covers every c up to 5 away from an integer order, and at
-    # least the smallest c next to one
-    for pair in SERIES_SHAPES:
+    # the series covers every c up to 5, next to an integer order too
+    for pair in SERIES_SHAPES + NEAR_INTEGER_SHAPES:
         assert all(c in taken[pair] for c in SERIES_CS if c <= 5.0), pair
-    for pair in NEAR_INTEGER_SHAPES:
-        assert SERIES_CS[0] in taken[pair], pair
+
+
+def test_series_refuses_a_nan_argument():
+    # the loop reads a nan ratio of terms as growth, and stops on the nan
+    # sum of magnitudes rather than running on
+    for m1, m2 in SERIES_SHAPES:
+        assert _kernels_py._series_cdf_sf(math.nan, m1, m2) is None, (m1, m2)
 
 
 def test_series_keeps_small_cdf_values_relatively_precise():
@@ -294,24 +301,24 @@ def test_quadrature_runs_unchanged_where_the_series_bound_fails(monkeypatch):
     sf = _kernels_py._laguerre_sf(30.0, 0.75, 1.25)
     assert _kernels_py._cdf_sf(30.0, 0.75, 1.25, 1.0) == (1.0 - sf, sf)
     assert calls == []
-    # an order 1e-7 from an integer below the mean, and large shapes just
-    # above it where the Laguerre rules disagree: the quadrature's own value
-    for c, m1, m2 in ((1.0, 1.5, 2.4999999), (1300.0, 30.5, 40.25)):
+    # large shapes below the mean, and just above it where the Laguerre
+    # rules disagree: the quadrature's own value
+    for c, m1, m2 in (LOWER_QUADRATURE, (1300.0, 30.5, 40.25)):
         assert _kernels_py._series_cdf_sf(c, m1, m2) is None
         assert _kernels_py._cdf_sf(c, m1, m2, 1.0) == quad(c, m1, m2)
-    assert calls == [(1.0, 1.5, 2.4999999), (1300.0, 30.5, 40.25)]
+    assert calls == [LOWER_QUADRATURE, (1300.0, 30.5, 40.25)]
 
 
 def test_cdf_plus_sf_is_one_on_every_route():
     seen = set()
     points = [(c, m1, m2) for m1, m2 in SHAPES + NEAR_INTEGER_SHAPES
               for c in SERIES_CS + (120.0,)]
-    for c, m1, m2 in points + LAGUERRE_FALLBACKS:
+    for c, m1, m2 in points + LAGUERRE_FALLBACKS + [LOWER_QUADRATURE]:
         seen.add(route(c, m1, m2))
         cdf, sf = _kernels_py._cdf_sf(c, m1, m2, 1.0)
         assert abs(cdf + sf - 1.0) <= sys.float_info.epsilon, (m1, m2, c)
-    assert seen == {"bessel-k sum", "series", "integer-order series",
-                    "laguerre tail", "lower quadrature", "tail quadrature"}
+    assert seen == {"bessel-k sum", "series", "laguerre tail",
+                    "lower quadrature", "tail quadrature"}
 
 
 def _handoff(inside, outside, accepted):
@@ -351,14 +358,26 @@ def test_no_jump_at_the_series_handoff():
         assert route(c_out, m1, m2) == "tail quadrature"
         _assert_no_jump(_kernels_py._cdf_sf(c_in, m1, m2, 1.0),
                         _kernels_py._cdf_sf(c_out, m1, m2, 1.0))
-    # in the distance of the order from an integer
+    # as the order nears an integer from either side the series is kept,
+    # and it moves no more than its slope over d from 1e-2 to 0 allows
     for m1, m2 in ((1.5, 2.5), (0.5, 0.5), (0.75, 2.75)):
         for c in (0.3, 1.0, 3.0):
-            d_in, d_out = _handoff(
-                1e-2, 1e-12,
-                lambda d: _kernels_py._series_cdf_sf(c, m1, m2 - d) is not None)
-            _assert_no_jump(_kernels_py._cdf_sf(c, m1, m2 - d_in, 1.0),
-                            _kernels_py._cdf_sf(c, m1, m2 - d_out, 1.0))
+            at_integer = _kernels_py._series_cdf_sf(c, m1, m2)
+            assert at_integer is not None, (m1, m2, c)
+            for side in (-1.0, 1.0):
+                values = {}
+                for k in range(2, 13):
+                    d = 10.0 ** -k
+                    values[d] = _kernels_py._series_cdf_sf(c, m1, m2 + side * d)
+                    assert values[d] is not None, (m1, m2, c, side, d)
+                slope = 2.0 * abs(values[1e-2][0] - at_integer[0]) / 1e-2
+                tol = max(_kernels_py._ABS_TOL,
+                          _kernels_py._REL_TOL * min(at_integer))
+                for d, (cdf, sf) in values.items():
+                    assert abs(cdf - at_integer[0]) <= slope * d + tol, \
+                        (m1, m2, c, side, d)
+                    assert abs(sf - at_integer[1]) <= slope * d + tol, \
+                        (m1, m2, c, side, d)
 
 
 # P(V > c) of the unit-rate variable from tests/make_reference_values.py
@@ -379,6 +398,252 @@ DEEP_TAIL_SF = {
     (30.5, 40.25, 1e4): 6.05453724214537874e-27,
     (30.5, 40.25, 1e5): 2.4660110821034133e-180,
 }
+
+
+# P(V > c) of the unit-rate variable from tests/make_reference_values.py
+# (ORACLE_SHAPES there): integer orders, orders away from an integer, orders
+# 1e-4, 1e-7 and 1e-10 from one, and integer shapes, over shapes 0.5 to 100
+# and c from 1e-12 to where P(V > c) falls below 1e-300
+ORACLE_SF = {
+    (0.5, 0.5, 1e-12): 0.999981871239892546,
+    (0.5, 0.5, 1e-06): 0.990666463826455724,
+    (0.5, 0.5, 0.001): 0.84385601369860357,
+    (0.5, 0.5, 0.1): 0.340162112253229317,
+    (0.5, 0.5, 0.125): 0.307188502200579272,
+    (0.5, 0.5, 0.25): 0.208993663004652327,
+    (0.5, 0.5, 0.5): 0.124535360149672386,
+    (0.5, 0.5, 1.0): 0.0618288894755922427,
+    (0.5, 0.5, 10.0): 0.000522757616972332913,
+    (0.5, 0.5, 100.0): 3.57068336669459008e-10,
+    (0.5, 0.5, 1000.0): 3.38862450850071793e-29,
+    (0.5, 0.5, 10000.0): 7.78359490909243821e-89,
+    (0.5, 0.5, 100000.0): 6.74604379055027521e-277,
+    (0.5, 0.5, 118000.0): 1.29703835783997463e-300,
+    (1.5, 2.5, 1e-12): 0.999999999999999999,
+    (1.5, 2.5, 1e-06): 0.999999999434120532,
+    (1.5, 2.5, 0.001): 0.999982182006291765,
+    (1.5, 2.5, 0.1): 0.98499430022425495,
+    (1.5, 2.5, 1.0): 0.756360859123088919,
+    (1.5, 2.5, 1.875): 0.576642942609890067,
+    (1.5, 2.5, 3.75): 0.335668838107333849,
+    (1.5, 2.5, 7.5): 0.130929514331635125,
+    (1.5, 2.5, 10.0): 0.0751433212150283009,
+    (1.5, 2.5, 100.0): 1.13214068333712247e-6,
+    (1.5, 2.5, 1000.0): 3.01956631238762175e-24,
+    (1.5, 2.5, 10000.0): 2.11222885920105571e-82,
+    (1.5, 2.5, 100000.0): 5.72032170388145306e-269,
+    (1.5, 2.5, 125000.0): 2.86895648222741695e-301,
+    (7.25, 20.25, 1e-12): 1.0,
+    (7.25, 20.25, 1e-06): 1.0,
+    (7.25, 20.25, 0.001): 1.0,
+    (7.25, 20.25, 0.1): 1.0,
+    (7.25, 20.25, 1.0): 0.999999999999792372,
+    (7.25, 20.25, 10.0): 0.999998039590947589,
+    (7.25, 20.25, 73.40625): 0.905969600390707555,
+    (7.25, 20.25, 100.0): 0.751121410081767454,
+    (7.25, 20.25, 146.8125): 0.431527746064583827,
+    (7.25, 20.25, 293.625): 0.0296480104546011203,
+    (7.25, 20.25, 1000.0): 1.23603091084860937e-8,
+    (7.25, 20.25, 10000.0): 1.44685469720300247e-55,
+    (7.25, 20.25, 100000.0): 1.5191137936700778e-230,
+    (7.25, 20.25, 160000.0): 1.13648080952236457e-300,
+    (40.5, 99.5, 1e-12): 1.0,
+    (40.5, 99.5, 1e-06): 1.0,
+    (40.5, 99.5, 0.001): 1.0,
+    (40.5, 99.5, 0.1): 1.0,
+    (40.5, 99.5, 1.0): 1.0,
+    (40.5, 99.5, 10.0): 1.0,
+    (40.5, 99.5, 100.0): 1.0,
+    (40.5, 99.5, 1000.0): 0.999999999949740718,
+    (40.5, 99.5, 2014.875): 0.999663125390243713,
+    (40.5, 99.5, 4029.75): 0.470139490267370206,
+    (40.5, 99.5, 8059.5): 0.0000249679124108616032,
+    (40.5, 99.5, 10000.0): 3.14991410068547857e-8,
+    (40.5, 99.5, 100000.0): 1.1058953183858502e-129,
+    (40.5, 99.5, 304000.0): 4.92310600715054594e-301,
+    (0.75, 1.25, 1e-12): 0.999999997872310391,
+    (0.75, 1.25, 1e-06): 0.999932797148678458,
+    (0.75, 1.25, 0.001): 0.988479053826036639,
+    (0.75, 1.25, 0.1): 0.737481668283807761,
+    (0.75, 1.25, 0.46875): 0.433705287005463718,
+    (0.75, 1.25, 0.9375): 0.275510311777606177,
+    (0.75, 1.25, 1.0): 0.261464129949110622,
+    (0.75, 1.25, 1.875): 0.140007143444002581,
+    (0.75, 1.25, 10.0): 0.0054602716523103887,
+    (0.75, 1.25, 100.0): 1.06550903342558608e-8,
+    (0.75, 1.25, 1000.0): 3.08438710105083166e-27,
+    (0.75, 1.25, 10000.0): 2.21388659310111774e-86,
+    (0.75, 1.25, 100000.0): 6.04456955590638453e-274,
+    (0.75, 1.25, 120000.0): 3.84622967098743561e-300,
+    (0.6, 7.3, 1e-12): 0.999999977039249919,
+    (0.6, 7.3, 1e-06): 0.999908591613529749,
+    (0.6, 7.3, 0.001): 0.994232899756123993,
+    (0.6, 7.3, 0.1): 0.909189066988856279,
+    (0.6, 7.3, 1.0): 0.658565520340976738,
+    (0.6, 7.3, 2.19): 0.490930720761462955,
+    (0.6, 7.3, 4.38): 0.314603289179979467,
+    (0.6, 7.3, 8.76): 0.149285771314941931,
+    (0.6, 7.3, 10.0): 0.12326956723803595,
+    (0.6, 7.3, 100.0): 0.000019163853551886583,
+    (0.6, 7.3, 1000.0): 1.99085484133228983e-21,
+    (0.6, 7.3, 10000.0): 9.43158487598617673e-78,
+    (0.6, 7.3, 100000.0): 2.08490580987543228e-262,
+    (0.6, 7.3, 130000.0): 1.51017920779888859e-300,
+    (30.5, 40.25, 1e-12): 1.0,
+    (30.5, 40.25, 1e-06): 1.0,
+    (30.5, 40.25, 0.001): 1.0,
+    (30.5, 40.25, 0.1): 1.0,
+    (30.5, 40.25, 1.0): 1.0,
+    (30.5, 40.25, 10.0): 1.0,
+    (30.5, 40.25, 100.0): 0.999999999999999989,
+    (30.5, 40.25, 613.8125): 0.995635396283721518,
+    (30.5, 40.25, 1000.0): 0.769953673213765095,
+    (30.5, 40.25, 1227.625): 0.460314153431459266,
+    (30.5, 40.25, 2455.25): 0.00078268679770074879,
+    (30.5, 40.25, 10000.0): 6.05453724214537874e-27,
+    (30.5, 40.25, 100000.0): 2.4660110821034133e-180,
+    (30.5, 40.25, 219000.0): 2.22342951630291653e-300,
+    (99.7, 0.55, 1e-12): 0.999999977418982008,
+    (99.7, 0.55, 1e-06): 0.999954944945930087,
+    (99.7, 0.55, 0.001): 0.997987471928908737,
+    (99.7, 0.55, 0.1): 0.974672837993711976,
+    (99.7, 0.55, 1.0): 0.910427334624479636,
+    (99.7, 0.55, 10.0): 0.692214155757353832,
+    (99.7, 0.55, 27.417500000000004): 0.495173770139309788,
+    (99.7, 0.55, 54.83500000000001): 0.323702235599007557,
+    (99.7, 0.55, 100.0): 0.175748295441255347,
+    (99.7, 0.55, 109.67000000000002): 0.155360785094206707,
+    (99.7, 0.55, 1000.0): 0.0000138049665489209267,
+    (99.7, 0.55, 10000.0): 9.13316764613993686e-35,
+    (99.7, 0.55, 100000.0): 2.02010378328288473e-180,
+    (99.7, 0.55, 224000.0): 1.10529103250398591e-300,
+    (1.5, 2.5001, 1e-12): 0.999999999999999999,
+    (1.5, 2.5001, 1e-06): 0.999999999434192974,
+    (1.5, 2.5001, 0.001): 0.999982184259316105,
+    (1.5, 2.5001, 0.1): 0.984995795122172442,
+    (1.5, 2.5001, 1.0): 0.756374092205594729,
+    (1.5, 2.5001, 1.8750750000000003): 0.576646302194993149,
+    (1.5, 2.5001, 3.7501500000000005): 0.335670237336346093,
+    (1.5, 2.5001, 7.500300000000001): 0.130929065028673465,
+    (1.5, 2.5001, 10.0): 0.075149025169219761,
+    (1.5, 2.5001, 100.0): 1.1323330775887144e-6,
+    (1.5, 2.5001, 1000.0): 3.0204065677318455e-24,
+    (1.5, 2.5001, 10000.0): 2.11305532247781552e-82,
+    (1.5, 2.5001, 100000.0): 5.72321488387339144e-269,
+    (1.5, 2.5001, 125000.0): 2.87043945080241704e-301,
+    (20.5, 30.4999, 1e-12): 1.0,
+    (20.5, 30.4999, 1e-06): 1.0,
+    (20.5, 30.4999, 0.001): 1.0,
+    (20.5, 30.4999, 0.1): 1.0,
+    (20.5, 30.4999, 1.0): 1.0,
+    (20.5, 30.4999, 10.0): 1.0,
+    (20.5, 30.4999, 100.0): 0.999999966386497857,
+    (20.5, 30.4999, 312.62397500000003): 0.98484327321004382,
+    (20.5, 30.4999, 625.2479500000001): 0.453000293883435564,
+    (20.5, 30.4999, 1000.0): 0.0337631369198639072,
+    (20.5, 30.4999, 1250.4959000000001): 0.00353443155963919701,
+    (20.5, 30.4999, 10000.0): 1.59701043422443267e-37,
+    (20.5, 30.4999, 100000.0): 9.54623850850546208e-201,
+    (20.5, 30.4999, 193000.0): 1.29751218009044146e-300,
+    (0.5, 0.5000001, 1e-12): 0.999981871263318932,
+    (0.5, 0.5000001, 1e-06): 0.990666469501859764,
+    (0.5, 0.5000001, 0.001): 0.843856056606905604,
+    (0.5, 0.5000001, 0.1): 0.340162163313515087,
+    (0.5, 0.5000001, 0.125000025): 0.307188520998742315,
+    (0.5, 0.5000001, 0.25000005): 0.20899367365309111,
+    (0.5, 0.5000001, 0.5000001): 0.124535363931107462,
+    (0.5, 0.5000001, 1.0): 0.0618289036322280321,
+    (0.5, 0.5000001, 10.0): 0.000522757786675907876,
+    (0.5, 0.5000001, 100.0): 3.57068490666001682e-10,
+    (0.5, 0.5000001, 1000.0): 3.38862634948671824e-29,
+    (0.5, 0.5000001, 10000.0): 7.78360002575154003e-89,
+    (0.5, 0.5000001, 100000.0): 6.74604899954367397e-277,
+    (0.5, 0.5000001, 118000.0): 1.2970393700727261e-300,
+    (3.25, 10.2500001, 1e-12): 1.0,
+    (3.25, 10.2500001, 1e-06): 1.0,
+    (3.25, 10.2500001, 0.001): 0.999999999999975828,
+    (3.25, 10.2500001, 0.1): 0.999999924516686485,
+    (3.25, 10.2500001, 1.0): 0.99988006670857148,
+    (3.25, 10.2500001, 10.0): 0.920533148947487435,
+    (3.25, 10.2500001, 16.656250162499997): 0.774834408625397792,
+    (3.25, 10.2500001, 33.312500324999995): 0.40064292315395222,
+    (3.25, 10.2500001, 66.62500064999999): 0.0785497172199408143,
+    (3.25, 10.2500001, 100.0): 0.0146714569219970374,
+    (3.25, 10.2500001, 1000.0): 6.63206732055569581e-16,
+    (3.25, 10.2500001, 10000.0): 1.80654298905079579e-69,
+    (3.25, 10.2500001, 100000.0): 2.45221409964656057e-251,
+    (3.25, 10.2500001, 140000.0): 8.67297230025206352e-301,
+    (2.25, 3.2500000001, 1e-12): 1.0,
+    (2.25, 3.2500000001, 1e-06): 0.999999999999995134,
+    (2.25, 3.2500000001, 0.001): 0.999999972770254636,
+    (2.25, 3.2500000001, 0.1): 0.999290849050804262,
+    (2.25, 3.2500000001, 1.0): 0.941044714495294355,
+    (2.25, 3.2500000001, 3.6562500001125002): 0.648780410301857735,
+    (2.25, 3.2500000001, 7.3125000002250005): 0.359973528331065057,
+    (2.25, 3.2500000001, 10.0): 0.234909590530622447,
+    (2.25, 3.2500000001, 14.625000000450001): 0.116412099060972677,
+    (2.25, 3.2500000001, 100.0): 0.0000158700884467625478,
+    (2.25, 3.2500000001, 1000.0): 2.2446342083140349e-22,
+    (2.25, 3.2500000001, 10000.0): 8.68102881676109188e-80,
+    (2.25, 3.2500000001, 100000.0): 1.31519626013535659e-265,
+    (2.25, 3.2500000001, 127000.0): 2.87502597799047764e-300,
+    (60.5, 0.5000000001, 1e-12): 0.999999854023077878,
+    (60.5, 0.5000000001, 1e-06): 0.99985402307850151,
+    (60.5, 0.5000000001, 0.001): 0.995383830473249029,
+    (60.5, 0.5000000001, 0.1): 0.953864110627626799,
+    (60.5, 0.5000000001, 1.0): 0.854843557771815678,
+    (60.5, 0.5000000001, 10.0): 0.563166112556558676,
+    (60.5, 0.5000000001, 15.125000003025): 0.47722800777871749,
+    (60.5, 0.5000000001, 30.25000000605): 0.315323442210370727,
+    (60.5, 0.5000000001, 60.5000000121): 0.15646228319567884,
+    (60.5, 0.5000000001, 100.0): 0.0692177137187809086,
+    (60.5, 0.5000000001, 1000.0): 4.47238935268871398e-8,
+    (60.5, 0.5000000001, 10000.0): 1.28140172938783486e-45,
+    (60.5, 0.5000000001, 100000.0): 2.10181962004723096e-206,
+    (60.5, 0.5000000001, 188000.0): 1.56691739969218256e-300,
+    (1, 4, 1e-12): 0.999999999999666667,
+    (1, 4, 1e-06): 0.99999966666675,
+    (1, 4, 0.001): 0.999666749972276656,
+    (1, 4, 0.1): 0.967474528452062235,
+    (1, 4, 1.0): 0.731971975803986107,
+    (1, 4, 2.0): 0.551980234027158644,
+    (1, 4, 4.0): 0.331886998157977318,
+    (1, 4, 8.0): 0.137452009356351295,
+    (1, 4, 10.0): 0.0925073694795325774,
+    (1, 4, 100.0): 2.82474453996562442e-6,
+    (1, 4, 1000.0): 2.02706250845484495e-23,
+    (1, 4, 10000.0): 4.25191485452519881e-81,
+    (1, 4, 100000.0): 3.57997004310691837e-267,
+    (1, 4, 126000.0): 1.20889811342106285e-300,
+    (100, 0.75, 1e-12): 0.999999999965364861,
+    (100, 0.75, 1e-06): 0.999998904740737367,
+    (100, 0.75, 0.001): 0.999805233149194606,
+    (100, 0.75, 0.1): 0.993843590270930164,
+    (100, 0.75, 1.0): 0.965515448029738476,
+    (100, 0.75, 10.0): 0.813457113065908166,
+    (100, 0.75, 37.5): 0.551394521786022945,
+    (100, 0.75, 75.0): 0.346864279563674153,
+    (100, 0.75, 100.0): 0.258907207990339446,
+    (100, 0.75, 150.0): 0.147300900869283029,
+    (100, 0.75, 1000.0): 0.0000297284661552932478,
+    (100, 0.75, 10000.0): 3.19104840816214809e-34,
+    (100, 0.75, 100000.0): 1.2122178899487198e-179,
+    (100, 0.75, 225000.0): 1.20549814376164e-300,
+}
+
+
+def test_survival_matches_the_tabulated_oracle():
+    # every route, in relative terms: within the kernels' relative
+    # tolerance however small P(V > c) is
+    routes = set()
+    worst = (0.0, ())
+    for (m1, m2, c), want in ORACLE_SF.items():
+        routes.add(route(c, m1, m2))
+        got = _kernels_py.sf_w(c, m1, m2, 1.0)
+        worst = max(worst, (abs(got / want - 1.0), (m1, m2, c, got, want)))
+    assert worst[0] <= 1e-9, worst
+    assert routes == {"bessel-k sum", "series", "laguerre tail",
+                      "lower quadrature", "tail quadrature"}
 
 
 def test_deep_tail_keeps_relative_precision():

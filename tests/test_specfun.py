@@ -132,12 +132,12 @@ def test_quadrature_matches_bessel_integral_form():
 
 def test_quadrature_budget_exhaustion_reports_best_estimate(monkeypatch):
     # with no subdivisions allowed, the non-integer CDF cannot converge; the
-    # error carries the one-panel estimate.  The order 1.5 - 2.4999999 lies
-    # so near an integer that the series' error bound sends this c to
-    # quadrature
+    # error carries the one-panel estimate.  The shapes are so large that
+    # the series cancels at this c below the mean, and the lower quadrature
+    # runs
     monkeypatch.setattr(_kernels_py, "_MAX_SUBDIV", 0)
     with pytest.raises(QuadratureAccuracyError) as exc_info:
-        _kernels_py.cdf_w(1.0, 1.5, 2.4999999, 1.5)
+        _kernels_py.cdf_w(600.0, 30.5, 40.25, 1.5)
     err = exc_info.value
     assert 0.0 < err.best_estimate < 1.0
     assert err.error_estimate > 0.0
