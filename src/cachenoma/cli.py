@@ -40,7 +40,7 @@ from .optimizer import (
     optimize_case,
     optimize_split,
 )
-from .mc import MAX_WORKERS, McConfig, mc_cells
+from .mc import MAX_SAMPLES, MAX_WORKERS, McConfig, mc_cells
 
 __all__ = [
     "main",
@@ -74,7 +74,10 @@ _PASS_CI_FACTOR = 3.0
 # Largest sizes.  An objective point costs 40-120 us and a held row about
 # 100 bytes on a 2-vCPU machine, so each grid bound keeps a run near 500 000
 # rows (a minute, 50 MB): ``surface`` evaluates 2 N^2 points, ``concavity``
-# at most 7 N.  A sweep step costs 1-10 ms at the default shapes.
+# at most 7 N.  A sweep step costs 1-10 ms at the default shapes.  A
+# ``validate`` sample costs about 170 ns over its six streams at the default
+# shapes and 520 ns at the non-integer surface-nonint shapes (one worker), so
+# ``mc.MAX_SAMPLES`` keeps a default run near a minute.
 MAX_SURFACE_GRID = 500
 MAX_CONCAVITY_GRID = 70_000
 MAX_STEPS = 10_000
@@ -343,7 +346,8 @@ def _build_parser():
     p = sub.add_parser("validate", parents=[common],
                        help="Monte Carlo cross-check of analytic values")
     p.add_argument("--samples", type=int, default=1_000_000,
-                   help="samples per estimate (default 1000000, min 10000)")
+                   help="samples per estimate (default 1000000, min 10000, "
+                        f"max {MAX_SAMPLES})")
     p.add_argument("--seed", type=int, default=0,
                    help="base random seed (default 0)")
     p.add_argument("--workers", type=int, default=1,
@@ -381,6 +385,8 @@ def _dispatch(args, out):
     if args.command == "validate":
         if args.samples < 10_000:
             raise ValueError("--samples must be at least 10000")
+        if args.samples > MAX_SAMPLES:
+            raise ValueError(f"--samples must be at most {MAX_SAMPLES}")
         if args.workers < 1:
             raise ValueError("--workers must be at least 1")
         if args.workers > MAX_WORKERS:

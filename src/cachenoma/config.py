@@ -20,7 +20,6 @@ Keys:
 * ``semantics``: "product" or "joint".
 * ``averaging``: "full" or "cases_only".
 """
-import json
 import math
 
 from ._record import Record
@@ -217,6 +216,8 @@ def load_config(path=None) -> ScenarioConfig:
     """Read a scenario file; with no path, return the built-in defaults."""
     if path is None:
         return parse_config({})
+    import json  # only here: the defaults need no JSON parser
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)

@@ -5,11 +5,12 @@ index: (params, geom, user, condition).  It is drawn in fixed-size blocks,
 each seeded by SeedSequence([seed, user, condition, block]) alone, so every
 estimate of one run that uses a stream sees the same draws.  ``mc_cells``
 first collects every gain threshold its cells need, then draws each stream
-once, sorts each block and counts every threshold on it by binary search.
-Each thread draws, sorts and counts its blocks in one pair of block-sized
-arrays that it keeps for the whole batch, so a block allocates no array of
-its size.  Block counts are integers summed in block order, so a run
-produces byte-identical output for any worker count.
+once and counts every threshold on each block: a short threshold list by
+one comparison pass per threshold, a long one by sorting the block and one
+binary search per threshold.  Each thread draws and counts its blocks in
+one pair of block-sized arrays that it keeps for the whole batch, so a
+block allocates no array of its size.  Block counts are integers summed in
+block order, so a run produces byte-identical output for any worker count.
 
 Cells therefore share common random numbers: each cell's estimate and
 confidence interval are valid on their own, but the estimates of different
@@ -50,16 +51,26 @@ __all__ = [
     "mc_case",
     "mc_split",
     "BLOCK",
+    "MAX_SAMPLES",
     "MAX_WORKERS",
     "Z99",
 ]
 
 BLOCK = 1 << 17
 
+# Most samples per estimate; ``cli`` gives what a sample costs.
+MAX_SAMPLES = 400_000_000
+
 # Most sampling threads.  Each keeps two block-sized float64 arrays (2 MiB)
 # for the whole batch: ``validate`` peaked at 37 MB with one worker and
 # 69 MB with 16 on a 2-vCPU machine, no faster than with 2.
 MAX_WORKERS = 32
+
+# Most thresholds counted on a block by one comparison pass each; a longer
+# list sorts the block and searches it.  On a 131 072-draw block a pass
+# costs 0.036 ms and a sort plus the searches 0.97-1.0 ms (2-vCPU machine,
+# numpy 2.4.6), so the two break even near 27 thresholds.
+_MAX_PASSES = 27
 
 # two-sided 99% normal quantile
 Z99 = 2.5758293035489004
@@ -73,6 +84,8 @@ class McConfig(Record):
     def __init__(self, samples: int, seed: int = 0, workers: int = 1):
         if samples < 1:
             raise ValueError("samples must be at least 1")
+        if samples > MAX_SAMPLES:
+            raise ValueError(f"samples must be at most {MAX_SAMPLES}")
         if not 0 <= seed < 2 ** 64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if workers < 1:
@@ -123,9 +136,12 @@ def _count_streams(streams, n, seed, workers):
     """Per stream, the number of the n draws >= each of its thresholds.
 
     ``streams`` maps (params, geom, user, condition) to {threshold: index}.
-    Every block of every stream is one job: it draws the block, sorts it in
-    place and counts each threshold with one binary search, keeping only
-    the counts.  Each thread draws all its blocks into one pair of
+    Every block of every stream is one job: it draws the block and counts
+    its thresholds, keeping only the counts.  Up to ``_MAX_PASSES``
+    thresholds are counted with one comparison pass each, the mask written
+    into the spent Y array of the draw; a longer list sorts the block in
+    place and counts each threshold with one binary search.  Both give the
+    same integers.  Each thread draws all its blocks into one pair of
     block-sized arrays, made on its first job and reused for the whole
     call (a short last block uses their leading part), so no block
     allocates.  Counts are summed in job order.
@@ -149,8 +165,12 @@ def _count_streams(streams, n, seed, workers):
             pair = local.pair = (np.empty(sizes[0]), np.empty(sizes[0]))
         g = sample_gain_sq(params, geom, rng, size=m,
                            out=(pair[0][:m], pair[1][:m]))
-        g.sort()
-        return m - np.searchsorted(g, thresholds[key], "left")
+        ts = thresholds[key]
+        if len(ts) > _MAX_PASSES:
+            g.sort()
+            return m - np.searchsorted(g, ts, "left")
+        mask = pair[1].view(np.bool_)[:m]
+        return [np.count_nonzero(np.greater_equal(g, t, out=mask)) for t in ts]
 
     if workers == 1 or len(jobs) == 1:
         parts = [job(spec) for spec in jobs]

@@ -318,3 +318,37 @@ def test_sampling_into_given_arrays_keeps_the_bits(m1, m2):
         assert given.__array_interface__["data"][0] == \
             x.__array_interface__["data"][0]
         assert given.tobytes() == fresh.tobytes() == ref.tobytes()
+
+
+class RecordingGenerator:
+    """A generator that records the names of the samplers called on it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("size", [BLOCK, 5, None])
+@pytest.mark.parametrize("m1, m2", [(1.0, 1.0), (1.0, 2.5), (0.75, 1.0)])
+def test_unit_shape_draw_keeps_the_gamma_bits(m1, m2, size):
+    # A shape-1 hop is drawn by the exponential sampler.  The reference is
+    # the standard_gamma formula, computed here and not stored, so a numpy
+    # whose two samplers part ways fails this test.
+    params = DoubleNakagamiParams(m1=m1, m2=m2, omega1=2.0, omega2=3.0)
+    geom = LinkGeometry(distance=0.7, pathloss_exp=2.5)
+    s = effective_scale(geom)
+    for seed in (0, 11, 2 ** 63 + 5):
+        ref_rng = np.random.default_rng(seed)
+        x = ref_rng.standard_gamma(m1, size) * (2.0 / m1)
+        y = ref_rng.standard_gamma(m2, size) * (3.0 / m2)
+        ref = x * s * y
+        rng = RecordingGenerator(np.random.default_rng(seed))
+        got = sample_gain_sq(params, geom, rng, size=size)
+        assert rng.calls == ["standard_exponential" if m == 1.0
+                             else "standard_gamma" for m in (m1, m2)]
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+        # the generators are left in the same state
+        assert rng.rng.random(3).tobytes() == ref_rng.random(3).tobytes()

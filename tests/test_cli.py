@@ -18,7 +18,7 @@ from cachenoma import _kernels_py, cli, mc
 from cachenoma.caching import MAX_FILES, Catalog
 from cachenoma.cli import SWEEP_VARIABLES, main, run_sweep, sweep_values
 from cachenoma.config import load_config
-from cachenoma.mc import MAX_WORKERS, McCaseResult, McConfig, McEstimate
+from cachenoma.mc import MAX_SAMPLES, MAX_WORKERS, McCaseResult, McConfig, McEstimate
 from cachenoma.noma_full import BRANCH_ALPHA, average_success, oma_average_success
 from cachenoma.optimizer import optimize_case
 
@@ -272,6 +272,8 @@ SIZE_FLAGS = {
     # no thread is started: sampling never begins
     "--workers": (["validate", "--samples", "10000"], MAX_WORKERS,
                   (mc, "_count_streams")),
+    # no block or job list is built
+    "--samples": (["validate"], MAX_SAMPLES, (mc, "_count_streams")),
 }
 
 
@@ -582,15 +584,16 @@ _IMPORT_GUARD = """
 import os, sys
 import cachenoma
 from cachenoma import cli
-# the value types are plain classes: no dataclasses, and no inspect with it
-SLOW = ("numpy", "dataclasses", "inspect")
+# the value types are plain classes: no dataclasses, and no inspect with it;
+# json only when a scenario file is read
+SLOW = ("numpy", "dataclasses", "inspect", "json")
 assert not [m for m in SLOW if m in sys.modules]
 for argv in (["optimize"], ["sweep", "--variable", "zeta", "--values", "0.5"],
              ["surface", "--grid", "3"], ["concavity", "--grid", "11"]):
     assert cli.main(argv + ["--out", os.devnull]) == 0, argv
     assert not [m for m in SLOW if m in sys.modules], argv
 assert cli.main(["validate", "--samples", "10000", "--out", os.devnull]) == 0
-assert "numpy" in sys.modules
+assert "numpy" in sys.modules and "json" not in sys.modules
 """
 
 

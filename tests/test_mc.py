@@ -45,6 +45,9 @@ def test_config_validation():
         McConfig(samples=100, seed=2 ** 64, workers=1)
     with pytest.raises(ValueError):
         McConfig(samples=100, seed=0, workers=0)
+    assert McConfig(samples=mc.MAX_SAMPLES).samples == mc.MAX_SAMPLES
+    with pytest.raises(ValueError, match="samples"):
+        McConfig(samples=mc.MAX_SAMPLES + 1)
 
 
 def test_single_condition_matches_survival():
@@ -176,18 +179,21 @@ def test_split_boundary_alpha_uses_low_branch():
     assert 0.0 <= res_low.joint.value <= 1.0
 
 
-def test_sorted_block_counts_equal_brute_force():
-    # two blocks of one stream, counted by binary search on the sorted
-    # blocks, against (g >= t).sum() on the same draws
+def check_block_counts(picks):
+    """Counts of one two-block stream against (g >= t).sum() on its draws.
+
+    The thresholds are 0, inf, two drawn values, the maximum and ``picks``
+    more drawn from [0, 4); the list's length decides how it is counted.
+    """
     n, seed, user, cond = BLOCK + 5, 2718, 1, 2
     blocks = []
     for k, m in enumerate((BLOCK, 5)):
         rng = np.random.default_rng(np.random.SeedSequence([seed, user, cond, k]))
         blocks.append(mc.sample_gain_sq(CHAN, GEOM, rng, size=m))
     g = np.concatenate(blocks)
-    picks = np.random.default_rng(3).uniform(0.0, 4.0, size=20)
+    extra = np.random.default_rng(3).uniform(0.0, 4.0, size=picks)
     thresholds = [0.0, math.inf, float(g[17]), float(g[BLOCK + 2]),
-                  float(np.max(g)), *map(float, picks)]
+                  float(np.max(g)), *map(float, extra)]
     key = (CHAN, GEOM, user, cond)
     streams = {key: {t: i for i, t in enumerate(thresholds)}}
     for workers in (1, 2):
@@ -195,6 +201,18 @@ def test_sorted_block_counts_equal_brute_force():
         want = [int((g >= t).sum()) for t in thresholds]
         assert [int(c) for c in counts] == want
     assert want[0] == n and want[1] == 0 and want[4] >= 1
+    return len(thresholds)
+
+
+def test_sorted_block_counts_equal_brute_force():
+    # a long list: each block is sorted and searched
+    assert check_block_counts(mc._MAX_PASSES) > mc._MAX_PASSES
+
+
+def test_short_list_counts_equal_brute_force():
+    # a short list: one comparison pass per threshold, on a full and a
+    # short last block
+    assert check_block_counts(mc._MAX_PASSES - 5) == mc._MAX_PASSES
 
 
 def test_validate_draws_each_stream_once(monkeypatch):
