@@ -4,7 +4,7 @@ The package computes, optimizes, and Monte-Carlo-validates the probability
 that two vehicles successfully decode files sent by superposition coding
 from a base station, when each vehicle may hold cached copies that let it
 cancel interference.  Channels are modeled as double (cascaded) Nakagami-m
-fading; all special functions and quadrature are implemented here.
+fading; all special functions and quadrature rules are implemented here.
 """
 from .caching import CacheCase, Catalog, case_distribution, zipf_popularity
 from .channel import DoubleNakagamiParams, LinkGeometry, bessel_k

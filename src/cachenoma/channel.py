@@ -27,9 +27,10 @@ __all__ = [
 ]
 
 # Largest hop shape m.  A survival call runs Bessel-K recurrences up to the
-# order |m1 - m2|, so its cost grows with the shapes: at shapes (100, 0.75)
-# on both links and an SNR of -20 dB, ``optimize --case split`` takes about
-# 5 s, and at (1000, 0.5) 75 s.
+# order |m1 - m2|, or incomplete gamma sums that lengthen with the shapes,
+# so its cost grows with them: at shapes (100, 0.75) on both links and an
+# SNR of -20 dB, ``optimize --case split`` takes about 4.8 s on a 2-vCPU VM,
+# and at (1000, 0.5) it took 75 s.
 MAX_SHAPE = 100
 
 

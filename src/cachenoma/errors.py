@@ -2,10 +2,10 @@
 
 
 class QuadratureAccuracyError(ArithmeticError):
-    """Raised when adaptive quadrature exhausts its subdivision budget.
-
-    Carries the best estimate obtained so far in ``best_estimate`` and the
-    estimated remaining error in ``error_estimate``.
+    """Raised when no route of a distribution value passes its own error
+    check (the series, the Gauss-Laguerre and both Gauss-Hermite rules).
+    Carries the Gauss-Hermite estimate in ``best_estimate`` and its
+    distance to the 20-point rule in ``error_estimate``.
     """
 
     def __init__(self, message, best_estimate, error_estimate):

@@ -80,6 +80,17 @@ ORACLE_SHAPES = (
 )
 
 
+# (m1, m2, c) of ORACLE_SF below the mean where the kernels' Gauss-Hermite
+# rules disagree, near the mean of two close shapes: the Gauss-Laguerre
+# rule takes the value at the first four, and where it refuses too, the
+# Gauss-Hermite rule on the survival average at the last three
+BELOW_THE_MEAN = (
+    ("2.99", "2.99", 8.0), ("7.25", "7.75", 30.0), ("12.5", "12.5", 120.0),
+    ("3.3", "7.7", 15.0),
+    ("16.5", "16.25", 220.0), ("18.5", "18.25", 320.0), ("15.5", "14.5", 190.0),
+)
+
+
 def oracle_points(m1, m2):
     """c from 1e-12 up, with the mean and twice and half of it, to the
     first c (to three digits) where P(V > c) falls below 1e-300."""
@@ -143,6 +154,8 @@ def main():
     for m1, m2 in ORACLE_SHAPES:
         for c in oracle_points(float(m1), float(m2)):
             emit(f"({m1}, {m2}, {c!r})", sf_oracle(c, m1, m2))
+    for m1, m2, c in BELOW_THE_MEAN:
+        emit(f"({m1}, {m2}, {c!r})", sf_oracle(c, m1, m2))
 
     half = mp.mpf("0.5")
     emit("CDF_HALF_AT_1", cdf_w(1, half, half, mp.mpf(1), mp.mpf(1)))

@@ -3,7 +3,8 @@
 Frozen reference values come from mpmath (25 digits): the density and
 distribution of the squared product gain, plus unit-shape closed forms.
 With an integer shape the survival function is a finite Bessel-K sum; with
-both shapes non-integer it is adaptive quadrature, so both paths are pinned.
+both shapes non-integer it is the integrated series or a fixed quadrature
+rule, so both kinds of path are pinned.
 """
 
 import math
@@ -12,7 +13,6 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from cachenoma import _kernels_py
 from cachenoma.channel import (
     MAX_SHAPE,
     DoubleNakagamiParams,
@@ -106,14 +106,23 @@ def test_geometry_validation():
 
 
 def density(x, params):
-    """Density of W = X * Y at x > 0, from the kernels' unit-rate density."""
-    r = params.rate
-    return r * _kernels_py.pdf_w(r * x, params.m1, params.m2)
+    """Density of W = X * Y at x > 0 in mpmath, as
+    tests/make_reference_values.py forms it."""
+    m1, m2, r = mp.mpf(params.m1), mp.mpf(params.m2), mp.mpf(params.rate)
+    h = (m1 + m2) / 2
+    return (2 * r ** h * x ** (h - 1) * mp.besselk(m1 - m2, 2 * mp.sqrt(r * x))
+            / (mp.gamma(m1) * mp.gamma(m2)))
 
 
 def test_pdf_reference_points():
     assert math.isclose(density(1.0, UNIT), PDF_UNIT_AT_1, rel_tol=1e-12)
     assert math.isclose(density(4.0, MIXED), PDF_MIXED_AT_4, rel_tol=1e-12)
+    # the package's distribution function has that density as its slope
+    for x, params, want in ((1.0, UNIT, PDF_UNIT_AT_1),
+                            (4.0, MIXED, PDF_MIXED_AT_4)):
+        h = 1e-4 * x
+        slope = (cdf_gain_sq(x + h, params) - cdf_gain_sq(x - h, params)) / (2 * h)
+        assert math.isclose(slope, want, rel_tol=1e-6), (x, slope, want)
 
 
 def test_cdf_reference_points():
@@ -173,12 +182,12 @@ def test_extreme_arguments_match_oracle():
     # Bessel values that overflow at tiny arguments (order 59.25 at
     # 2 sqrt(45e-12); order 2 at a subnormal threshold) once gave nan or a
     # math domain error.  The closed form now takes such a value as its
-    # logarithm, and the density behind the quadrature does the same.
+    # logarithm; the non-integer shapes take the series there.
     closed_form = ((1e-12, 60.0, 0.75), (1e-12, 0.75, 60.0),
                    (5e-324, 2.0, 3.0), (5e-324, 3.0, 2.0))
-    quadrature = ((1e-12, 59.5, 0.75), (1e-12, 70.0, 0.75),
-                  (5e-324, 0.5, 0.5), (5e-324, 2.5, 3.5))
-    for cases, tol in ((closed_form, 1e-12), (quadrature, 1e-9)):
+    non_integer = ((1e-12, 59.5, 0.75), (1e-12, 70.0, 0.75),
+                   (5e-324, 0.5, 0.5), (5e-324, 2.5, 3.5))
+    for cases, tol in ((closed_form, 1e-12), (non_integer, 1e-9)):
         for x, m1, m2 in cases:
             params = DoubleNakagamiParams(m1=m1, m2=m2, omega1=1.0, omega2=1.0)
             with mp.workdps(30):
@@ -193,7 +202,7 @@ def test_extreme_arguments_match_oracle():
 
 
 def test_pdf_integrates_to_one():
-    total = float(mp.quad(lambda x: density(float(x), TABLE) if x > 0 else 0.0,
+    total = float(mp.quad(lambda x: density(x, TABLE) if x > 0 else 0.0,
                           [0, mp.inf]))
     assert math.isclose(total, 1.0, abs_tol=1e-8)
 

@@ -306,9 +306,9 @@ SIZES = st.one_of(st.integers(-10 ** 6, 40), st.integers(10 ** 4, 10 ** 30),
 @settings(max_examples=120, derandomize=True, deadline=None, database=None)
 @given(flag=st.sampled_from(sorted(SIZE_FLAGS)), value=SIZES)
 def test_size_flags_fuzz(flag, value):
-    # The objectives and the sampling are stubbed: this checks how a size is
-    # parsed and bounded.  Values from 41 to 9999 are left out, so that no
-    # example pays for a large in-bound grid.
+    # The objectives, the sampling and the CSV writer are stubbed: this
+    # checks how a size is parsed and bounded.  Values from 41 to 9999 are
+    # left out, so that no example pays for a large in-bound grid.
     argv = SIZE_FLAGS[flag][0]
     name = flag.split()[0]
     err = io.StringIO()
@@ -318,6 +318,7 @@ def test_size_flags_fuzz(flag, value):
         mp.setattr(cli, "average_success", lambda *a, **k: 0.0)
         mp.setattr(cli, "oma_average_success", lambda *a, **k: 0.0)
         mp.setattr(cli, "mc_cells", _stub_estimates)
+        mp.setattr(cli, "_write_csv", lambda *a: None)
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
             code = main([*argv, f"{name}={value}", "--out", os.devnull])
@@ -519,7 +520,8 @@ def test_overflowing_threshold_is_never_met(tmp_path):
 
 def test_vanishing_snr_gives_zero_with_non_integer_shapes(tmp_path):
     # both shapes of each link are non-integer, so every survival value
-    # here is a quadrature, at r x from 6e5 to 2e12: far above the mean
+    # here takes the Gauss-Laguerre tail, at r x from 6e5 to 2e12: far above
+    # the mean
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps({
         "snr_db": -100,
@@ -552,9 +554,10 @@ def test_huge_rate_gives_zero_with_non_integer_shapes(tmp_path, scenario):
 
 def test_numerical_error_exits_three_with_best_estimate(tmp_path, capsys,
                                                         monkeypatch):
-    # link 1's shapes are so large that its survival calls below the mean
-    # take quadrature, which cannot converge without subdivisions
-    monkeypatch.setattr(_kernels_py, "_MAX_SUBDIV", 0)
+    # with no relative tolerance, every error check of the non-integer
+    # routes refuses, the Gauss-Hermite rules' and the Gauss-Laguerre rule's
+    # included
+    monkeypatch.setattr(_kernels_py, "_REL_TOL", 0.0)
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps({"chan1": {"m1": 30.5, "m2": 40.25},
                                "chan2": {"m1": 0.75, "m2": 1.25}}))

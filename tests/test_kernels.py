@@ -3,16 +3,18 @@
 Bessel K on a grid of orders and arguments, and the distribution functions
 of the product-Gamma variable on integer and non-integer shape pairs, three
 rates and arguments from 1e-8 deep into the upper tail.  The public
-``cdf_w``/``sf_w`` are checked together with the private quadrature
-``_quad_cdf_sf`` on every pair, so the quadrature stays covered on the
-pairs where the public functions take the Bessel-K sum, the series or the
-Gauss-Laguerre tail.  The oracles are mpmath's Meijer G forms,
+``cdf_w``/``sf_w`` are checked together with the private Gauss-Hermite
+route ``_hermite_cdf_sf`` wherever its own check keeps its value, so that
+route stays covered on the pairs where the public functions take the
+Bessel-K sum, the series or the Gauss-Laguerre tail.  The oracles are
+mpmath's Meijer G forms,
 P(W > x) = G^{3,0}_{1,3}(r x | 1; m1, m2, 0) / (Gamma(m1) Gamma(m2)) for
 the tail and P(W <= x) = G^{2,1}_{1,3}(r x | 1; m1, m2, 0) / (Gamma(m1)
 Gamma(m2)) for the lower range, and for the deep tail literals from
 ``tests/make_reference_values.py``.
 """
 import math
+import random
 import sys
 
 import mpmath as mp
@@ -30,12 +32,14 @@ RATES = (0.25, 1.0, 4.0)
 XS = (1e-8, 0.01, 0.4, 1.3, 6.0, 30.0, 120.0)
 
 
-def quad_cdf(x, m1, m2, r):
-    return _kernels_py._quad_cdf_sf(r * x, m1, m2)[0]
-
-
-def quad_sf(x, m1, m2, r):
-    return _kernels_py._quad_cdf_sf(r * x, m1, m2)[1]
+def hermite(c, m1, m2, upper=None):
+    """(P(V <= c), P(V > c)) by the Gauss-Hermite route, averaging the
+    survival side when ``upper`` (by default when c is above the mean), or
+    None where the 20-point rule does not confirm it."""
+    if upper is None:
+        upper = c > m1 * m2
+    cdf, sf, err = _kernels_py._hermite_cdf_sf(c, m1, m2, upper)
+    return (cdf, sf) if err <= _kernels_py._REL_TOL * min(cdf, sf) else None
 
 
 def oracle_sf(x, m1, m2, r):
@@ -66,9 +70,20 @@ def route(c, m1, m2):
         return "bessel-k sum"
     if _kernels_py._series_cdf_sf(c, m1, m2) is not None:
         return "series"
-    if c > m1 * m2 and _kernels_py._laguerre_sf(c, m1, m2) is not None:
+    upper = c > m1 * m2
+    if upper and _kernels_py._laguerre_sf(c, m1, m2) is not None:
         return "laguerre tail"
-    return "lower quadrature" if c <= m1 * m2 else "tail quadrature"
+    if hermite(c, m1, m2) is not None:
+        return "hermite"
+    if not upper and _kernels_py._laguerre_sf(c, m1, m2) is not None:
+        return "laguerre below the mean"
+    if hermite(c, m1, m2, not upper) is not None:
+        return "hermite, other average"
+    return "none"
+
+
+ALL_ROUTES = {"bessel-k sum", "series", "laguerre tail", "hermite",
+              "laguerre below the mean", "hermite, other average"}
 
 
 def test_bessel_k_matches_oracle():
@@ -100,25 +115,35 @@ def test_cdf_w_matches_oracle():
             for x in XS:
                 with mp.workdps(30):
                     want = 1 - oracle_sf(x, m1, m2, r)
-                for f in (_kernels_py.cdf_w, quad_cdf):
-                    err = float(abs(f(x, m1, m2, r) - want))
-                    worst[f.__name__] = max(worst.get(f.__name__, (0.0,)),
-                                            (err, (m1, m2, r, x)))
+                got = {"cdf_w": _kernels_py.cdf_w(x, m1, m2, r)}
+                kept = hermite(r * x, m1, m2)
+                if kept is not None:
+                    got["hermite"] = kept[0]
+                for name, value in got.items():
+                    err = float(abs(value - want))
+                    worst[name] = max(worst.get(name, (0.0,)),
+                                      (err, (m1, m2, r, x)))
+    assert set(worst) == {"cdf_w", "hermite"}
     assert all(err <= 1e-9 for err, _ in worst.values()), worst
 
 
 def test_sf_w_matches_oracle():
-    # relative error, so the deep tail (the Bessel-K sum, or the direct
-    # tail integral) counts
+    # relative error, so the deep tail (the Bessel-K sum, or the Laguerre
+    # tail) counts
     worst = {}
     for m1, m2 in SHAPES:
         for r in RATES:
             for x in XS:
                 want = oracle_sf(x, m1, m2, r)
-                for f in (_kernels_py.sf_w, quad_sf):
-                    err = float(abs(f(x, m1, m2, r) / want - 1))
-                    worst[f.__name__] = max(worst.get(f.__name__, (0.0,)),
-                                            (err, (m1, m2, r, x)))
+                got = {"sf_w": _kernels_py.sf_w(x, m1, m2, r)}
+                kept = hermite(r * x, m1, m2)
+                if kept is not None:
+                    got["hermite"] = kept[1]
+                for name, value in got.items():
+                    err = float(abs(value / want - 1))
+                    worst[name] = max(worst.get(name, (0.0,)),
+                                      (err, (m1, m2, r, x)))
+    assert set(worst) == {"sf_w", "hermite"}
     assert all(err <= 1e-6 for err, _ in worst.values()), worst
 
 
@@ -135,25 +160,8 @@ def test_log_bessel_k_where_bessel_k_overflows():
                             math.log(_kernels_py.bessel_k(nu, x)), rel_tol=1e-14)
 
 
-def test_pdf_w_where_the_bessel_factor_overflows():
-    # K_{m1-m2} overflows at the first three arguments while v^(h-1)
-    # underflows; the density is formed in log space instead of as 0 * inf.
-    # The last argument is the smallest subnormal
-    for v, m1, m2 in ((1e-12, 60.0, 0.75), (1e-12, 59.5, 0.75),
-                      (1e-200, 30.5, 0.5), (5e-324, 0.5, 0.5)):
-        h = 0.5 * (m1 + m2)
-        with mp.workdps(30):
-            vm = mp.mpf(v)
-            want = (2 * vm ** (h - 1) * mp.besselk(m1 - m2, 2 * mp.sqrt(vm))
-                    / (mp.gamma(m1) * mp.gamma(m2)))
-        got = _kernels_py.pdf_w(v, m1, m2)
-        assert math.isclose(got, float(want), rel_tol=1e-11), (v, m1, m2, got)
-
-
 def test_quadrature_far_above_the_mean():
-    # every node of an integral over (0, sqrt(c)] misses the mass this far
-    # out, so only the tail integral gets sf = 0 here.  From c ~ 3e303 on,
-    # c / t**2 overflows at some nodes where the density has underflowed
+    # the Gauss-Laguerre tail gets sf = 0 this far out, with no overflow
     for m1, m2 in SHAPES:
         if m1.is_integer() or m2.is_integer():
             continue
@@ -174,7 +182,7 @@ SHAPE_VALUES = st.one_of(st.integers(1, 8).map(float),
 @given(m1=SHAPE_VALUES, m2=SHAPE_VALUES, r=st.floats(0.05, 20.0),
        x=st.floats(1e-6, 60.0))
 def test_routes_are_invariant(m1, m2, r, x):
-    # swapping the shapes leaves both routes unchanged.  With two integer
+    # swapping the shapes leaves every route unchanged.  With two integer
     # shapes the Bessel-K sum runs over the other shape, so the two orders
     # agree to its rounding (a few 1e-14 relative) only: relatively for sf,
     # absolutely for cdf = 1 - sf
@@ -183,12 +191,14 @@ def test_routes_are_invariant(m1, m2, r, x):
     assert abs(_kernels_py.cdf_w(x, m1, m2, r)
                - _kernels_py.cdf_w(x, m2, m1, r)) <= 1e-13
     c = r * x
-    assert _kernels_py._quad_cdf_sf(c, m1, m2) == _kernels_py._quad_cdf_sf(c, m2, m1)
-    # at an integer shape the Bessel-K sum agrees with the quadrature
+    for upper in (False, True):
+        assert _kernels_py._hermite_cdf_sf(c, m1, m2, upper) \
+            == _kernels_py._hermite_cdf_sf(c, m2, m1, upper)
+    # at an integer shape the Bessel-K sum agrees with the oracle
     if m1.is_integer() or m2.is_integer():
         if sf > 1e-12:
-            quad = quad_sf(x, m1, m2, r)
-            assert abs(quad / sf - 1.0) <= 1e-6, (sf, quad)
+            want = float(oracle_sf(x, m1, m2, r))
+            assert abs(sf / want - 1.0) <= 1e-9, (sf, want)
 
 
 def test_integer_shape_sum_where_bessel_k_underflows():
@@ -226,15 +236,23 @@ SERIES_CS = (1e-8, 1e-3, 0.05, 0.4, 1.3, 3.0, 6.0, 12.0, 30.0)
 # disagree: large shapes near the mean, both large or one large and one
 # small
 LAGUERRE_FALLBACKS = [(1300.0, 30.5, 40.25), (200.0, 40.5, 3.25)]
-# large shapes below the mean, where the series cancels: the lower quadrature
-LOWER_QUADRATURE = (100.0, 30.5, 40.25)
+# large shapes below the mean, where the series cancels: the Gauss-Hermite
+# rule
+HERMITE_BELOW_THE_MEAN = (100.0, 30.5, 40.25)
+# close shapes just below the mean, where the Gauss-Hermite rules disagree:
+# the Gauss-Laguerre rule, and where it refuses too, the Gauss-Hermite rule
+# on the survival average
+LAGUERRE_BELOW_THE_MEAN = (120.0, 12.5, 12.5)
+HERMITE_OTHER_AVERAGE = (320.0, 18.5, 18.25)
 
 
 def test_series_matches_oracle():
     # wherever the series' error bound keeps it, both cdf and sf are within
-    # the quadrature's relative tolerance of the oracle; at the same points
-    # the quadrature is held to the tolerances of the tests above
+    # the kernels' relative tolerance of the oracle; at the same points the
+    # Gauss-Hermite route, wherever its own check keeps it, is held to the
+    # tolerances of the tests above
     taken = {}
+    by_hermite = []
     for m1, m2 in SERIES_SHAPES + NEAR_INTEGER_SHAPES:
         for c in SERIES_CS:
             want_cdf, want_sf = oracle_cdf(c, m1, m2), oracle_sf(c, m1, m2, 1.0)
@@ -243,9 +261,12 @@ def test_series_matches_oracle():
                 taken.setdefault((m1, m2), []).append(c)
                 assert float(abs(got[0] / want_cdf - 1)) <= 1e-9, (m1, m2, c)
                 assert float(abs(got[1] / want_sf - 1)) <= 1e-9, (m1, m2, c)
-            cdf, sf = _kernels_py._quad_cdf_sf(c, m1, m2)
-            assert float(abs(cdf - want_cdf)) <= 1e-9, (m1, m2, c)
-            assert float(abs(sf / want_sf - 1)) <= 1e-6, (m1, m2, c)
+            kept = hermite(c, m1, m2)
+            if kept is not None:
+                by_hermite.append((m1, m2, c))
+                assert float(abs(kept[0] - want_cdf)) <= 1e-9, (m1, m2, c)
+                assert float(abs(kept[1] / want_sf - 1)) <= 1e-6, (m1, m2, c)
+    assert by_hermite
     # the series covers every c up to 5, next to an integer order too
     for pair in SERIES_SHAPES + NEAR_INTEGER_SHAPES:
         assert all(c in taken[pair] for c in SERIES_CS if c <= 5.0), pair
@@ -259,13 +280,23 @@ def test_series_refuses_a_nan_argument():
 
 
 def test_series_keeps_small_cdf_values_relatively_precise():
-    # the lower integral converges to its absolute tolerance only, 2e-5
-    # relative here; the series keeps about 1e-14
+    # an adaptive lower integral held to an absolute tolerance was 2e-5
+    # relative off here; the series keeps about 1e-14
     for c in (1e-3, 1.0):
         assert route(c, 30.5, 40.25) == "series"
         want = oracle_cdf(c, 30.5, 40.25)
         got = _kernels_py.cdf_w(c, 30.5, 40.25, 1.0)
         assert float(abs(got / want - 1)) <= 1e-12, (c, got, want)
+
+
+def test_small_cdf_of_large_shapes_is_relatively_precise():
+    # below the mean, where the series cancels: an adaptive lower integral
+    # held to an absolute tolerance was 6.5e-6 and 2.8e-7 relative off here
+    for c in (25.0, 100.0):
+        assert route(c, 30.5, 40.25) == "hermite"
+        want = oracle_cdf(c, 30.5, 40.25)
+        got = _kernels_py.cdf_w(c, 30.5, 40.25, 1.0)
+        assert float(abs(got / want - 1)) <= 1e-9, (c, got, want)
 
 
 def test_small_cdf_of_integer_shapes_is_relatively_precise():
@@ -282,48 +313,79 @@ def test_small_cdf_of_integer_shapes_is_relatively_precise():
                 == _kernels_py._integer_shape_sf(c, m1, m2)
 
 
-def test_quadrature_runs_unchanged_where_the_series_bound_fails(monkeypatch):
+def record_hermite(monkeypatch):
+    """Wrap the Gauss-Hermite route; returns the list of its calls, as
+    (c, m1, m2, upper)."""
     calls = []
-    quad = _kernels_py._quad_cdf_sf
+    original = _kernels_py._hermite_cdf_sf
 
-    def recorded(c, m1, m2):
-        calls.append((c, m1, m2))
-        return quad(c, m1, m2)
+    def recorded(c, m1, m2, upper):
+        calls.append((c, m1, m2, upper))
+        return original(c, m1, m2, upper)
 
-    monkeypatch.setattr(_kernels_py, "_quad_cdf_sf", recorded)
-    # small c: the series, and no quadrature
+    monkeypatch.setattr(_kernels_py, "_hermite_cdf_sf", recorded)
+    return calls
+
+
+def test_quadrature_runs_unchanged_where_the_series_bound_fails(monkeypatch):
+    points = [HERMITE_BELOW_THE_MEAN, (1300.0, 30.5, 40.25)]
+    own = [hermite(c, m1, m2) for c, m1, m2 in points]
+    c, m1, m2 = LAGUERRE_BELOW_THE_MEAN
+    assert hermite(c, m1, m2) is None
+    c, m1, m2 = HERMITE_OTHER_AVERAGE
+    assert hermite(c, m1, m2) is None
+    other = hermite(c, m1, m2, upper=True)
+    calls = record_hermite(monkeypatch)
+    # small c: the series, and no Gauss-Hermite rule
     for c, m1, m2 in ((1.0, 0.75, 1.25), (1.0, 1.5, 2.5)):
         assert _kernels_py._cdf_sf(c, m1, m2, 1.0) \
             == _kernels_py._series_cdf_sf(c, m1, m2)
     assert calls == []
-    # large c: the Gauss-Laguerre tail, and no quadrature
+    # large c: the Gauss-Laguerre tail, and no Gauss-Hermite rule
     assert _kernels_py._series_cdf_sf(30.0, 0.75, 1.25) is None
     sf = _kernels_py._laguerre_sf(30.0, 0.75, 1.25)
     assert _kernels_py._cdf_sf(30.0, 0.75, 1.25, 1.0) == (1.0 - sf, sf)
     assert calls == []
     # large shapes below the mean, and just above it where the Laguerre
-    # rules disagree: the quadrature's own value
-    for c, m1, m2 in (LOWER_QUADRATURE, (1300.0, 30.5, 40.25)):
+    # rules disagree: the Gauss-Hermite rule's own value
+    for (c, m1, m2), want in zip(points, own):
         assert _kernels_py._series_cdf_sf(c, m1, m2) is None
-        assert _kernels_py._cdf_sf(c, m1, m2, 1.0) == quad(c, m1, m2)
-    assert calls == [LOWER_QUADRATURE, (1300.0, 30.5, 40.25)]
+        assert _kernels_py._cdf_sf(c, m1, m2, 1.0) == want
+    assert calls == [HERMITE_BELOW_THE_MEAN + (False,),
+                     (1300.0, 30.5, 40.25, True)]
+    # close shapes just below the mean, where the Hermite rules disagree:
+    # the Gauss-Laguerre rule's own value
+    del calls[:]
+    c, m1, m2 = LAGUERRE_BELOW_THE_MEAN
+    assert _kernels_py._series_cdf_sf(c, m1, m2) is None
+    sf = _kernels_py._laguerre_sf(c, m1, m2)
+    assert _kernels_py._cdf_sf(c, m1, m2, 1.0) == (1.0 - sf, sf)
+    assert calls == [LAGUERRE_BELOW_THE_MEAN + (False,)]
+    # where the Laguerre rule refuses too: the other Gauss-Hermite average
+    del calls[:]
+    c, m1, m2 = HERMITE_OTHER_AVERAGE
+    assert _kernels_py._laguerre_sf(c, m1, m2) is None
+    assert _kernels_py._cdf_sf(c, m1, m2, 1.0) == other
+    assert calls == [HERMITE_OTHER_AVERAGE + (False,),
+                     HERMITE_OTHER_AVERAGE + (True,)]
 
 
 def test_cdf_plus_sf_is_one_on_every_route():
     seen = set()
     points = [(c, m1, m2) for m1, m2 in SHAPES + NEAR_INTEGER_SHAPES
               for c in SERIES_CS + (120.0,)]
-    for c, m1, m2 in points + LAGUERRE_FALLBACKS + [LOWER_QUADRATURE]:
+    for c, m1, m2 in points + LAGUERRE_FALLBACKS + [
+            HERMITE_BELOW_THE_MEAN, LAGUERRE_BELOW_THE_MEAN,
+            HERMITE_OTHER_AVERAGE]:
         seen.add(route(c, m1, m2))
         cdf, sf = _kernels_py._cdf_sf(c, m1, m2, 1.0)
         assert abs(cdf + sf - 1.0) <= sys.float_info.epsilon, (m1, m2, c)
-    assert seen == {"bessel-k sum", "series", "laguerre tail",
-                    "lower quadrature", "tail quadrature"}
+    assert seen == ALL_ROUTES
 
 
 def _handoff(inside, outside, accepted):
     """Bisect in log space to a pair of arguments 1e-12 apart (relatively)
-    on either side of the series' handoff to quadrature."""
+    on either side of a route's handoff to the next."""
     assert accepted(inside) and not accepted(outside)
     while abs(outside / inside - 1.0) > 1e-12:
         mid = math.sqrt(inside * outside)
@@ -334,11 +396,11 @@ def _handoff(inside, outside, accepted):
     return inside, outside
 
 
-def _assert_no_jump(series_side, quad_side):
-    cdf, sf = series_side
+def _assert_no_jump(inside, outside):
+    cdf, sf = inside
     tol = max(_kernels_py._ABS_TOL, _kernels_py._REL_TOL * min(cdf, sf))
-    assert abs(cdf - quad_side[0]) <= tol, (series_side, quad_side)
-    assert abs(sf - quad_side[1]) <= tol, (series_side, quad_side)
+    assert abs(cdf - outside[0]) <= tol, (inside, outside)
+    assert abs(sf - outside[1]) <= tol, (inside, outside)
 
 
 def test_no_jump_at_the_series_handoff():
@@ -346,16 +408,18 @@ def test_no_jump_at_the_series_handoff():
     for m1, m2 in SERIES_SHAPES + ((30.5, 40.25),):
         c_in, c_out = _handoff(
             1e-3, 1e3, lambda c: _kernels_py._series_cdf_sf(c, m1, m2) is not None)
-        # the next route: the Laguerre tail above the mean, else quadrature
-        assert route(c_out, m1, m2) == (
-            "laguerre tail" if c_out > m1 * m2 else "lower quadrature")
+        # the next route: the Laguerre tail above the mean, else Hermite,
+        # or the Laguerre rule where the Hermite rules disagree
+        assert route(c_out, m1, m2) in (
+            ("laguerre tail",) if c_out > m1 * m2
+            else ("hermite", "laguerre below the mean"))
         _assert_no_jump(_kernels_py._cdf_sf(c_in, m1, m2, 1.0),
                         _kernels_py._cdf_sf(c_out, m1, m2, 1.0))
     # in c, where the Laguerre rules start to agree above the mean
     for c, m1, m2 in LAGUERRE_FALLBACKS:
         c_in, c_out = _handoff(
             1e4, c, lambda c: _kernels_py._laguerre_sf(c, m1, m2) is not None)
-        assert route(c_out, m1, m2) == "tail quadrature"
+        assert route(c_out, m1, m2) == "hermite"
         _assert_no_jump(_kernels_py._cdf_sf(c_in, m1, m2, 1.0),
                         _kernels_py._cdf_sf(c_out, m1, m2, 1.0))
     # as the order nears an integer from either side the series is kept,
@@ -403,7 +467,9 @@ DEEP_TAIL_SF = {
 # P(V > c) of the unit-rate variable from tests/make_reference_values.py
 # (ORACLE_SHAPES there): integer orders, orders away from an integer, orders
 # 1e-4, 1e-7 and 1e-10 from one, and integer shapes, over shapes 0.5 to 100
-# and c from 1e-12 to where P(V > c) falls below 1e-300
+# and c from 1e-12 to where P(V > c) falls below 1e-300; then seven points
+# below the mean where the Gauss-Hermite rules disagree (BELOW_THE_MEAN
+# there)
 ORACLE_SF = {
     (0.5, 0.5, 1e-12): 0.999981871239892546,
     (0.5, 0.5, 1e-06): 0.990666463826455724,
@@ -629,6 +695,13 @@ ORACLE_SF = {
     (100, 0.75, 10000.0): 3.19104840816214809e-34,
     (100, 0.75, 100000.0): 1.2122178899487198e-179,
     (100, 0.75, 225000.0): 1.20549814376164e-300,
+    (2.99, 2.99, 8.0): 0.417670535876472745,
+    (7.25, 7.75, 30.0): 0.823941823896575054,
+    (12.5, 12.5, 120.0): 0.683052642961538674,
+    (3.3, 7.7, 15.0): 0.687802518879495162,
+    (16.5, 16.25, 220.0): 0.658875223409880614,
+    (18.5, 18.25, 320.0): 0.5095192079769533,
+    (15.5, 14.5, 190.0): 0.617744375539680555,
 }
 
 
@@ -642,8 +715,7 @@ def test_survival_matches_the_tabulated_oracle():
         got = _kernels_py.sf_w(c, m1, m2, 1.0)
         worst = max(worst, (abs(got / want - 1.0), (m1, m2, c, got, want)))
     assert worst[0] <= 1e-9, worst
-    assert routes == {"bessel-k sum", "series", "laguerre tail",
-                      "lower quadrature", "tail quadrature"}
+    assert routes == ALL_ROUTES
 
 
 def test_deep_tail_keeps_relative_precision():
@@ -676,23 +748,19 @@ def test_laguerre_tail_matches_the_bessel_k_sum(m1, m2):
 
 
 def test_laguerre_tail_falls_back_to_quadrature(monkeypatch):
-    calls = []
-    quad = _kernels_py._quad_cdf_sf
-
-    def recorded(c, m1, m2):
-        calls.append((c, m1, m2))
-        return quad(c, m1, m2)
-
-    monkeypatch.setattr(_kernels_py, "_quad_cdf_sf", recorded)
     # the last point is a large shape, where the power factor of the rule
-    # overflows at the outer nodes: no OverflowError, the quadrature runs
+    # overflows at the outer nodes: no OverflowError, the Gauss-Hermite rule
+    # runs
     points = LAGUERRE_FALLBACKS + [(7500.46875, 1.5, 4000.25)]
-    for c, m1, m2 in points:
+    own = [hermite(c, m1, m2) for c, m1, m2 in points]
+    calls = record_hermite(monkeypatch)
+    for (c, m1, m2), want in zip(points, own):
         assert c > m1 * m2
         assert _kernels_py._series_cdf_sf(c, m1, m2) is None
         assert _kernels_py._laguerre_sf(c, m1, m2) is None
-        assert _kernels_py._cdf_sf(c, m1, m2, 1.0) == quad(c, m1, m2)
-    assert calls == points
+        assert want is not None
+        assert _kernels_py._cdf_sf(c, m1, m2, 1.0) == want
+    assert calls == [point + (True,) for point in points]
 
 
 def test_laguerre_node_tables():
@@ -712,3 +780,72 @@ def test_laguerre_node_tables():
         for x, w, wx, ww in zip(nodes, weights, want_x, want_w):
             assert abs(x - wx) <= 8 * np.spacing(wx), (n, x, wx)
             assert math.isclose(w, ww, rel_tol=1e-13), (n, w, ww)
+
+
+def test_survival_census_over_the_shape_domain():
+    # a fixed design over shapes [0.5, 100]^2: a fifth of the pairs with an
+    # order next to an integer, a fifth with an integer shape, the rest
+    # generic; c from 1e-6 to 1e3 times the mean on every pair.  No call
+    # raises, every value is a probability, and sf never rises with c by
+    # more than rounding (the Bessel-K sum near sf = 1 moves by an ulp or so)
+    rng = random.Random(2026)
+    seen = set()
+    for i in range(30):
+        m1 = math.exp(rng.uniform(math.log(0.5), math.log(100.0)))
+        m2 = math.exp(rng.uniform(math.log(0.5), math.log(100.0)))
+        if i % 5 == 0:
+            m2 = min(max(round(m2) + (m1 - round(m1)), 0.5), 100.0)
+            m2 += 10.0 ** rng.uniform(-10.0, -3.0)
+        elif i % 5 == 1:
+            m1 = float(round(m1))
+        prev = 1.0
+        for k in range(-24, 13):
+            c = m1 * m2 * 10.0 ** (k / 4)
+            seen.add(route(c, m1, m2))
+            sf = _kernels_py.sf_w(c, m1, m2, 1.0)
+            assert 0.0 <= sf <= 1.0 and sf <= prev * (1.0 + 1e-14), \
+                (m1, m2, c, sf, prev)
+            prev = sf
+    assert {"hermite", "laguerre below the mean",
+            "hermite, other average"} <= seen
+
+
+def test_incomplete_gamma_matches_oracle():
+    # the smaller of P(a, t) and Q(a, t) to nearly full relative precision,
+    # on both sides of t = a + 1 where the series hands over to the
+    # continued fraction
+    for a in (0.5, 0.75, 3.3, 40.25, 100.0):
+        for t in (1e-3 * a, 0.1 * a, 0.5 * a, a, a + 1.0, 1.5 * a + 2.0,
+                  4.0 * a + 10.0, 1e3):
+            log_p, log_q, _ = _kernels_py._log_gamma_pq(a, math.log(t),
+                                                        math.lgamma(a))
+            with mp.workdps(30):
+                want_p = mp.gammainc(a, 0, t, regularized=True)
+                want_q = mp.gammainc(a, t, mp.inf, regularized=True)
+                want = float(mp.log(min(want_p, want_q)))
+            got = min(log_p, log_q)
+            # an error in the logarithm is the relative error of the value
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), \
+                (a, t, got, want)
+
+
+def test_hermite_rules():
+    import numpy as np
+
+    # an n-point rule integrates x^k e^(-x^2) exactly for k <= 2n - 1
+    for n in (32, 20):
+        rule = _kernels_py._hermite_rule(n)
+        assert rule is _kernels_py._hermite_rule(n)  # built once
+        assert len(rule) == n
+        xs = [s / math.sqrt(2.0) for s, _ in rule]
+        ws = [v * math.exp(-x * x) / math.sqrt(2.0)
+              for x, (_, v) in zip(xs, rule)]
+        for k in range(2 * n):
+            got = math.fsum(w * x ** k for x, w in zip(xs, ws))
+            want = math.gamma((k + 1) / 2) if k % 2 == 0 else 0.0
+            assert abs(got - want) <= 1e-13 * math.gamma((k + 1) / 2), (n, k)
+        want_x, want_w = np.polynomial.hermite.hermgauss(n)
+        for x, w in zip(sorted(xs), [w for _, w in sorted(zip(xs, ws))]):
+            i = int(np.argmin(abs(want_x - x)))
+            assert abs(x - want_x[i]) <= 8 * np.spacing(abs(want_x[i])), (n, x)
+            assert math.isclose(w, want_w[i], rel_tol=1e-13), (n, w)
