@@ -3,9 +3,9 @@
 
 class QuadratureAccuracyError(ArithmeticError):
     """Raised when no route of a distribution value passes its own error
-    check (the series, the Gauss-Laguerre and both Gauss-Hermite rules).
-    Carries the Gauss-Hermite estimate in ``best_estimate`` and its
-    distance to the 20-point rule in ``error_estimate``.
+    check: the Bessel-K sum, the series, the Gauss-Laguerre and both
+    Gauss-Hermite rules.  ``best_estimate`` holds the Gauss-Hermite
+    estimate and ``error_estimate`` its distance to the 20-point rule.
     """
 
     def __init__(self, message, best_estimate, error_estimate):

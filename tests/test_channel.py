@@ -158,7 +158,7 @@ def test_survival_integer_shapes_match_oracle():
     # latter in both orders), w from 1e-12 out to where sf falls below
     # 1e-15.  The oracle is mpmath's Meijer G form of the product-Gamma
     # tail, G^{3,0}_{1,3}(r w | 1; m1, m2, 0) / (Gamma(m1) Gamma(m2)).
-    worst = (0.0, None)
+    worst = (0.0, ())
     for n in range(1, 11):
         pairs = [(n, 1.0), (n, 11.0 - n)]
         for other in (0.5, 7.5):

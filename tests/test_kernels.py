@@ -87,7 +87,7 @@ ALL_ROUTES = {"bessel-k sum", "series", "laguerre tail", "hermite",
 
 
 def test_bessel_k_matches_oracle():
-    worst = (0.0, None)
+    worst = (0.0, ())
     for nu in ORDERS:
         for x in BESSEL_ARGS:
             with mp.workdps(30):
@@ -147,17 +147,23 @@ def test_sf_w_matches_oracle():
     assert all(err <= 1e-6 for err, _ in worst.values()), worst
 
 
-def test_log_bessel_k_where_bessel_k_overflows():
+def test_bessel_ladder_where_bessel_k_overflows():
+    # the ladder rescales its pair where it would overflow (small x, high
+    # order)
     for nu, x in ((59.25, 1.3e-5), (100.5, 1e-3), (2.0, 1e-161), (200.0, 0.5)):
         assert math.isinf(_kernels_py.bessel_k(nu, x))
         with mp.workdps(30):
             want = mp.log(mp.besselk(nu, x))
-        assert math.isclose(_kernels_py.log_bessel_k(nu, x), float(want),
-                            rel_tol=1e-14)
-    # in range it agrees with the plain recurrence
+        [got], scale = _kernels_py._log_k_ladder(nu, x, 1)
+        assert scale > 0.0
+        assert math.isclose(got, float(want), rel_tol=1e-14)
+    # in range it agrees with the plain recurrence, order by order
     for nu, x in ((0.25, 7.5), (3.0, 1e-6), (9.5, 30.0)):
-        assert math.isclose(_kernels_py.log_bessel_k(nu, x),
-                            math.log(_kernels_py.bessel_k(nu, x)), rel_tol=1e-14)
+        ladder, scale = _kernels_py._log_k_ladder(nu, x, 4)
+        assert len(ladder) == 4 and scale == 0.0
+        for i, got in enumerate(ladder):
+            assert math.isclose(got, math.log(_kernels_py.bessel_k(nu + i, x)),
+                                rel_tol=1e-14)
 
 
 def test_quadrature_far_above_the_mean():
@@ -203,9 +209,11 @@ def test_routes_are_invariant(m1, m2, r, x):
 
 def test_integer_shape_sum_where_bessel_k_underflows():
     # 2 sqrt(c) > 745, so every K_{m-k}(2 sqrt(c)) of the sum underflows to
-    # 0 while the survival value is still a normal float
+    # 0 while the survival value is still a normal float: the ladders start
+    # from e^x K
     for c, m1, m2 in ((1.4e5, 64.0, 1.0), (1.4e5, 64.0, 64.0),
-                      (2e5, 64.0, 64.0)):
+                      (2e5, 64.0, 64.0), (2e5, 100.0, 100.0),
+                      (2e5, 100.0, 1.0)):
         assert _kernels_py.bessel_k(m1 - 1.0, 2.0 * math.sqrt(c)) == 0.0
         want = oracle_bessel_sum(c, m1, int(m2))
         for a, b in ((m1, m2), (m2, m1)):
@@ -216,12 +224,13 @@ def test_integer_shape_sum_where_bessel_k_underflows():
 def test_integer_shape_sum_where_bessel_k_is_subnormal():
     # 709 < 2 sqrt(c) < 745: some K_{m-k}(2 sqrt(c)) of the sum are
     # subnormal, with only a few significant bits left
-    for c in (1.3e5, 1.33e5, 1.36e5):
-        assert 0.0 < _kernels_py.bessel_k(63.0, 2.0 * math.sqrt(c)) \
-            < sys.float_info.min
-        want = float(oracle_bessel_sum(c, 64.0, 64))
-        got = _kernels_py.sf_w(c, 64.0, 64.0, 1.0)
-        assert math.isclose(got, want, rel_tol=1e-12), (c, got, want)
+    for m1, m2 in ((64.0, 64.0), (100.0, 100.0), (100.0, 1.0)):
+        for c in (1.3e5, 1.33e5, 1.36e5):
+            assert 0.0 < _kernels_py.bessel_k(m1 - 1.0, 2.0 * math.sqrt(c)) \
+                < sys.float_info.min
+            want = float(oracle_bessel_sum(c, m1, int(m2)))
+            got = _kernels_py.sf_w(c, m1, m2, 1.0)
+            assert math.isclose(got, want, rel_tol=1e-12), (m1, m2, c, got)
 
 
 SERIES_SHAPES = (
@@ -301,16 +310,20 @@ def test_small_cdf_of_large_shapes_is_relatively_precise():
 
 def test_small_cdf_of_integer_shapes_is_relatively_precise():
     # 1 minus the Bessel-K sum is precise only to about 1e-16 absolute, far
-    # above the cdf of 2.5e-21 at (2, 3), c = 1e-10.  Below the mean cdf_w
-    # takes the series first; sf_w keeps the sum.
-    for m1, m2 in ((2.0, 3.0), (3.0, 2.0), (1.0, 1.0), (60.0, 0.75),
-                   (1.0, 4.0)):
-        for c in (1e-10, 1e-4, 0.3):
-            want = oracle_cdf(c, m1, m2)
-            got = _kernels_py.cdf_w(c, m1, m2, 1.0)
-            assert float(abs(got / want - 1)) <= 1e-9, (m1, m2, c, got, want)
-            assert _kernels_py.sf_w(c, m1, m2, 1.0) \
-                == _kernels_py._integer_shape_sf(c, m1, m2)
+    # above the cdf of 2.5e-21 at (2, 3), c = 1e-10, so there the sum's own
+    # bound refuses it and a route that holds the cdf runs.  At (64, 64) the
+    # cdf is 7.36e-116 at c = 10 and 4.68e-24 at c = 500 (1 minus the sum
+    # once gave 0 and 1.8e-15).  cdf_w and sf_w are the one pair _cdf_sf
+    # returns.
+    points = [(m1, m2, c) for m1, m2 in ((2.0, 3.0), (3.0, 2.0), (1.0, 1.0),
+                                          (60.0, 0.75), (1.0, 4.0))
+              for c in (1e-10, 1e-4, 0.3)]
+    for m1, m2, c in points + [(64.0, 64.0, 10.0), (64.0, 64.0, 500.0)]:
+        want = oracle_cdf(c, m1, m2)
+        got = _kernels_py.cdf_w(c, m1, m2, 1.0)
+        assert float(abs(got / want - 1)) <= 1e-9, (m1, m2, c, got, want)
+        assert (got, _kernels_py.sf_w(c, m1, m2, 1.0)) \
+            == _kernels_py._cdf_sf(c, m1, m2, 1.0)
 
 
 def record_hermite(monkeypatch):
@@ -727,14 +740,16 @@ def test_deep_tail_keeps_relative_precision():
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
-@given(m1=st.integers(1, 64).map(float), m2=st.integers(1, 64).map(float))
+@given(m1=st.integers(1, 100).map(float), m2=st.integers(1, 100).map(float))
 def test_laguerre_tail_matches_the_bessel_k_sum(m1, m2):
     # the Laguerre formula holds at integer shapes too, where the Bessel-K
-    # sum is exact; from the mean out to where sf leaves the normal floats
+    # sum is exact; from the mean out to where sf leaves the normal floats,
+    # and only there does the sum's own bound refuse it
     c = m1 * m2
     while True:
         want = _kernels_py._integer_shape_sf(c, m1, m2)
-        if want < sys.float_info.min:
+        if want is None or want < sys.float_info.min:
+            assert _kernels_py.sf_w(c, m1, m2, 1.0) < sys.float_info.min
             break
         got = _kernels_py._laguerre_sf(c, m1, m2)
         assert got == _kernels_py._laguerre_sf(c, m2, m1), (m1, m2, c)
@@ -742,8 +757,10 @@ def test_laguerre_tail_matches_the_bessel_k_sum(m1, m2):
             assert math.isclose(got, want, rel_tol=1e-12), \
                 (m1, m2, c, got, want)
         else:
-            # only near the mean does the error check reject the rule
-            assert c < 16.0 * m1 * m2, (m1, m2, c)
+            # only near the mean, or where z0 = 2 sqrt(c) is still below the
+            # order |m1 - m2| (a unit shape against one above 66), does the
+            # error check reject the rule
+            assert c < max(16.0 * m1 * m2, (m1 - m2) ** 2 / 4.0), (m1, m2, c)
         c *= 4.0
 
 
@@ -787,9 +804,10 @@ def test_survival_census_over_the_shape_domain():
     # order next to an integer, a fifth with an integer shape, the rest
     # generic; c from 1e-6 to 1e3 times the mean on every pair.  No call
     # raises, every value is a probability, and sf never rises with c by
-    # more than rounding (the Bessel-K sum near sf = 1 moves by an ulp or so)
+    # more than rounding.  Then two integer-shape pairs where an unchecked
+    # Bessel-K sum rose with c by up to 2.5e-13 below the mean
     rng = random.Random(2026)
-    seen = set()
+    pairs = []
     for i in range(30):
         m1 = math.exp(rng.uniform(math.log(0.5), math.log(100.0)))
         m2 = math.exp(rng.uniform(math.log(0.5), math.log(100.0)))
@@ -798,6 +816,9 @@ def test_survival_census_over_the_shape_domain():
             m2 += 10.0 ** rng.uniform(-10.0, -3.0)
         elif i % 5 == 1:
             m1 = float(round(m1))
+        pairs.append((m1, m2))
+    seen = set()
+    for m1, m2 in pairs + [(99.0, 4.0), (69.0, 35.61327090588239)]:
         prev = 1.0
         for k in range(-24, 13):
             c = m1 * m2 * 10.0 ** (k / 4)
