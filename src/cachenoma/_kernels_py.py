@@ -34,26 +34,22 @@ with its own error check, held to ``_ABS_TOL`` and ``_REL_TOL``:
   own rounding error and keeps the value only where the bound is at most
   ``_ABS_TOL`` and ``_REL_TOL`` times min(P(V <= c), P(V > c)).  No
   constant picks a crossover.
-* Gauss-Laguerre tail, above the mean m1 m2 wherever the series' bound
-  fails: with z = 2 sqrt(v) = 2 sqrt(c) + t, P(V > c) is e^(-t) times a
-  factor that grows only like a power of t, integrated over t > 0 by a
-  fixed 16-point rule (DLMF 3.5.v); P(V <= c) is 1 minus it.  The value is
-  kept where a 10-point rule agrees with it to ``_REL_TOL``, relative
-  only, so the deep tail keeps its relative precision.  The rules
-  disagree near the mean for large shapes.
-* Gauss-Hermite, wherever none of the routes above applies (shapes whose
-  mean lies beyond the series' reach, c above about 10): P(V <= c) and
-  P(V > c) are averages of regularized incomplete gamma functions over a
-  Gamma variable, the first formed at or below the mean and the second
-  above it, by a fixed 32-point rule centred at the integrand's mode.  The
-  value is kept where a 20-point rule agrees with it to ``_REL_TOL`` times
-  min(P(V <= c), P(V > c)).  Near the mean of two close shapes, where the
-  rules disagree, the Gauss-Laguerre rule is tried below the mean too,
-  and then the Hermite rule on the other average.
+* Far-tail bound, wherever a Chernoff bound puts P(V > c) below half the
+  least subnormal (c from about 6e5 at shapes 0.5 to 1.2e6 at shapes
+  100): P(V > c) = 0 and P(V <= c) = 1, exactly the nearest floats.
+* Gauss-Hermite, everywhere else (above the mean, and below it for shapes
+  whose mean lies beyond the series' reach, c above about 10): P(V <= c)
+  and P(V > c) are averages of regularized incomplete gamma functions over
+  a Gamma variable, the first formed at or below the mean and the second
+  above it, by rules centred at the integrand's mode.  Pairs of rules run
+  in turn, 24 points checked by 16, then 32 by 24 and 48 by 32, and the
+  first pair that agrees to ``_REL_TOL`` times min(P(V <= c), P(V > c))
+  keeps its value.  Where no pair agrees (near the mean of two close
+  shapes), the rules run on the other average.
 
 Where every check refuses, ``QuadratureAccuracyError`` carries the first
-Hermite estimate; a census of 16 000 points over shapes 0.5 to 100, c
-from 1e-6 to 1e3 times the mean, found no such input.
+Gauss-Hermite estimate; a census of 16 000 points over shapes 0.5 to 100,
+c from 1e-6 to 1e3 times the mean, found no such input.
 """
 import functools
 import math
@@ -405,113 +401,6 @@ def _series_cdf_sf(c, m1, m2):
     return None
 
 
-# Gauss-Laguerre rules (DLMF 3.5.v) for int_0^inf e^-t f(t) dt, used by the
-# survival tail: the roots x of L_n and the weights x / ((n+1) L_{n+1}(x))^2
-# of the 16- and 10-point rules, correctly rounded.
-_XGL16 = (
-    0.08764941047892784,
-    0.46269632891508083,
-    1.141057774831227,
-    2.1292836450983805,
-    3.4370866338932067,
-    5.078018614549768,
-    7.070338535048234,
-    9.438314336391938,
-    12.21422336886616,
-    15.441527368781617,
-    19.180156856753136,
-    23.515905693991908,
-    28.57872974288214,
-    34.58339870228662,
-    41.94045264768833,
-    51.70116033954332,
-)
-_WGL16 = (
-    0.206151714957801,
-    0.3310578549508842,
-    0.26579577764421414,
-    0.13629693429637754,
-    0.04732892869412522,
-    0.011299900080339454,
-    0.0018490709435263109,
-    0.00020427191530827845,
-    1.4844586873981299e-05,
-    6.828319330871199e-07,
-    1.8810248410796733e-08,
-    2.8623502429738814e-10,
-    2.1270790332241028e-12,
-    6.297967002517868e-15,
-    5.050473700035513e-18,
-    4.161462370372855e-22,
-)
-_XGL10 = (
-    0.13779347054049243,
-    0.7294545495031705,
-    1.808342901740316,
-    3.4014336978548996,
-    5.552496140063804,
-    8.330152746764497,
-    11.843785837900066,
-    16.279257831378104,
-    21.99658581198076,
-    29.92069701227389,
-)
-_WGL10 = (
-    0.30844111576502015,
-    0.40111992915527356,
-    0.2180682876118094,
-    0.062087456098677746,
-    0.0095015169751811,
-    0.0007530083885875388,
-    2.8259233495995656e-05,
-    4.2493139849626863e-07,
-    1.8395648239796308e-09,
-    9.911827219609008e-13,
-)
-
-
-def _laguerre_sf(c, m1, m2):
-    """P(V > c), 0 < c < inf, by a fixed Gauss-Laguerre rule, or None where
-    the rule's own error check fails.  It runs above the mean, and at or
-    below it only where the Hermite rules disagree, near the mean.
-
-    With z = 2 sqrt(v) = z0 + t, z0 = 2 sqrt(c), h = (m1 + m2) / 2 and
-    nu = m1 - m2,
-
-        P(V > c) = 2 c^(h-1/2) e^(-z0) / (Gamma(m1) Gamma(m2))
-                   * int_0^inf e^(-t) (z/z0)^(2h-1) e^z K_nu(z) dt,
-
-    and the factor after e^(-t) is smooth and grows only like a power of
-    t, which a 16-point rule integrates well.  The factor in front is
-    formed in log space, so a large c gives 0 rather than an overflow.
-    The 16-point value is kept where the 10-point rule agrees with it to
-    ``_REL_TOL`` relative, with no absolute floor, so a deep-tail value
-    keeps its relative precision.
-    """
-    lo, hi = min(m1, m2), max(m1, m2)
-    nu = hi - lo
-    p = m1 + m2 - 1.0  # 2h - 1
-    z0 = 2.0 * math.sqrt(c)
-
-    def rule(nodes, weights):
-        return sum(w * math.exp(p * math.log1p(t / z0))
-                   * bessel_k(nu, z0 + t, scaled=True)
-                   for t, w in zip(nodes, weights))
-
-    try:
-        g16 = rule(_XGL16, _WGL16)
-        g10 = rule(_XGL10, _WGL10)
-    except OverflowError:
-        # (z/z0)^(2h-1) overflows at the outer nodes (a large shape near
-        # the mean): the factor is far from a power of t
-        return None
-    if not (0.0 < g16 < math.inf and abs(g16 - g10) <= _REL_TOL * g16):
-        return None
-    log_front = (math.log(2.0) + 0.5 * p * math.log(c) - z0
-                 - math.lgamma(lo) - math.lgamma(hi))
-    return math.exp(log_front + math.log(g16))
-
-
 def _log_gamma_pq(a, log_t, lg_a):
     """(log P(a, t), log Q(a, t), log(t^a e^-t / Gamma(a))) at t = e^log_t
     for the regularized incomplete gamma functions, with lg_a =
@@ -536,12 +425,14 @@ def _log_gamma_pq(a, log_t, lg_a):
     b = t + 1.0 - a
     c, d = math.inf, 1.0 / b
     h = d
-    for i in range(1, _MAXIT):
+    for i in map(float, range(1, _MAXIT)):  # float: faster arithmetic
         b += 2.0
-        d = 1.0 / (i * (a - i) * d + b)
-        c = b + i * (a - i) / c
-        h *= c * d
-        if not abs(c * d - 1.0) > 2.0 * _U:  # a nan stops it too
+        an = i * (a - i)
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        cd = c * d
+        h *= cd
+        if not abs(cd - 1.0) > 2.0 * _U:  # a nan stops it too
             break
     log_q = log_tg + math.log(h)
     return math.log1p(-math.exp(log_q)), log_q, log_tg
@@ -596,44 +487,71 @@ def _hermite_cdf_sf(c, m1, m2, upper):
     concave because log X and log Y have log-concave densities.  With
     t = c e^-y, rho = t^lo e^-t / (Gamma(lo) F) and s = +1 for Q, -1 for P,
     phi' = s rho + hi - e^y and phi'' = -s rho (lo - t) - rho^2 - e^y.
-    Four Newton steps find the mode from where phi' vanishes with rho
+    Newton's method finds the mode from where phi' vanishes with rho
     replaced by its asymptote (lo - t for P at small t, t - lo + 1 for Q at
     large t): e^y = x, the positive root of x^2 - (hi - lo + [upper]) x - c.
-    The 32-point rule is scaled there by (-phi'')^(-1/2), and the error
-    estimate is its distance to the 20-point rule; nan and inf where the
-    arithmetic fails.
+    It stops once a step is below 1e-3, and the rules are scaled by
+    (-phi'')^(-1/2) from its last step; exact centring is not needed, since
+    the rules check each other.  They run in pairs, 24 points checked by 16,
+    then 32 by 24 and 48 by 32, each sum formed once, and the first pair
+    that agrees to ``_REL_TOL`` times min(P(V <= c), P(V > c)) gives the
+    value and its error estimate, else the last pair.  Where Newton's
+    method does not settle within 8 steps, or the arithmetic fails (c many
+    decades from the mean, where phi's derivatives cancel), the result is
+    nan with an infinite error estimate.
     """
     lo, hi = min(m1, m2), max(m1, m2)
     s = 1.0 if upper else -1.0
+    side = 1 if upper else 0  # log F's place in _log_gamma_pq's result
     log_c = math.log(c)
     lg_lo, lg_hi = math.lgamma(lo), math.lgamma(hi)
 
     def phi(y):
-        """phi(y), phi'(y) and phi''(y)."""
-        log_p, log_q, log_tg = _log_gamma_pq(lo, log_c - y, lg_lo)
-        log_f = log_q if upper else log_p
-        rho, t, x = math.exp(log_tg - log_f), math.exp(log_c - y), math.exp(y)
-        return (hi * y - x - lg_hi + log_f, s * rho + hi - x,
-                -s * rho * (lo - t) - rho * rho - x)
+        return (hi * y - math.exp(y) - lg_hi
+                + _log_gamma_pq(lo, log_c - y, lg_lo)[side])
 
-    b = hi - lo + (1.0 if upper else 0.0)
+    b = hi - lo + side
     y = math.log(0.5 * (b + math.sqrt(b * b + 4.0 * c)))
+    failed = math.nan, math.nan, math.inf
     try:
-        for _ in range(4):
-            _, d1, d2 = phi(y)
-            y -= d1 / d2
-        top, _, d2 = phi(y)
+        for _ in range(8):
+            logs = _log_gamma_pq(lo, log_c - y, lg_lo)
+            lf, log_tg = logs[side], logs[2]
+            rho, t, x = math.exp(log_tg - lf), math.exp(log_c - y), math.exp(y)
+            top = hi * y - x - lg_hi + lf
+            d2 = -s * rho * (lo - t) - rho * rho - x
+            step = (s * rho + hi - x) / d2
+            y -= step
+            if abs(step) <= 1e-3:
+                break
+        else:
+            return failed
         scale = 1.0 / math.sqrt(-d2)
-        f32, f20 = (scale * math.exp(top) * sum(
-            v * math.exp(phi(y + scale * u)[0] - top)
-            for u, v in _hermite_rule(n)) for n in (32, 20))
+        coarse = None
+        for n in (16, 24, 32, 48):
+            fine = scale * math.exp(top) * sum(
+                v * math.exp(phi(y + scale * u) - top)
+                for u, v in _hermite_rule(n))
+            if coarse is not None:
+                f, err = min(fine, 1.0), abs(fine - coarse)
+                if err <= _REL_TOL * min(f, 1.0 - f):
+                    break
+            coarse = fine
     except (ArithmeticError, ValueError):
-        # far from where the routes before it hand over (c many decades from
-        # the mean), a Newton step or the curvature leaves the float range
-        return math.nan, math.nan, math.inf
-    f = min(f32, 1.0)
-    err = abs(f32 - f20)
+        # a Newton step or the curvature leaves the float range
+        return failed
     return (1.0 - f, f, err) if upper else (f, 1.0 - f, err)
+
+
+def _sf_underflows(c, m1, m2):
+    """Whether P(V > c) is provably below half the least subnormal 2^-1074,
+    so that its nearest float is 0.  {V > c} lies in {X > z} or {Y > z},
+    z = sqrt(c), and for a shape m < z, P(X > z) <= (z/m)^m e^(m-z)
+    (Chernoff).  Both terms below e^-746 < 2^-1076 (ln 2^-1076 = -745.8)
+    put the sum below 2^-1075, with room for the rounding of the logs."""
+    z = math.sqrt(c)
+    return all(m < z and m * math.log(z / m) + m - z < -746.0
+               for m in (m1, m2))
 
 
 def _cdf_sf(x, m1, m2, r):
@@ -650,18 +568,12 @@ def _cdf_sf(x, m1, m2, r):
     cdf_sf = _series_cdf_sf(c, m1, m2)
     if cdf_sf is not None:
         return cdf_sf
+    if _sf_underflows(c, m1, m2):
+        return 1.0, 0.0
     upper = c > m1 * m2
-    if upper:
-        sf = _laguerre_sf(c, m1, m2)
-        if sf is not None:
-            return 1.0 - sf, sf
     cdf, sf, err = _hermite_cdf_sf(c, m1, m2, upper)
     if err <= _REL_TOL * min(cdf, sf):
         return cdf, sf
-    if not upper:
-        sf_tail = _laguerre_sf(c, m1, m2)
-        if sf_tail is not None:
-            return 1.0 - sf_tail, sf_tail
     other = _hermite_cdf_sf(c, m1, m2, not upper)
     if other[2] <= _REL_TOL * min(other[0], other[1]):
         return other[:2]

@@ -28,9 +28,10 @@ __all__ = [
 
 # Largest hop shape m.  A survival call runs Bessel-K recurrences up to the
 # order |m1 - m2|, or incomplete gamma sums that lengthen with the shapes,
-# so its cost grows with them: at shapes (100, 0.75) on both links and an
-# SNR of -20 dB, ``optimize --case split`` takes about 0.7 s on a 2-vCPU VM
-# (4.8 s when the Bessel-K sum stopped at 64 terms); (1000, 0.5) took 75 s.
+# so its cost grows with them: at an SNR of -20 dB, ``optimize --case
+# split`` takes about 0.5 s on a 2-vCPU VM at shapes (100, 0.75) on both
+# links, 1.4 s at (99.5, 0.75), where the Gauss-Hermite rules take every
+# survival value the series refuses, and 4.9 s at (999.5, 0.75).
 MAX_SHAPE = 100
 
 

@@ -3,9 +3,10 @@
 
 class QuadratureAccuracyError(ArithmeticError):
     """Raised when no route of a distribution value passes its own error
-    check: the Bessel-K sum, the series, the Gauss-Laguerre and both
-    Gauss-Hermite rules.  ``best_estimate`` holds the Gauss-Hermite
-    estimate and ``error_estimate`` its distance to the 20-point rule.
+    check: the Bessel-K sum, the series, the far-tail bound and the
+    Gauss-Hermite rules on both averages.  ``best_estimate`` holds the
+    Gauss-Hermite estimate on the first average and ``error_estimate`` its
+    distance to the rule that checked it last.
     """
 
     def __init__(self, message, best_estimate, error_estimate):

@@ -80,10 +80,10 @@ ORACLE_SHAPES = (
 )
 
 
-# (m1, m2, c) of ORACLE_SF below the mean where the kernels' Gauss-Hermite
-# rules disagree, near the mean of two close shapes: the Gauss-Laguerre
-# rule takes the value at the first four, and where it refuses too, the
-# Gauss-Hermite rule on the survival average at the last three
+# (m1, m2, c) of ORACLE_SF just below the mean of two close shapes, where
+# the kernels' 24- and 16-point Gauss-Hermite rules on the cdf average
+# disagree: the 32-point rule holds at the last six, and the survival
+# average takes the first
 BELOW_THE_MEAN = (
     ("2.99", "2.99", 8.0), ("7.25", "7.75", 30.0), ("12.5", "12.5", 120.0),
     ("3.3", "7.7", 15.0),

@@ -519,9 +519,9 @@ def test_overflowing_threshold_is_never_met(tmp_path):
 
 
 def test_vanishing_snr_gives_zero_with_non_integer_shapes(tmp_path):
-    # both shapes of each link are non-integer, so every survival value
-    # here takes the Gauss-Laguerre tail, at r x from 6e5 to 2e12: far above
-    # the mean
+    # both shapes of each link are non-integer, and every survival value
+    # here is at r x from 6e5 to 2e12, far above the mean, where the
+    # far-tail bound gives 0
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps({
         "snr_db": -100,
@@ -555,8 +555,7 @@ def test_huge_rate_gives_zero_with_non_integer_shapes(tmp_path, scenario):
 def test_numerical_error_exits_three_with_best_estimate(tmp_path, capsys,
                                                         monkeypatch):
     # with no relative tolerance, every error check of the non-integer
-    # routes refuses, the Gauss-Hermite rules' and the Gauss-Laguerre rule's
-    # included
+    # routes refuses, both Gauss-Hermite averages' included
     monkeypatch.setattr(_kernels_py, "_REL_TOL", 0.0)
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps({"chan1": {"m1": 30.5, "m2": 40.25},

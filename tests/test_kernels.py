@@ -6,8 +6,7 @@ rates and arguments from 1e-8 deep into the upper tail.  The public
 ``cdf_w``/``sf_w`` are checked together with the private Gauss-Hermite
 route ``_hermite_cdf_sf`` wherever its own check keeps its value, so that
 route stays covered on the pairs where the public functions take the
-Bessel-K sum, the series or the Gauss-Laguerre tail.  The oracles are
-mpmath's Meijer G forms,
+Bessel-K sum or the series.  The oracles are mpmath's Meijer G forms,
 P(W > x) = G^{3,0}_{1,3}(r x | 1; m1, m2, 0) / (Gamma(m1) Gamma(m2)) for
 the tail and P(W <= x) = G^{2,1}_{1,3}(r x | 1; m1, m2, 0) / (Gamma(m1)
 Gamma(m2)) for the lower range, and for the deep tail literals from
@@ -35,7 +34,7 @@ XS = (1e-8, 0.01, 0.4, 1.3, 6.0, 30.0, 120.0)
 def hermite(c, m1, m2, upper=None):
     """(P(V <= c), P(V > c)) by the Gauss-Hermite route, averaging the
     survival side when ``upper`` (by default when c is above the mean), or
-    None where the 20-point rule does not confirm it."""
+    None where no pair of its rules agrees."""
     if upper is None:
         upper = c > m1 * m2
     cdf, sf, err = _kernels_py._hermite_cdf_sf(c, m1, m2, upper)
@@ -64,26 +63,36 @@ def oracle_bessel_sum(c, m, n):
                           * mp.besselk(m - k, z) for k in range(n)))
 
 
+def oracle_tail_sf(c, m1, m2):
+    """P(V > c) from its tail integral in z = 2 sqrt(v), taken relative to
+    the integrand's size at the lower end z0 (as ``sf_unit`` in
+    tests/make_reference_values.py), so it holds far below the floats."""
+    with mp.workdps(30):
+        z0, p = 2 * mp.sqrt(c), mp.mpf(m1) + m2 - 1
+        integral = mp.quad(
+            lambda t: (1 + t / z0) ** p * mp.besselk(m1 - m2, z0 + t)
+            * mp.exp(z0), [0, 1, 5, 20, 60, 200, mp.inf])
+        return (4 ** ((1 - p) / 2) * z0 ** p * mp.exp(-z0) * integral
+                / (mp.gamma(m1) * mp.gamma(m2)))
+
+
 def route(c, m1, m2):
     """The route ``_cdf_sf`` takes at 0 < c < inf."""
     if _kernels_py._integer_shape_sf(c, m1, m2) is not None:
         return "bessel-k sum"
     if _kernels_py._series_cdf_sf(c, m1, m2) is not None:
         return "series"
-    upper = c > m1 * m2
-    if upper and _kernels_py._laguerre_sf(c, m1, m2) is not None:
-        return "laguerre tail"
+    if _kernels_py._sf_underflows(c, m1, m2):
+        return "far-tail bound"
     if hermite(c, m1, m2) is not None:
         return "hermite"
-    if not upper and _kernels_py._laguerre_sf(c, m1, m2) is not None:
-        return "laguerre below the mean"
-    if hermite(c, m1, m2, not upper) is not None:
+    if hermite(c, m1, m2, c <= m1 * m2) is not None:
         return "hermite, other average"
     return "none"
 
 
-ALL_ROUTES = {"bessel-k sum", "series", "laguerre tail", "hermite",
-              "laguerre below the mean", "hermite, other average"}
+ALL_ROUTES = {"bessel-k sum", "series", "far-tail bound", "hermite",
+              "hermite, other average"}
 
 
 def test_bessel_k_matches_oracle():
@@ -128,8 +137,8 @@ def test_cdf_w_matches_oracle():
 
 
 def test_sf_w_matches_oracle():
-    # relative error, so the deep tail (the Bessel-K sum, or the Laguerre
-    # tail) counts
+    # relative error, so the deep tail (the Bessel-K sum, or the
+    # Gauss-Hermite rule) counts
     worst = {}
     for m1, m2 in SHAPES:
         for r in RATES:
@@ -167,7 +176,8 @@ def test_bessel_ladder_where_bessel_k_overflows():
 
 
 def test_quadrature_far_above_the_mean():
-    # the Gauss-Laguerre tail gets sf = 0 this far out, with no overflow
+    # the far-tail bound gets sf = 0 this far out, with no overflow, on
+    # integer shapes too, where the Bessel-K sum refuses the subnormals
     for m1, m2 in SHAPES:
         if m1.is_integer() or m2.is_integer():
             continue
@@ -178,6 +188,25 @@ def test_quadrature_far_above_the_mean():
             sfs = [_kernels_py.sf_w(10.0 ** (k / 4), m1, m2, r)
                    for k in range(1201)]
             assert all(b <= a for a, b in zip(sfs, sfs[1:])), (m1, m2, r)
+    for m1, m2 in ((0.5, 0.5), (1.5, 2.5), (30.5, 40.25), (99.5, 0.75),
+                   (1.0, 1.0), (100.0, 100.0)):
+        for c in (1e17, 1e30, 1e100, 1e300, 1.7e308):
+            assert _kernels_py.sf_w(c, m1, m2, 1.0) == 0.0, (m1, m2, c)
+            assert _kernels_py.cdf_w(c, m1, m2, 1.0) == 1.0, (m1, m2, c)
+
+
+def test_far_tail_bound_is_sound():
+    # where the far-tail bound first answers 0, the Chernoff bound behind it
+    # lies above P(V > c) and, in exact arithmetic, below half the least
+    # subnormal 2^-1074
+    for m1, m2 in ((0.5, 0.5), (1.5, 2.5), (99.5, 0.75), (100.0, 100.0)):
+        c, _ = _handoff(1e7, 1e5,
+                        lambda c: _kernels_py._sf_underflows(c, m1, m2))
+        with mp.workdps(30):
+            z = mp.sqrt(c)
+            bound = sum((z / m) ** m * mp.exp(m - z) for m in (m1, m2))
+            assert oracle_tail_sf(c, m1, m2) < bound < mp.mpf(2) ** -1075, \
+                (m1, m2, c)
 
 
 SHAPE_VALUES = st.one_of(st.integers(1, 8).map(float),
@@ -241,18 +270,17 @@ SERIES_SHAPES = (
 NEAR_INTEGER_SHAPES = ((1.5, 2.4999), (1.5, 2.4999999), (0.5, 0.50001),
                        (1.5, 2.50001))
 SERIES_CS = (1e-8, 1e-3, 0.05, 0.4, 1.3, 3.0, 6.0, 12.0, 30.0)
-# (c, m1, m2) above the mean where the 16- and 10-point Laguerre rules
-# disagree: large shapes near the mean, both large or one large and one
-# small
-LAGUERRE_FALLBACKS = [(1300.0, 30.5, 40.25), (200.0, 40.5, 3.25)]
-# large shapes below the mean, where the series cancels: the Gauss-Hermite
-# rule
+# (c, m1, m2) where the series cancels and the Gauss-Hermite rule on its own
+# average holds: large shapes just above the mean, both large or one large
+# and one small; large shapes below the mean; close shapes just below the
+# mean, where the 24- and 16-point rules disagree and the 32-point rule
+# holds
+HERMITE_ABOVE_THE_MEAN = [(1300.0, 30.5, 40.25), (200.0, 40.5, 3.25)]
 HERMITE_BELOW_THE_MEAN = (100.0, 30.5, 40.25)
-# close shapes just below the mean, where the Gauss-Hermite rules disagree:
-# the Gauss-Laguerre rule, and where it refuses too, the Gauss-Hermite rule
-# on the survival average
-LAGUERRE_BELOW_THE_MEAN = (120.0, 12.5, 12.5)
-HERMITE_OTHER_AVERAGE = (320.0, 18.5, 18.25)
+HERMITE_32_POINTS = (120.0, 12.5, 12.5)
+# close shapes just below the mean, where no pair of rules on the cdf
+# average agrees: the survival average
+HERMITE_OTHER_AVERAGE = (8.0, 2.99, 2.99)
 
 
 def test_series_matches_oracle():
@@ -326,58 +354,44 @@ def test_small_cdf_of_integer_shapes_is_relatively_precise():
             == _kernels_py._cdf_sf(c, m1, m2, 1.0)
 
 
-def record_hermite(monkeypatch):
-    """Wrap the Gauss-Hermite route; returns the list of its calls, as
-    (c, m1, m2, upper)."""
+def record_calls(monkeypatch, name):
+    """Wrap the kernel function ``name``; returns the list of its calls'
+    arguments, as tuples."""
     calls = []
-    original = _kernels_py._hermite_cdf_sf
+    original = getattr(_kernels_py, name)
 
-    def recorded(c, m1, m2, upper):
-        calls.append((c, m1, m2, upper))
-        return original(c, m1, m2, upper)
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(_kernels_py, "_hermite_cdf_sf", recorded)
+    monkeypatch.setattr(_kernels_py, name, recorded)
     return calls
 
 
 def test_quadrature_runs_unchanged_where_the_series_bound_fails(monkeypatch):
-    points = [HERMITE_BELOW_THE_MEAN, (1300.0, 30.5, 40.25)]
+    points = [HERMITE_BELOW_THE_MEAN, (1300.0, 30.5, 40.25), (30.0, 0.75, 1.25),
+              HERMITE_32_POINTS]
     own = [hermite(c, m1, m2) for c, m1, m2 in points]
-    c, m1, m2 = LAGUERRE_BELOW_THE_MEAN
-    assert hermite(c, m1, m2) is None
     c, m1, m2 = HERMITE_OTHER_AVERAGE
     assert hermite(c, m1, m2) is None
     other = hermite(c, m1, m2, upper=True)
-    calls = record_hermite(monkeypatch)
+    calls = record_calls(monkeypatch, "_hermite_cdf_sf")
     # small c: the series, and no Gauss-Hermite rule
     for c, m1, m2 in ((1.0, 0.75, 1.25), (1.0, 1.5, 2.5)):
         assert _kernels_py._cdf_sf(c, m1, m2, 1.0) \
             == _kernels_py._series_cdf_sf(c, m1, m2)
     assert calls == []
-    # large c: the Gauss-Laguerre tail, and no Gauss-Hermite rule
-    assert _kernels_py._series_cdf_sf(30.0, 0.75, 1.25) is None
-    sf = _kernels_py._laguerre_sf(30.0, 0.75, 1.25)
-    assert _kernels_py._cdf_sf(30.0, 0.75, 1.25, 1.0) == (1.0 - sf, sf)
-    assert calls == []
-    # large shapes below the mean, and just above it where the Laguerre
-    # rules disagree: the Gauss-Hermite rule's own value
+    # large shapes below the mean, small and large shapes above it, and
+    # close shapes just below it: the Gauss-Hermite rule on its own average
     for (c, m1, m2), want in zip(points, own):
         assert _kernels_py._series_cdf_sf(c, m1, m2) is None
+        assert want is not None
         assert _kernels_py._cdf_sf(c, m1, m2, 1.0) == want
-    assert calls == [HERMITE_BELOW_THE_MEAN + (False,),
-                     (1300.0, 30.5, 40.25, True)]
-    # close shapes just below the mean, where the Hermite rules disagree:
-    # the Gauss-Laguerre rule's own value
-    del calls[:]
-    c, m1, m2 = LAGUERRE_BELOW_THE_MEAN
-    assert _kernels_py._series_cdf_sf(c, m1, m2) is None
-    sf = _kernels_py._laguerre_sf(c, m1, m2)
-    assert _kernels_py._cdf_sf(c, m1, m2, 1.0) == (1.0 - sf, sf)
-    assert calls == [LAGUERRE_BELOW_THE_MEAN + (False,)]
-    # where the Laguerre rule refuses too: the other Gauss-Hermite average
+    assert calls == [point + (point[0] > point[1] * point[2],)
+                     for point in points]
+    # where no pair of its rules agrees: the other Gauss-Hermite average
     del calls[:]
     c, m1, m2 = HERMITE_OTHER_AVERAGE
-    assert _kernels_py._laguerre_sf(c, m1, m2) is None
     assert _kernels_py._cdf_sf(c, m1, m2, 1.0) == other
     assert calls == [HERMITE_OTHER_AVERAGE + (False,),
                      HERMITE_OTHER_AVERAGE + (True,)]
@@ -387,9 +401,9 @@ def test_cdf_plus_sf_is_one_on_every_route():
     seen = set()
     points = [(c, m1, m2) for m1, m2 in SHAPES + NEAR_INTEGER_SHAPES
               for c in SERIES_CS + (120.0,)]
-    for c, m1, m2 in points + LAGUERRE_FALLBACKS + [
-            HERMITE_BELOW_THE_MEAN, LAGUERRE_BELOW_THE_MEAN,
-            HERMITE_OTHER_AVERAGE]:
+    for c, m1, m2 in points + HERMITE_ABOVE_THE_MEAN + [
+            HERMITE_BELOW_THE_MEAN, HERMITE_32_POINTS,
+            HERMITE_OTHER_AVERAGE, (1e7, 1.5, 2.5)]:
         seen.add(route(c, m1, m2))
         cdf, sf = _kernels_py._cdf_sf(c, m1, m2, 1.0)
         assert abs(cdf + sf - 1.0) <= sys.float_info.epsilon, (m1, m2, c)
@@ -421,17 +435,15 @@ def test_no_jump_at_the_series_handoff():
     for m1, m2 in SERIES_SHAPES + ((30.5, 40.25),):
         c_in, c_out = _handoff(
             1e-3, 1e3, lambda c: _kernels_py._series_cdf_sf(c, m1, m2) is not None)
-        # the next route: the Laguerre tail above the mean, else Hermite,
-        # or the Laguerre rule where the Hermite rules disagree
-        assert route(c_out, m1, m2) in (
-            ("laguerre tail",) if c_out > m1 * m2
-            else ("hermite", "laguerre below the mean"))
+        # the next route: the Gauss-Hermite rule, on the other average
+        # where the rules on its own disagree (close shapes near the mean)
+        assert route(c_out, m1, m2) in ("hermite", "hermite, other average")
         _assert_no_jump(_kernels_py._cdf_sf(c_in, m1, m2, 1.0),
                         _kernels_py._cdf_sf(c_out, m1, m2, 1.0))
-    # in c, where the Laguerre rules start to agree above the mean
-    for c, m1, m2 in LAGUERRE_FALLBACKS:
+    # in c, where the far-tail bound takes over from the Gauss-Hermite rule
+    for m1, m2 in ((0.5, 0.5), (1.5, 2.5), (99.5, 0.75), (100.0, 100.0)):
         c_in, c_out = _handoff(
-            1e4, c, lambda c: _kernels_py._laguerre_sf(c, m1, m2) is not None)
+            1e7, 1e5, lambda c: _kernels_py._sf_underflows(c, m1, m2))
         assert route(c_out, m1, m2) == "hermite"
         _assert_no_jump(_kernels_py._cdf_sf(c_in, m1, m2, 1.0),
                         _kernels_py._cdf_sf(c_out, m1, m2, 1.0))
@@ -481,8 +493,7 @@ DEEP_TAIL_SF = {
 # (ORACLE_SHAPES there): integer orders, orders away from an integer, orders
 # 1e-4, 1e-7 and 1e-10 from one, and integer shapes, over shapes 0.5 to 100
 # and c from 1e-12 to where P(V > c) falls below 1e-300; then seven points
-# below the mean where the Gauss-Hermite rules disagree (BELOW_THE_MEAN
-# there)
+# near the mean of two close shapes (BELOW_THE_MEAN there)
 ORACLE_SF = {
     (0.5, 0.5, 1e-12): 0.999981871239892546,
     (0.5, 0.5, 1e-06): 0.990666463826455724,
@@ -720,7 +731,8 @@ ORACLE_SF = {
 
 def test_survival_matches_the_tabulated_oracle():
     # every route, in relative terms: within the kernels' relative
-    # tolerance however small P(V > c) is
+    # tolerance however small P(V > c) is.  The far-tail bound gives 0,
+    # below every literal
     routes = set()
     worst = (0.0, ())
     for (m1, m2, c), want in ORACLE_SF.items():
@@ -728,7 +740,7 @@ def test_survival_matches_the_tabulated_oracle():
         got = _kernels_py.sf_w(c, m1, m2, 1.0)
         worst = max(worst, (abs(got / want - 1.0), (m1, m2, c, got, want)))
     assert worst[0] <= 1e-9, worst
-    assert routes == ALL_ROUTES
+    assert routes == ALL_ROUTES - {"far-tail bound"}
 
 
 def test_deep_tail_keeps_relative_precision():
@@ -741,62 +753,46 @@ def test_deep_tail_keeps_relative_precision():
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(m1=st.integers(1, 100).map(float), m2=st.integers(1, 100).map(float))
-def test_laguerre_tail_matches_the_bessel_k_sum(m1, m2):
-    # the Laguerre formula holds at integer shapes too, where the Bessel-K
-    # sum is exact; from the mean out to where sf leaves the normal floats,
-    # and only there does the sum's own bound refuse it
+def test_hermite_route_matches_the_bessel_k_sum(m1, m2):
+    # the Gauss-Hermite rule on the survival average holds at integer shapes
+    # too, where the Bessel-K sum is exact: at the mean to the kernels'
+    # tolerance, and above it to 1e-12 relative, out to where sf leaves the
+    # normal floats, and only there does the sum's own bound refuse it
     c = m1 * m2
     while True:
         want = _kernels_py._integer_shape_sf(c, m1, m2)
         if want is None or want < sys.float_info.min:
             assert _kernels_py.sf_w(c, m1, m2, 1.0) < sys.float_info.min
             break
-        got = _kernels_py._laguerre_sf(c, m1, m2)
-        assert got == _kernels_py._laguerre_sf(c, m2, m1), (m1, m2, c)
-        if got is not None:
-            assert math.isclose(got, want, rel_tol=1e-12), \
-                (m1, m2, c, got, want)
-        else:
-            # only near the mean, or where z0 = 2 sqrt(c) is still below the
-            # order |m1 - m2| (a unit shape against one above 66), does the
-            # error check reject the rule
-            assert c < max(16.0 * m1 * m2, (m1 - m2) ** 2 / 4.0), (m1, m2, c)
+        got = hermite(c, m1, m2, upper=True)
+        assert got is not None, (m1, m2, c)
+        assert got == hermite(c, m2, m1, upper=True), (m1, m2, c)
+        tol = 1e-12 if c > m1 * m2 else _kernels_py._REL_TOL
+        assert math.isclose(got[1], want, rel_tol=tol), (m1, m2, c, got, want)
         c *= 4.0
 
 
-def test_laguerre_tail_falls_back_to_quadrature(monkeypatch):
-    # the last point is a large shape, where the power factor of the rule
-    # overflows at the outer nodes: no OverflowError, the Gauss-Hermite rule
-    # runs
-    points = LAGUERRE_FALLBACKS + [(7500.46875, 1.5, 4000.25)]
-    own = [hermite(c, m1, m2) for c, m1, m2 in points]
-    calls = record_hermite(monkeypatch)
-    for (c, m1, m2), want in zip(points, own):
-        assert c > m1 * m2
-        assert _kernels_py._series_cdf_sf(c, m1, m2) is None
-        assert _kernels_py._laguerre_sf(c, m1, m2) is None
-        assert want is not None
-        assert _kernels_py._cdf_sf(c, m1, m2, 1.0) == want
-    assert calls == [point + (True,) for point in points]
-
-
-def test_laguerre_node_tables():
-    import numpy as np
-
-    # an n-point rule integrates x^k e^-x exactly for k <= 2n - 1
-    for n, nodes, weights in ((16, _kernels_py._XGL16, _kernels_py._WGL16),
-                              (10, _kernels_py._XGL10, _kernels_py._WGL10)):
-        assert len(nodes) == len(weights) == n
-        for k in range(2 * n):
-            got = math.fsum(w * x ** k for x, w in zip(nodes, weights))
-            assert math.isclose(got, math.factorial(k), rel_tol=1e-13), (n, k)
-        # numpy's weights come out of a normalisation and sit up to about
-        # 150 ulps from the correctly rounded ones held here; its nodes
-        # within a few ulps
-        want_x, want_w = np.polynomial.laguerre.laggauss(n)
-        for x, w, wx, ww in zip(nodes, weights, want_x, want_w):
-            assert abs(x - wx) <= 8 * np.spacing(wx), (n, x, wx)
-            assert math.isclose(w, ww, rel_tol=1e-13), (n, w, ww)
+def test_hermite_rules_escalate(monkeypatch):
+    # each pair of rules runs only where the pair before it disagrees, and
+    # each rule is summed once: above the mean at a large shape against a
+    # small one and at two large shapes, then at close shapes just below the
+    # mean and at moderate close shapes at half the mean
+    sizes = record_calls(monkeypatch, "_hermite_rule")
+    for (c, m1, m2), last in (((7500.46875, 1.5, 4000.25), 24),
+                              ((1300.0, 30.5, 40.25), 24),
+                              (HERMITE_32_POINTS, 32), ((7.875, 3.5, 4.5), 48)):
+        del sizes[:]
+        cdf, sf, err = _kernels_py._hermite_cdf_sf(c, m1, m2, c > m1 * m2)
+        assert err <= _kernels_py._REL_TOL * min(cdf, sf), (c, m1, m2)
+        assert sizes == [(n,) for n in (16, 24, 32, 48) if n <= last], \
+            (c, m1, m2, sizes)
+        assert _kernels_py._cdf_sf(c, m1, m2, 1.0) == (cdf, sf)
+    # where Newton's method has not settled, on the cdf average far above
+    # the mean, no value is kept: cdf = 0 once passed with a zero error
+    # estimate, as e^phi underflowed at the rules' nodes
+    for c in (1e12, 1e100):
+        cdf, sf, err = _kernels_py._hermite_cdf_sf(c, 1.5, 2.5, False)
+        assert not err <= _kernels_py._REL_TOL * min(cdf, sf), (c, cdf, sf)
 
 
 def test_survival_census_over_the_shape_domain():
@@ -827,8 +823,7 @@ def test_survival_census_over_the_shape_domain():
             assert 0.0 <= sf <= 1.0 and sf <= prev * (1.0 + 1e-14), \
                 (m1, m2, c, sf, prev)
             prev = sf
-    assert {"hermite", "laguerre below the mean",
-            "hermite, other average"} <= seen
+    assert {"hermite", "hermite, other average", "far-tail bound"} <= seen
 
 
 def test_incomplete_gamma_matches_oracle():
@@ -854,7 +849,7 @@ def test_hermite_rules():
     import numpy as np
 
     # an n-point rule integrates x^k e^(-x^2) exactly for k <= 2n - 1
-    for n in (32, 20):
+    for n in (16, 24, 32, 48):
         rule = _kernels_py._hermite_rule(n)
         assert rule is _kernels_py._hermite_rule(n)  # built once
         assert len(rule) == n

@@ -94,10 +94,10 @@ def test_bessel_rejects_bad_arguments():
 
 
 def test_quadrature_budget_exhaustion_reports_best_estimate(monkeypatch):
-    # with no relative tolerance, every error check refuses: the series',
-    # both Gauss-Hermite averages' and the Gauss-Laguerre rule's.  The shapes
-    # are so large that the series cancels at this c below the mean, and the
-    # error carries the Gauss-Hermite estimate of the cdf
+    # with no relative tolerance, every error check refuses: the series'
+    # and both Gauss-Hermite averages'.  The shapes are so large that the
+    # series cancels at this c below the mean, and the error carries the
+    # Gauss-Hermite estimate of the cdf
     monkeypatch.setattr(_kernels_py, "_REL_TOL", 0.0)
     with pytest.raises(QuadratureAccuracyError) as exc_info:
         _kernels_py.cdf_w(600.0, 30.5, 40.25, 1.5)
