@@ -29,9 +29,9 @@ __all__ = [
 # Largest hop shape m.  A survival call runs Bessel-K recurrences up to the
 # order |m1 - m2|, or incomplete gamma sums that lengthen with the shapes,
 # so its cost grows with them: at an SNR of -20 dB, ``optimize --case
-# split`` takes about 0.5 s on a 2-vCPU VM at shapes (100, 0.75) on both
+# split`` takes about 0.6 s on a 2-vCPU VM at shapes (100, 0.75) on both
 # links, 1.4 s at (99.5, 0.75), where the Gauss-Hermite rules take every
-# survival value the series refuses, and 4.9 s at (999.5, 0.75).
+# survival value the series refuses, and 4.4 s at (999.5, 0.75).
 MAX_SHAPE = 100
 
 
@@ -97,10 +97,10 @@ def effective_scale(geom: LinkGeometry) -> float:
 def bessel_k(nu, x):
     """Modified Bessel function of the second kind, real order.
 
-    Returns K_|nu|(x); the function is even in the order.  It is evaluated
-    with a Temme-type series below x = 2, a Steed continued fraction above,
-    and stable upward recurrence in the order.  The value underflows to 0.0
-    for large x (beyond roughly x = 745) rather than raising.
+    Returns K_|nu|(x); the function is even in the order.  It is read off
+    the kernels' upward recurrence on e^x K (Temme's series up to x = 2, a
+    trapezoidal rule above).  The value is 0.0 where K underflows (beyond
+    roughly x = 745) and inf where it overflows, rather than raising.
     """
     if not math.isfinite(nu):
         raise ValueError(f"bessel_k requires a finite order, got {nu!r}")

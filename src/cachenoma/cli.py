@@ -364,24 +364,7 @@ def _build_parser():
 
 
 def _dispatch(args, out):
-    if args.command == "optimize":
-        cfg = load_config(args.config)
-        _write_csv(out, ("case", "branch", "alpha", "beta", "value",
-                         "evaluations"), run_optimize(cfg, args.case))
-        return 0
-    if args.command == "sweep":
-        cfg = load_config(args.config)
-        values = sweep_values(args.variable, args.start, args.stop,
-                              args.steps, args.values)
-        _write_csv(out, (args.variable, "avg_success_noma", "avg_success_oma",
-                         "avg_success_conventional"),
-                   run_sweep(cfg, args.variable, values))
-        return 0
-    if args.command == "surface":
-        cfg = load_config(args.config)
-        _write_csv(out, ("alpha", "beta", "objective", "branch"),
-                   run_surface(cfg, args.grid))
-        return 0
+    # flags are checked before the scenario file is read
     if args.command == "validate":
         if args.samples < 10_000:
             raise ValueError("--samples must be at least 10000")
@@ -393,14 +376,29 @@ def _dispatch(args, out):
             raise ValueError(f"--workers must be at most {MAX_WORKERS}")
         if not 0 <= args.seed < 2 ** 64:
             raise ValueError("--seed must lie in [0, 2**64)")
-        cfg = load_config(args.config)
+    cfg = load_config(args.config)
+    if args.command == "optimize":
+        _write_csv(out, ("case", "branch", "alpha", "beta", "value",
+                         "evaluations"), run_optimize(cfg, args.case))
+        return 0
+    if args.command == "sweep":
+        values = sweep_values(args.variable, args.start, args.stop,
+                              args.steps, args.values)
+        _write_csv(out, (args.variable, "avg_success_noma", "avg_success_oma",
+                         "avg_success_conventional"),
+                   run_sweep(cfg, args.variable, values))
+        return 0
+    if args.command == "surface":
+        _write_csv(out, ("alpha", "beta", "objective", "branch"),
+                   run_surface(cfg, args.grid))
+        return 0
+    if args.command == "validate":
         rows, ok = run_validate(cfg, args.samples, args.seed, args.workers)
         _write_csv(out, ("kind", "case", "semantics", "alpha", "beta",
                          "analytic", "estimate", "half_width", "abs_diff",
                          "status"), rows)
         return 0 if ok else 2
     if args.command == "concavity":
-        cfg = load_config(args.config)
         rows, verdicts = run_concavity(cfg, args.case, args.grid)
         _write_csv(out, ("case", "branch", "alpha", "objective"), rows)
         code = 0

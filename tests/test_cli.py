@@ -378,6 +378,15 @@ def test_validate_rejects_tiny_sample_count(tmp_path):
     assert code == 1
 
 
+def test_validate_checks_its_flags_before_reading_the_scenario(tmp_path,
+                                                                capsys):
+    code, _ = run_cli(tmp_path, "validate", "--samples", "100", "--config",
+                      str(tmp_path / "missing.json"))
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "cachenoma: error: --samples must be at least 10000\n"
+
+
 def test_validate_seed_range(tmp_path, capsys):
     for seed in ("-1", str(2 ** 64), str(2 ** 65 + 3)):
         capsys.readouterr()

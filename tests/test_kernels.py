@@ -20,6 +20,7 @@ import mpmath as mp
 from hypothesis import given, settings, strategies as st
 
 from cachenoma import _kernels_py
+from cachenoma.channel import bessel_k
 
 ORDERS = (0.0, 0.5, 1.0, 2.25, 3.5)
 BESSEL_ARGS = (1e-6, 0.05, 0.8, 2.0, 7.5, 40.0, 300.0)
@@ -107,14 +108,41 @@ def test_bessel_k_matches_oracle():
 
 
 def test_scaled_bessel_k_matches_oracle():
-    # e^x K_nu(x); K itself underflows at x = 800
+    # the ladder runs on e^x K_nu(x) and keeps K's relative precision where K
+    # itself underflows (x = 800): its log is within 1e-13 of ln K
     assert _kernels_py.bessel_k(1.0, 800.0) == 0.0
     for nu in ORDERS + (9.5,):
         for x in (0.5, 3.0, 40.0, 800.0):
+            [got], _ = _kernels_py._log_k_ladder(nu, x, 1)
             with mp.workdps(30):
-                want = mp.exp(x) * mp.besselk(nu, x)
-            got = _kernels_py.bessel_k(nu, x, scaled=True)
-            assert float(abs(got / want - 1)) <= 1e-13, (nu, x, got)
+                err = float(abs(mp.mpf(got) - mp.log(mp.besselk(nu, x))))
+            assert err <= 1e-13, (nu, x, got)
+
+
+def test_bessel_start_matches_oracle():
+    # the start pair e^x K_mu(x), e^x K_(mu+1)(x), mu in [-1/2, 1/2], on both
+    # sides of the switch at x = 2, within the 2000 + 2 |ln x| u that
+    # _integer_shape_sf's bound charges for it.  Temme's series is worst for
+    # |mu| just above 0.1, where G1 is a difference quotient; the
+    # trapezoidal rule above x = 2 stays within 32 u
+    worst = {"temme": (0.0,), "rule": (0.0,)}
+    xs = [10.0 ** (k / 4) for k in range(-24, 14)] + [2500.0, 2.0 - 1e-12,
+                                                      2.0, 2.0 + 1e-12]
+    for nu in [k / 8 for k in range(9)] + [0.5625, 0.75, 0.875, 0.1006185,
+                                           0.1036, 1.0 - 0.1006185]:
+        for x in xs:
+            mu, nl, k0, k1 = _kernels_py._start(nu, x)
+            assert nl + mu == nu and abs(mu) <= 0.5
+            with mp.workdps(30):
+                ex = mp.exp(x)
+                errs = [abs(k / (ex * mp.besselk(mu + i, x)) - 1)
+                        for i, k in enumerate((k0, k1))]
+            err = float(max(errs)) / _kernels_py._U
+            side = "temme" if x <= 2.0 else "rule"
+            worst[side] = max(worst[side], (
+                err / (2000.0 + 2.0 * abs(math.log(x))), err, (mu, x)))
+    assert worst["temme"][0] < 1.0 and worst["rule"][0] < 1.0, worst
+    assert worst["rule"][1] <= 32.0, worst
 
 
 def test_cdf_w_matches_oracle():
@@ -157,22 +185,24 @@ def test_sf_w_matches_oracle():
 
 
 def test_bessel_ladder_where_bessel_k_overflows():
-    # the ladder rescales its pair where it would overflow (small x, high
-    # order)
+    # the ladder rescales its pair by 2^-e where it would overflow (small x,
+    # high order), and scale = x + e ln 2 counts the factors taken off
     for nu, x in ((59.25, 1.3e-5), (100.5, 1e-3), (2.0, 1e-161), (200.0, 0.5)):
-        assert math.isinf(_kernels_py.bessel_k(nu, x))
+        assert math.isinf(bessel_k(nu, x))
         with mp.workdps(30):
             want = mp.log(mp.besselk(nu, x))
         [got], scale = _kernels_py._log_k_ladder(nu, x, 1)
-        assert scale > 0.0
+        e = round((scale - x) / _kernels_py._LN2)
+        assert e > 0 and scale == e * _kernels_py._LN2 + x
         assert math.isclose(got, float(want), rel_tol=1e-14)
-    # in range it agrees with the plain recurrence, order by order
+    # in range only e^x is taken off, and it agrees with mpmath order by order
     for nu, x in ((0.25, 7.5), (3.0, 1e-6), (9.5, 30.0)):
         ladder, scale = _kernels_py._log_k_ladder(nu, x, 4)
-        assert len(ladder) == 4 and scale == 0.0
+        assert len(ladder) == 4 and scale == x
         for i, got in enumerate(ladder):
-            assert math.isclose(got, math.log(_kernels_py.bessel_k(nu + i, x)),
-                                rel_tol=1e-14)
+            with mp.workdps(30):
+                want = mp.log(mp.besselk(nu + i, x))
+            assert math.isclose(got, float(want), rel_tol=1e-14)
 
 
 def test_quadrature_far_above_the_mean():
