@@ -57,7 +57,6 @@ import sys
 
 from .errors import QuadratureAccuracyError
 
-_EPS = 1e-16
 _U = sys.float_info.epsilon / 2  # unit roundoff
 _LN2 = math.log(2.0)
 _MAXIT = 30000
@@ -68,26 +67,30 @@ _ABS_TOL = 1e-10
 _REL_TOL = 1e-9
 
 
-def _gamma_pair(mu):
-    """(G1, G2, 1/Gamma(1+mu), 1/Gamma(1-mu)) for |mu| <= 0.5.
+# 1/Gamma(1+z) = sum a_k z^k (DLMF 5.7.1): mpmath's a_0 ... a_21 to the double
+_RGAMMA_TAYLOR = (
+    1.0, 0.5772156649015329, -0.6558780715202539, -0.04200263503409524,
+    0.16653861138229148, -0.04219773455554433, -0.009621971527876973,
+    0.0072189432466631, -0.0011651675918590652, -0.00021524167411495098,
+    0.0001280502823881162, -2.013485478078824e-05, -1.2504934821426706e-06,
+    1.133027231981696e-06, -2.056338416977607e-07, 6.116095104481416e-09,
+    5.002007644469223e-09, -1.18127457048702e-09, 1.0434267116911005e-10,
+    7.782263439905071e-12, -3.696805618642206e-12, 5.100370287454476e-13)
 
-    G1 = (1/Gamma(1-mu) - 1/Gamma(1+mu)) / (2 mu) continued through mu = 0,
-    computed from the Taylor series of 1/Gamma(1+z) near zero to avoid the
-    cancellation in the difference quotient.
-    """
-    inv_p = math.exp(-math.lgamma(1.0 + mu))
-    inv_m = math.exp(-math.lgamma(1.0 - mu))
-    if abs(mu) <= 0.1:
-        # the odd Taylor coefficients of 1/Gamma(1+z), of z^11 down to z^1
-        # (Euler's gamma), by Horner's rule in mu^2
-        mu2 = mu * mu
-        g1 = -(((((-0.0000201348547807 * mu2 - 0.0002152416741149) * mu2
-                  + 0.0072189432466630) * mu2 - 0.0421977345555443) * mu2
-                - 0.0420026350340952) * mu2 + 0.5772156649015329)
-    else:
-        g1 = (inv_m - inv_p) / (2.0 * mu)
-    g2 = 0.5 * (inv_m + inv_p)
-    return g1, g2, inv_p, inv_m
+
+def _gamma_pair(mu):
+    """(G1, G2, 1/Gamma(1+mu), 1/Gamma(1-mu)), |mu| <= 0.5, as Numerical
+    Recipes' ``beschb`` forms them but from ``_RGAMMA_TAYLOR``: Temme's
+    G1 = -sum a_(2k+1) mu^2k and G2 = sum a_2k mu^2k by Horner's rule in mu^2,
+    1/Gamma(1 +- mu) = G2 -+ mu G1; within 1, 1, 3 and 3 u of mpmath."""
+    (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15,
+     a16, a17, a18, a19, a20, a21) = _RGAMMA_TAYLOR
+    m2 = mu * mu
+    g1 = -((((((((((a21 * m2 + a19) * m2 + a17) * m2 + a15) * m2 + a13) * m2
+                + a11) * m2 + a9) * m2 + a7) * m2 + a5) * m2 + a3) * m2 + a1)
+    g2 = ((((((((((a20 * m2 + a18) * m2 + a16) * m2 + a14) * m2 + a12) * m2
+               + a10) * m2 + a8) * m2 + a6) * m2 + a4) * m2 + a2) * m2 + a0)
+    return g1, g2, g2 - mu * g1, g2 + mu * g1
 
 
 def _temme_series(mu, x):
@@ -116,27 +119,25 @@ def _temme_series(mu, x):
         delta = c * ff
         total += delta
         total1 += c * (p - i * ff)
-        if abs(delta) < abs(total) * _EPS:
+        if abs(delta) < abs(total) * _U:
             break
     return total, total1 * (2.0 / x)
 
 
 def _start(nu, x):
-    """Split |nu| = mu + nl with |mu| <= 0.5; e^x K_mu(x) and
-    e^x K_{mu+1}(x).  Up to x = 2, Temme's series times e^x; above, the
-    trapezoidal rule on the positive-term integral (DLMF 10.32.9)
+    """Split |nu| = mu + nl with |mu| <= 0.5; e^x K_mu(x) and e^x K_{mu+1}(x):
+    up to x = 2, where it costs less than the rule, Temme's series times e^x;
+    above, the trapezoidal rule on the positive-term integral (DLMF 10.32.9)
 
         e^x K_nu(x) = int_0^inf e^(-2 x sinh^2(t/2)) cosh(nu t) dt,
 
     which converges geometrically in the step h (L. N. Trefethen and
     J. A. C. Weideman, SIAM Rev. 56 (2014) 385-458).  cosh(mu t),
-    cosh((mu+1) t) and sinh(t/2) at t = k h run on their Chebyshev
-    recurrences, so a node costs one exp, and the sum stops where a
-    K_(mu+1) term falls below 1e-17 of it (a nan stops it too).  Below
-    x = 2 the rule costs more than Temme's series.  Both stay within
-    2000 + 2 |ln x| u of mpmath: the rule within 32 u, Temme's series within
-    600 u near x = 2 from its cancelling sums plus 12 times the error of
-    ``_gamma_pair``'s G1, up to 100 u for |mu| just above 0.1 (1290 u seen)."""
+    cosh((mu+1) t) and sinh(t/2) at t = k h run on their Chebyshev recurrences,
+    so a node costs one exp, and the sum stops where a K_(mu+1) term falls
+    below 1e-17 of it (a nan stops it too).  Both stay within 128 + 2 |ln x| u
+    of mpmath, the budget ``_integer_shape_sf`` charges: the rule within 32 u,
+    Temme's series up to 83 u seen near x = 2, 1.6 |ln x| u below x = 1e-6."""
     anu = abs(nu)
     nl = int(anu + 0.5)
     mu = anu - nl
@@ -216,7 +217,7 @@ def _integer_shape_sf(c, m1, m2):
     from 0.5 to 101) and the additions; 10 |ln c^((m+k)/2)|; 6 |ln K|;
     2 |shift| + 2 e ln 2 <= 4 scale - 2 z for the ladder's shift by e ln 2 - z
     (the rounded ln 2, the product, the difference and the log of a value
-    that far from K); 2000 + 2 |ln z| for its start pair and 5 per step;
+    that far from K); 128 + 2 |ln z| for its start pair and 5 per step;
     z + |m - k| + 1 for the rounding of z (it bounds z d(ln K_nu(z))/dz);
     1 for exp, n for the sum, and half the least subnormal per subnormal.
     """
@@ -243,7 +244,7 @@ def _integer_shape_sf(c, m1, m2):
     # with lg_k = ln (n-1)! now, |m - k| < m + n and 2 |ln z| <= |ln c| + 2
     roundings = (16.0 * (abs(head) + lg_k) + 6.0 * max(map(abs, log_ks))
                  + (m + n) * (5.0 * abs(log_c) + 7.0) + abs(log_c)
-                 + 4.0 * scale - z + 2030.0)
+                 + 4.0 * scale - z + 158.0)
     bound = _U * roundings * total + n * 5e-324  # the smallest subnormal
     small = sf if sf < 0.5 else 1.0 - sf
     return sf if bound <= _ABS_TOL and bound <= _REL_TOL * small else None
@@ -283,12 +284,11 @@ def _series_cdf_sf(c, m1, m2):
     form it and 1 for its share of the running sums; 3 times the magnitude
     of the logarithms the first terms are summed from (their additions and
     the lgamma calls); and 50 for forming a term from its parts, for G1
-    (whose difference quotient loses up to about 20 u at |d| = 0.1) and for
-    the exp, expm1 and log calls.  Where m1 - m2 is not a float, the
-    rounding of nu shifts the order the series is summed at; the bound adds
-    that shift times the sensitivity of the terms to it.  The value is kept
-    where the bound is at most ``_ABS_TOL`` and ``_REL_TOL`` times
-    min(cdf, sf).
+    and G2 (each within 1 u) and for the exp, expm1 and log calls.  Where
+    m1 - m2 is not a float, the rounding of nu shifts the order the series is
+    summed at; the bound adds that shift times the sensitivity of the terms to
+    it.  The value is kept where the bound is at most ``_ABS_TOL`` and
+    ``_REL_TOL`` times min(cdf, sf).
     """
     lo, hi = min(m1, m2), max(m1, m2)
     nu = hi - lo

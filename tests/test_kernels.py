@@ -119,28 +119,60 @@ def test_scaled_bessel_k_matches_oracle():
             assert err <= 1e-13, (nu, x, got)
 
 
+def test_gamma_pair_matches_oracle():
+    # Temme's G1 and G2 and 1/Gamma(1 +- mu), all from one Taylor table of
+    # 1/Gamma(1+z), within 4 u of mpmath over [-1/2, 1/2].  A difference
+    # quotient for G1 above |mu| = 0.1 was 92 u off at 0.1075
+    with mp.workdps(40):
+        table = mp.taylor(lambda z: mp.rgamma(1 + z), 0, 21)
+    assert _kernels_py._RGAMMA_TAYLOR == tuple(map(float, table))
+    rng = random.Random(24)
+    mus = [rng.uniform(-0.5, 0.5) for _ in range(400)]
+    for mu in (1e-9, 0.1, 0.1006185, 0.1036, 0.1075, 0.5):
+        mus += [mu, -mu]
+    for mu in mus + [0.0]:
+        with mp.workdps(40):
+            m = mp.mpf(mu)
+            inv_p, inv_m = mp.rgamma(1 + m), mp.rgamma(1 - m)
+            g1 = (inv_m - inv_p) / (2 * m) if mu else -mp.euler
+            want = (g1, (inv_m + inv_p) / 2, inv_p, inv_m)
+            errs = [float(abs(got / w - 1)) / _kernels_py._U
+                    for got, w in zip(_kernels_py._gamma_pair(mu), want)]
+        assert max(errs) <= 4.0, (mu, errs)
+
+
 def test_bessel_start_matches_oracle():
     # the start pair e^x K_mu(x), e^x K_(mu+1)(x), mu in [-1/2, 1/2], on both
-    # sides of the switch at x = 2, within the 2000 + 2 |ln x| u that
-    # _integer_shape_sf's bound charges for it.  Temme's series is worst for
-    # |mu| just above 0.1, where G1 is a difference quotient; the
-    # trapezoidal rule above x = 2 stays within 32 u
+    # sides of the switch at x = 2, within the one budget of 128 + 2 |ln x| u
+    # that _integer_shape_sf's bound charges for it (Temme's series took
+    # 1242 u at x = 2 here while G1 was a difference quotient); the
+    # trapezoidal rule above x = 2 stays within 32 u.  Then the worst two
+    # points of a scan near x = 2 (83 u and 79 u, where Temme's sum for K_mu
+    # cancels most), and 200 random (mu, x), x from 1e-160 (about the least
+    # the sum reaches) to 2500
     worst = {"temme": (0.0,), "rule": (0.0,)}
     xs = [10.0 ** (k / 4) for k in range(-24, 14)] + [2500.0, 2.0 - 1e-12,
                                                       2.0, 2.0 + 1e-12]
-    for nu in [k / 8 for k in range(9)] + [0.5625, 0.75, 0.875, 0.1006185,
-                                           0.1036, 1.0 - 0.1006185]:
-        for x in xs:
-            mu, nl, k0, k1 = _kernels_py._start(nu, x)
-            assert nl + mu == nu and abs(mu) <= 0.5
-            with mp.workdps(30):
-                ex = mp.exp(x)
-                errs = [abs(k / (ex * mp.besselk(mu + i, x)) - 1)
-                        for i, k in enumerate((k0, k1))]
-            err = float(max(errs)) / _kernels_py._U
-            side = "temme" if x <= 2.0 else "rule"
-            worst[side] = max(worst[side], (
-                err / (2000.0 + 2.0 * abs(math.log(x))), err, (mu, x)))
+    nus = [k / 8 for k in range(9)] + [0.5625, 0.75, 0.875, 0.1006185,
+                                       0.1036, 1.0 - 0.1006185]
+    rng = random.Random(5)
+    points = [(nu, x) for nu in nus for x in xs] + [
+        (0.4498678940126021, 1.9472647661030624),
+        (0.5000340707899158, 1.9543538963537286)] + [
+        (rng.uniform(0.0, 3.0),
+         10.0 ** rng.uniform(-8.0 if i % 4 else -160.0, math.log10(2500.0)))
+        for i in range(200)]
+    for nu, x in points:
+        mu, nl, k0, k1 = _kernels_py._start(nu, x)
+        assert nl + mu == nu and abs(mu) <= 0.5
+        with mp.workdps(30):
+            ex = mp.exp(x)
+            errs = [abs(k / (ex * mp.besselk(mu + i, x)) - 1)
+                    for i, k in enumerate((k0, k1))]
+        err = float(max(errs)) / _kernels_py._U
+        side = "temme" if x <= 2.0 else "rule"
+        worst[side] = max(worst[side], (
+            err / (128.0 + 2.0 * abs(math.log(x))), err, (mu, x)))
     assert worst["temme"][0] < 1.0 and worst["rule"][0] < 1.0, worst
     assert worst["rule"][1] <= 32.0, worst
 
@@ -299,6 +331,9 @@ SERIES_SHAPES = (
 # orders within 1e-4, 1e-7, 1e-5 and 1e-5 of an integer
 NEAR_INTEGER_SHAPES = ((1.5, 2.4999), (1.5, 2.4999999), (0.5, 0.50001),
                        (1.5, 2.50001))
+# orders 0.1036, 0.1036 and 0.1006 from an integer, where G1 was once a
+# difference quotient
+NEAR_POINT_ONE_SHAPES = ((1.5, 2.6036), (0.75, 1.8536), (2.25, 3.1494))
 SERIES_CS = (1e-8, 1e-3, 0.05, 0.4, 1.3, 3.0, 6.0, 12.0, 30.0)
 # (c, m1, m2) where the series cancels and the Gauss-Hermite rule on its own
 # average holds: large shapes just above the mean, both large or one large
@@ -320,7 +355,8 @@ def test_series_matches_oracle():
     # tolerances of the tests above
     taken = {}
     by_hermite = []
-    for m1, m2 in SERIES_SHAPES + NEAR_INTEGER_SHAPES:
+    pairs = SERIES_SHAPES + NEAR_INTEGER_SHAPES + NEAR_POINT_ONE_SHAPES
+    for m1, m2 in pairs:
         for c in SERIES_CS:
             want_cdf, want_sf = oracle_cdf(c, m1, m2), oracle_sf(c, m1, m2, 1.0)
             got = _kernels_py._series_cdf_sf(c, m1, m2)
@@ -335,7 +371,7 @@ def test_series_matches_oracle():
                 assert float(abs(kept[1] / want_sf - 1)) <= 1e-6, (m1, m2, c)
     assert by_hermite
     # the series covers every c up to 5, next to an integer order too
-    for pair in SERIES_SHAPES + NEAR_INTEGER_SHAPES:
+    for pair in pairs:
         assert all(c in taken[pair] for c in SERIES_CS if c <= 5.0), pair
 
 
@@ -376,7 +412,14 @@ def test_small_cdf_of_integer_shapes_is_relatively_precise():
     points = [(m1, m2, c) for m1, m2 in ((2.0, 3.0), (3.0, 2.0), (1.0, 1.0),
                                           (60.0, 0.75), (1.0, 4.0))
               for c in (1e-10, 1e-4, 0.3)]
-    for m1, m2, c in points + [(64.0, 64.0, 10.0), (64.0, 64.0, 500.0)]:
+    # Then two census points the sum kept only once its start was charged
+    # 128 + 2 |ln z| u rather than 2000 + 2 |ln z| u (the series and the
+    # Gauss-Hermite rule held them before)
+    kept = [(1.0, 0.7892275881193312, 7.892275881193312e-07),
+            (23.0, 21.649287062388833, 157.46043072271843)]
+    for m1, m2, c in kept:
+        assert route(c, m1, m2) == "bessel-k sum", (m1, m2, c)
+    for m1, m2, c in points + kept + [(64.0, 64.0, 10.0), (64.0, 64.0, 500.0)]:
         want = oracle_cdf(c, m1, m2)
         got = _kernels_py.cdf_w(c, m1, m2, 1.0)
         assert float(abs(got / want - 1)) <= 1e-9, (m1, m2, c, got, want)
