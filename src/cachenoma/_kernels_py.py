@@ -50,6 +50,11 @@ with its own error check, held to ``_ABS_TOL`` and ``_REL_TOL``:
 Where every check refuses, ``QuadratureAccuracyError`` carries the first
 Gauss-Hermite estimate; a census of 16 000 points over shapes 0.5 to 100,
 c from 1e-6 to 1e3 times the mean, found no such input.
+
+What depends on the shapes alone is worked out once per pair, in its
+``_Plan``: lgammas, ln k! and the series' constants and table of term
+coefficients, so a series call is one sum of table entries times c^j.  The
+routes always compute; the memo of (cdf, sf) pairs is ``channel``'s.
 """
 import functools
 import math
@@ -176,10 +181,12 @@ def bessel_k(nu, x):
 
 def _log_k_ladder(nu, x, count):
     """([log K_(nu+i)(x) for i < count], scale), nu >= 0, off one upward
-    recurrence from the ``_start`` pair e^x K, rescaled by 2^-e where it
+    recurrence from the ``_start`` pair e^x K, rescaled by 2^-e where a step
     would overflow (small x, high order), so every value keeps its relative
     precision, even where K itself is subnormal or underflows.  ``scale`` =
-    x + e ln 2 for the factors taken off."""
+    x + e ln 2 for the factors taken off.  The start pair itself is not
+    rescaled: it is finite for x above about 4e-206 (K_1.5 overflows below),
+    which takes in the Bessel-K sum's smallest z = 2 sqrt(5e-324)."""
     mu, nl, k0, k1 = _start(nu, x)
     exponent, shift = 0, -x
     xi = 2.0 / x
@@ -199,6 +206,69 @@ def _log_k_ladder(nu, x, count):
         k0, k1 = k1, k2
     logs.append(math.log(k1 if top else k0) + shift)
     return logs, exponent * _LN2 + x
+
+
+class _Plan:
+    """What the routes need from a shape pair lo <= hi alone: lgammas, ln k!
+    below an integer shape, and the series' constants and table, which
+    ``grow`` lengthens on demand; ``_plan`` keeps the 16 pairs used last.
+    ``terms`` holds the table with the recurrences' state after it, and is
+    replaced whole, so a thread never sees one without the other."""
+
+    __slots__ = ("lg_lo", "lg_hi", "log_fact", "series", "terms")
+
+    def __init__(self, lo, hi):
+        self.lg_lo, self.lg_hi = lg_lo, lg_hi = math.lgamma(lo), math.lgamma(hi)
+        top = max(int(m) if float(m).is_integer() else 0 for m in (lo, hi))
+        self.log_fact = tuple(math.lgamma(k + 1.0) for k in range(top))
+        nu = hi - lo
+        nu_err = abs((hi - (nu - (nu - hi))) + (-lo - (nu - hi)))  # TwoSum
+        n = round(nu)
+        d = nu - n  # exact: nu lies within a factor of 2 of n
+        lg_nu = math.lgamma(nu) if n else 0.0
+        lg_n = math.lgamma(n + 1.0)
+        log_pd = math.log(math.pi * d / math.sin(math.pi * d)) if d else 0.0
+        g1, g2, _, _ = _gamma_pair(d)
+        sign = -1.0 if n % 2 else 1.0
+        # the c-free parts of lg, lh and log_mag; G1 < 0 < G2 for |d| <= 1/2
+        self.series = (n, d, lo + n, -lg_lo - lg_hi + lg_nu,
+                       -lg_lo - lg_hi + log_pd, lg_n,
+                       abs(lg_lo) + abs(lg_hi) + abs(lg_nu) + lg_n + log_pd,
+                       sign * g1, sign * g2, -g1, g2, nu_err)
+        # n! Q_0 and n! R_0 by the recurrences in n from Q = 1 and R = 0
+        q, r = 1.0, 0.0
+        for k in range(n):
+            r += q / (k + 1 + d)
+            q *= (k + 1) / (k + 1 + d)
+        self.terms = (), (0.0, 1.0, q, r)  # j, P_j, Q_j, R_j per unit of P_0
+
+    def grow(self):
+        """Double the table (8 entries at first): entry j is j + 1, term j's
+        signed and magnitude coefficient and Q_j / b per unit of P_0 c^j, and
+        c^-1 times the ratio bound and (P + Q + R) / (a - 1/2) at j + 1."""
+        n, d, lon, _, _, _, _, g1, g2, ag1, ag2, _ = self.series
+        table, (j, p, q, r) = self.terms
+        new = []
+        for _ in range(max(8, len(table))):
+            a = lon + j
+            qb = q / (a + d)
+            x, y = r / a + qb / a, p / a
+            j += 1.0
+            nj = n + j
+            # divisions, not reciprocals: P, Q and R take 3, 3 and 4
+            # roundings a step
+            p_den, q_den = nj * (j - d), j * (nj + d)
+            s = (j + nj) / q_den
+            r = (r + s * q) / p_den
+            p /= p_den
+            q /= q_den
+            new.append((j, g2 * x + g1 * y, ag2 * x + ag1 * y, qb,
+                        (1.0 / p_den + 1.0 / q_den) * (1.0 + s),
+                        (p + q + r) / (lon + j - 0.5)))
+        self.terms = table + tuple(new), (j, p, q, r)
+
+
+_plan = functools.lru_cache(maxsize=16)(_Plan)
 
 
 def _integer_shape_sf(c, m1, m2):
@@ -227,9 +297,10 @@ def _integer_shape_sf(c, m1, m2):
             return None
         m, n = n, m
     n = int(n)
+    plan = _plan(min(m1, m2), max(m1, m2))
     z = 2.0 * math.sqrt(c)
     log_c = math.log(c)
-    head = _LN2 - math.lgamma(m)
+    head = _LN2 - (plan.lg_lo if m <= n else plan.lg_hi)
     low = n - 1 if n - 1 <= m else int(m)  # the last k with k <= m
     log_ks, scale = _log_k_ladder(m - low, z, low + 1)
     log_ks.reverse()
@@ -238,7 +309,7 @@ def _integer_shape_sf(c, m1, m2):
         log_ks, scale = log_ks + tail, max(scale, tail_scale)
     total = 0.0
     for k, log_k in enumerate(log_ks):
-        lg_k = math.lgamma(k + 1.0)
+        lg_k = plan.log_fact[k]
         total += math.exp(head + 0.5 * (m + k) * log_c - lg_k + log_k)
     sf = min(total, 1.0)
     # with lg_k = ln (n-1)! now, |m - k| < m + n and 2 |ln z| <= |ln c| + 2
@@ -277,105 +348,81 @@ def _series_cdf_sf(c, m1, m2):
     P_j = p_j P_(j-1), Q_j = q_j Q_(j-1), p_j = 1 / ((n+j) (j-d)) and
     q_j = 1 / (j (n+j+d)), takes positive updates only, so nothing is
     divided by sin(d pi) or by d.  At d = 0 this is DLMF 10.31.1
-    integrated: E = ln c and R_j = P_j (H_j + H_(n+j)).
+    integrated: E = ln c and R_j = P_j (H_j + H_(n+j)).  Only c^j, E and
+    c^d depend on c: the recurrences run once, in the pair's ``_Plan``.
 
     The bound is u times the sum of the terms' magnitudes times the
-    roundings a term goes through: up to 5 per step of the recurrences that
-    form it and 1 for its share of the running sums; 3 times the magnitude
-    of the logarithms the first terms are summed from (their additions and
-    the lgamma calls); and 50 for forming a term from its parts, for G1
-    and G2 (each within 1 u) and for the exp, expm1 and log calls.  Where
-    m1 - m2 is not a float, the rounding of nu shifts the order the series is
-    summed at; the bound adds that shift times the sensitivity of the terms to
-    it.  The value is kept where the bound is at most ``_ABS_TOL`` and
-    ``_REL_TOL`` times min(cdf, sf).
+    roundings a term goes through: up to 4 per step of the recurrences that
+    form its coefficient, 1 per step for c^j and 1 for its share of the
+    running sums; 3 times the magnitude of the logarithms the first terms
+    are summed from (their additions and the lgamma calls); and 50 for
+    forming a term from its parts, for G1 and G2 (each within 1 u) and for
+    the exp, expm1 and log calls.  Where m1 - m2 is not a float, the
+    rounding of nu shifts the order the series is summed at; the bound adds
+    that shift times the sensitivity of the terms to it.  The value is kept
+    where the bound is at most ``_ABS_TOL`` and ``_REL_TOL`` times
+    min(cdf, sf).
     """
     lo, hi = min(m1, m2), max(m1, m2)
-    nu = hi - lo
-    nu_err = abs((hi - (nu - (nu - hi))) + (-lo - (nu - hi)))  # TwoSum
-    n = round(nu)
-    d = nu - n  # exact: nu lies within a factor of 2 of n
+    plan = _plan(lo, hi)
+    n, d, lon, lg0, lh0, lg_n, mag0, g1, g2, ag1, ag2, nu_err = plan.series
     log_c = math.log(c)
-    lg_lo, lg_hi = math.lgamma(lo), math.lgamma(hi)
-    lg_nu = math.lgamma(nu) if n else 0.0
-    lg_n = math.lgamma(n + 1.0)
-    log_pd = math.log(math.pi * d / math.sin(math.pi * d)) if d else 0.0
     # the logarithms of the first terms of the two sums.  The sums are kept
     # in units of e^scale; one whose terms' magnitudes pass the limit cannot
     # meet _ABS_TOL, and the cap keeps every term finite
-    lg = -lg_lo - lg_hi + lg_nu + lo * log_c if n else -math.inf
-    lh = -lg_lo - lg_hi + log_pd + (lo + n) * log_c - lg_n
+    lg = lg0 + lo * log_c if n else -math.inf
+    lh = lh0 + lon * log_c - lg_n
     scale = max(lg, lh)
     limit = math.exp(min(math.log(_ABS_TOL / _U) - scale, 700.0))
     if limit < 1.0:
         return None
-    # the k < n terms of the first sum, g = (-1)^k Gamma(nu-k) c^(lo+k) / k!,
-    # and n! Q_0 and n! R_0 by the recurrences in n from Q = 1 and R = 0
+    # the k < n terms of the first sum, g = (-1)^k Gamma(nu-k) c^(lo+k) / k!
+    nu = hi - lo
     total = size = 0.0
     g = math.exp(lg - scale)
-    q, r = 1.0, 0.0
     for k in range(n):
         t = g / (lo + k)
         total += t
         size += abs(t)
         if k + 1 < n:
             g *= -c / ((k + 1) * (nu - k - 1))
-        r += q / (k + 1 + d)
-        q *= (k + 1) / (k + 1 + d)
-    p = math.exp(lh - scale)  # c^a P_j; q and r become c^a Q_j and c^a R_j
-    q *= p
-    r *= p
     e = math.expm1(d * log_c) / d if d else log_c
     cd = 1.0 + d * e  # c^d
-    g1, g2, _, _ = _gamma_pair(d)
-    ag1, ag2 = -g1, g2  # G1 < 0 < G2 for |d| <= 1/2
-    if n % 2:
-        g1, g2 = -g1, -g2
-    # the second sum is g2 sr + g1 sp + g2 sqab + (g1 c^d - g2 E) sqb, with
-    # the positive sums sr of r / a, sp of p / a, sqab of q / (a b) and sqb
-    # of q / b
+    # the second sum is sa + (g1 c^d - g2 E) sb; sm + q_mag sb is the
+    # magnitude of both sums
     q_mag = ag1 * cd + ag2 * abs(e)
-    sp_limit = limit / ag1
     # past j = 0, a and b exceed 1 and b > a - 1/2, so a term is at most
-    # (|G1| + |G2|) (1 + |E| + c^d) (p + q + r) / (a - 1/2)
+    # (|G1| + |G2|) (1 + |E| + c^d) (P + Q + R) c^j / (a - 1/2)
     tail = (ag1 + ag2) * (1.0 + abs(e) + cd) / (0.5 * _U)
-    lon = lo + n
-    a = lon
-    j = 0.0
-    nj = float(n)  # n + j
-    sr = sp = sqab = sqb = 0.0
-    while True:
-        qb = q / (a + d)
-        sr += r / a
-        sp += p / a
-        sqab += qb / a
-        sqb += qb
-        j += 1.0
-        nj += 1.0
-        a = lon + j
-        pc = c / (nj * (j - d))
-        qj = 1.0 / (j * (nj + d))
-        qc = c * qj
-        s = (j + nj) * qj
-        r = pc * (r + s * q)
-        p *= pc
-        q *= qc
-        if not (pc + qc) * (1.0 + s) <= 0.5:  # nan too, from a nan c
-            # the terms may still grow
-            if not sp <= sp_limit:  # then so does the sum of magnitudes
+    sa = sb = 0.0
+    sm = size
+    cj = math.exp(lh - scale)  # c^a P_0, then c^a P_0 c^j
+    for j, coef, mag, qb, ratio, h in plan.terms[0]:
+        sa += cj * coef
+        sm += cj * mag
+        sb += cj * qb
+        cj *= c
+        if not c * ratio <= 0.5:  # nan too, from a nan c
+            # the terms may still grow; so does the sum of magnitudes
+            if not sm + q_mag * sb <= limit:
                 return None
-        elif tail * (p + q + r) <= (a - 0.5) * (
-                size + ag2 * (sr + sqab) + ag1 * sp + q_mag * sqb):
-            # each step from here on scales p + q + r by at most 1/2, so
+        elif tail * cj * h <= sm + q_mag * sb:
+            # each step from here on scales P + Q + R by at most 1/2, so
             # the rest of the sum is below u times the sum of magnitudes
             break
-    size += ag2 * (sr + sqab) + ag1 * sp + q_mag * sqb
+    else:
+        # the table ends first: sum again on a longer one, unless c^j
+        # has overflowed, where no term is left to show
+        if not cj < math.inf:
+            return None
+        plan.grow()
+        return _series_cdf_sf(c, m1, m2)
+    size = sm + q_mag * sb
     if not size <= limit:
         return None
-    total += g2 * (sr + sqab) + g1 * sp + (g1 * cd - g2 * e) * sqb
+    total += sa + (g1 * cd - g2 * e) * sb
     terms = n + j
-    log_mag = (abs(lg_lo) + abs(lg_hi) + abs(lg_nu) + lg_n + log_pd
-               + abs(lo * log_c) + abs(lon * log_c))
+    log_mag = mag0 + abs(lo * log_c) + abs(lon * log_c)
     weight = math.exp(scale)
     cdf = min(max(total * weight, 0.0), 1.0)
     sf = 1.0 - cdf
@@ -490,7 +537,8 @@ def _hermite_cdf_sf(c, m1, m2, upper):
     s = 1.0 if upper else -1.0
     side = 1 if upper else 0  # log F's place in _log_gamma_pq's result
     log_c = math.log(c)
-    lg_lo, lg_hi = math.lgamma(lo), math.lgamma(hi)
+    plan = _plan(lo, hi)
+    lg_lo, lg_hi = plan.lg_lo, plan.lg_hi
 
     def phi(y):
         return (hi * y - math.exp(y) - lg_hi

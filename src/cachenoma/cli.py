@@ -19,6 +19,7 @@ import functools
 import math
 import sys
 
+from . import channel
 from .caching import CacheCase, Catalog
 from .config import ConfigError, _snr_power, load_config
 from .errors import QuadratureAccuracyError
@@ -308,7 +309,45 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _build_parser():
+# subcommand: (help, its options as (flag, keywords of add_argument))
+_COMMANDS = {
+    "optimize": ("optimal power split per caching case", (
+        ("--case", dict(default="all", choices=[*_CASES, "all", "split"],
+                        help="which objective to optimize (default all)")),)),
+    "sweep": ("average success vs one swept parameter", (
+        ("--variable", dict(required=True, choices=list(SWEEP_VARIABLES))),
+        ("--start", dict(type=float)),
+        ("--stop", dict(type=float)),
+        ("--steps", dict(type=int, help="values from --start to --stop "
+                                        f"(max {MAX_STEPS})")),
+        ("--values", dict(help="comma-separated explicit sweep values; write "
+                               "a list that starts with a minus sign as "
+                               "--values=-10,0, since argparse reads "
+                               "--values -10,0 as an option")))),
+    "surface": ("split objective on an (alpha, beta) grid", (
+        ("--grid", dict(type=int, default=51,
+                        help="points per axis per branch (default 51, "
+                             f"max {MAX_SURFACE_GRID})")),)),
+    "validate": ("Monte Carlo cross-check of analytic values", (
+        ("--samples", dict(type=int, default=1_000_000,
+                           help="samples per estimate (default 1000000, min "
+                                f"10000, max {MAX_SAMPLES})")),
+        ("--seed", dict(type=int, default=0,
+                        help="base random seed (default 0)")),
+        ("--workers", dict(type=int, default=1,
+                           help="worker threads for sampling (default 1, "
+                                f"max {MAX_WORKERS})")))),
+    "concavity": ("objective profiles with concavity verdicts", (
+        ("--case", dict(default="all", choices=[*_CASES, "all"])),
+        ("--grid", dict(type=int, default=101,
+                        help="grid points per branch (default 101, min 11, "
+                             f"max {MAX_CONCAVITY_GRID})")))),
+}
+
+
+def _build_parser(argv):
+    """The parser of ``argv``: only the subcommand its first word names, or
+    all of them where it names none, so usage and errors list them all."""
     parser = _Parser(prog="cachenoma",
                      description="Cache-aided NOMA decoding analysis over "
                                  "cascaded Nakagami-m links.")
@@ -317,49 +356,16 @@ def _build_parser():
                         help="scenario file (JSON); defaults are built in")
     common.add_argument("--out", metavar="PATH",
                         help="output file (default stdout)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("optimize", parents=[common],
-                       help="optimal power split per caching case")
-    p.add_argument("--case", default="all",
-                   choices=[*_CASES, "all", "split"],
-                   help="which objective to optimize (default all)")
-
-    p = sub.add_parser("sweep", parents=[common],
-                       help="average success vs one swept parameter")
-    p.add_argument("--variable", required=True, choices=list(SWEEP_VARIABLES))
-    p.add_argument("--start", type=float)
-    p.add_argument("--stop", type=float)
-    p.add_argument("--steps", type=int,
-                   help=f"values from --start to --stop (max {MAX_STEPS})")
-    p.add_argument("--values",
-                   help="comma-separated explicit sweep values; write a list "
-                        "that starts with a minus sign as --values=-10,0, "
-                        "since argparse reads --values -10,0 as an option")
-
-    p = sub.add_parser("surface", parents=[common],
-                       help="split objective on an (alpha, beta) grid")
-    p.add_argument("--grid", type=int, default=51,
-                   help="points per axis per branch (default 51, "
-                        f"max {MAX_SURFACE_GRID})")
-
-    p = sub.add_parser("validate", parents=[common],
-                       help="Monte Carlo cross-check of analytic values")
-    p.add_argument("--samples", type=int, default=1_000_000,
-                   help="samples per estimate (default 1000000, min 10000, "
-                        f"max {MAX_SAMPLES})")
-    p.add_argument("--seed", type=int, default=0,
-                   help="base random seed (default 0)")
-    p.add_argument("--workers", type=int, default=1,
-                   help=f"worker threads for sampling (default 1, max {MAX_WORKERS})")
-
-    p = sub.add_parser("concavity", parents=[common],
-                       help="objective profiles with concavity verdicts")
-    p.add_argument("--case", default="all",
-                   choices=[*_CASES, "all"])
-    p.add_argument("--grid", type=int, default=101,
-                   help="grid points per branch (default 101, min 11, "
-                        f"max {MAX_CONCAVITY_GRID})")
+    wanted, metavar = _COMMANDS, None
+    if argv and argv[0] in _COMMANDS:
+        # the usage line still names every subcommand
+        wanted, metavar = argv[:1], "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in wanted:
+        text, options = _COMMANDS[name]
+        p = sub.add_parser(name, parents=[common], help=text)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -412,7 +418,9 @@ def _dispatch(args, out):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
+    channel._cdf_sf.cache_clear()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

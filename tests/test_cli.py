@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end (in process)."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cachenoma import _kernels_py, cli, mc
+from cachenoma import _kernels_py, channel, cli, mc
 from cachenoma.caching import MAX_FILES, Catalog
 from cachenoma.cli import SWEEP_VARIABLES, main, run_sweep, sweep_values
 from cachenoma.config import load_config
@@ -582,6 +583,81 @@ def test_usage_errors_exit_one(tmp_path):
     assert main(["optimize", "--case", "z"]) == 1
     assert main(["nonsense"]) == 1
     assert main([]) == 1
+
+
+def _subcommands(parser):
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+def test_parser_builds_only_the_named_subcommand(capsys):
+    # a known first word builds its subcommand alone, and the usage line
+    # still names all five; no word, an unknown one or --help builds them all
+    full = cli._build_parser([])
+    assert _subcommands(full) == list(cli._COMMANDS)
+    for name in cli._COMMANDS:
+        one = cli._build_parser([name, "--help"])
+        assert _subcommands(one) == [name]
+        assert one.format_usage() == full.format_usage()
+    for argv in (["nonsense"], ["--help"], ["--out", "x", "optimize"]):
+        assert _subcommands(cli._build_parser(argv)) == list(cli._COMMANDS)
+    assert main(["optimize", "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --seed 1" in err, err
+    assert err.startswith(full.format_usage()), err
+    assert main([]) == 1 and main(["nonsense"]) == 1
+    assert "invalid choice: 'nonsense'" in capsys.readouterr().err
+
+
+SURFACE_NONINT = {"chan1": {"m1": 1.5, "m2": 2.5, "omega1": 2.0, "omega2": 2.0},
+                  "chan2": {"m1": 0.75, "m2": 1.25, "omega1": 2.0, "omega2": 2.0}}
+
+
+def test_memo_is_emptied_before_each_command(tmp_path, capsys, monkeypatch):
+    # a first command fills the memo with values every check kept; with no
+    # relative tolerance the same command in the same process must refuse
+    # them all again rather than reuse them
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"chan1": {"m1": 30.5, "m2": 40.25},
+                               "chan2": {"m1": 0.75, "m2": 1.25}}))
+    argv = ("optimize", "--case", "d", "--config", str(cfg))
+    code, text = run_cli(tmp_path, *argv)
+    assert code == 0 and len(rows_of(text)) == 2
+    assert channel._cdf_sf.cache_info().currsize > 0
+    monkeypatch.setattr(_kernels_py, "_REL_TOL", 0.0)
+    code, _ = run_cli(tmp_path, *argv)
+    assert code == 3
+    assert "numerical error" in capsys.readouterr().err
+
+
+def test_memo_stays_bounded(tmp_path):
+    code, _ = run_cli(tmp_path, "surface", "--grid", "60")
+    assert code == 0
+    info = channel._cdf_sf.cache_info()
+    assert info.misses > info.maxsize >= info.currsize, info
+
+
+def test_output_does_not_depend_on_call_order_or_workers(tmp_path):
+    # non-integer shapes on every hop: the series' tables built by this
+    # command, or first by another one at other thresholds, give the same
+    # bytes, and so do one and two sampling workers
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"snr_db": 3.0, **SURFACE_NONINT}))
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"snr_db": -10.0, **SURFACE_NONINT}))
+    _kernels_py._plan.cache_clear()
+    code, first = run_cli(tmp_path, "surface", "--grid", "8", "--config", str(cfg))
+    assert code == 0
+    _kernels_py._plan.cache_clear()
+    assert run_cli(tmp_path, "optimize", "--case", "d",
+                   "--config", str(other))[0] == 0
+    assert run_cli(tmp_path, "surface", "--grid", "8",
+                   "--config", str(cfg)) == (0, first)
+    outputs = {run_cli(tmp_path, "validate", "--samples", "10000", "--workers",
+                       str(workers), "--config", str(cfg))
+               for workers in (1, 2)}
+    assert len(outputs) == 1, outputs
 
 
 def test_float_formatting_is_short(tmp_path):

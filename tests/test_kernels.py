@@ -15,12 +15,13 @@ Gamma(m2)) for the lower range, and for the deep tail literals from
 import math
 import random
 import sys
+import threading
 
 import mpmath as mp
 from hypothesis import given, settings, strategies as st
 
-from cachenoma import _kernels_py
-from cachenoma.channel import bessel_k
+from cachenoma import _kernels_py, channel
+from cachenoma.channel import DoubleNakagamiParams, bessel_k, survival_gain_sq
 
 ORDERS = (0.0, 0.5, 1.0, 2.25, 3.5)
 BESSEL_ARGS = (1e-6, 0.05, 0.8, 2.0, 7.5, 40.0, 300.0)
@@ -237,6 +238,24 @@ def test_bessel_ladder_where_bessel_k_overflows():
             assert math.isclose(got, float(want), rel_tol=1e-14)
 
 
+def test_bessel_start_pair_is_finite_down_to_the_smallest_sum_argument():
+    # _log_k_ladder rescales its steps but not its start pair, which stays
+    # finite for x above about 4e-206 (at mu next to 1/2, K_(mu+1) is about
+    # K_1.5); the Bessel-K sum starts no lower than z = 2 sqrt(5e-324)
+    z = 2.0 * math.sqrt(5e-324)
+    for x in (z, 4e-206):
+        for mu in (-0.5, -0.3, 0.0, 0.25, 0.49999999, 0.5):
+            _, _, k0, k1 = _kernels_py._start(mu, x)
+            assert math.isfinite(k0) and math.isfinite(k1), (mu, x, k0, k1)
+    for nu in (0.0, 0.47, 0.5, 1.49999999, 2.25, 63.5, 99.75):
+        logs, _ = _kernels_py._log_k_ladder(nu, z, 40)
+        with mp.workdps(30):
+            want = [mp.log(mp.besselk(nu + i, z)) for i in (0, 39)]
+        for got, wanted in zip((logs[0], logs[-1]), want):
+            assert math.isfinite(got), (nu, logs)
+            assert abs(got - float(wanted)) <= 1e-12 * abs(wanted), (nu, got)
+
+
 def test_quadrature_far_above_the_mean():
     # the far-tail bound gets sf = 0 this far out, with no overflow, on
     # integer shapes too, where the Bessel-K sum refuses the subnormals
@@ -334,6 +353,8 @@ NEAR_INTEGER_SHAPES = ((1.5, 2.4999), (1.5, 2.4999999), (0.5, 0.50001),
 # orders 0.1036, 0.1036 and 0.1006 from an integer, where G1 was once a
 # difference quotient
 NEAR_POINT_ONE_SHAPES = ((1.5, 2.6036), (0.75, 1.8536), (2.25, 3.1494))
+# the two hops of the surface-nonint benchmark
+SURFACE_SHAPES = ((1.5, 2.5), (0.75, 1.25))
 SERIES_CS = (1e-8, 1e-3, 0.05, 0.4, 1.3, 3.0, 6.0, 12.0, 30.0)
 # (c, m1, m2) where the series cancels and the Gauss-Hermite rule on its own
 # average holds: large shapes just above the mean, both large or one large
@@ -373,6 +394,78 @@ def test_series_matches_oracle():
     # the series covers every c up to 5, next to an integer order too
     for pair in pairs:
         assert all(c in taken[pair] for c in SERIES_CS if c <= 5.0), pair
+    # surface-nonint's pairs out to the end of the series' reach, where its
+    # terms cancel most and its values are summed off the longest tables
+    for m1, m2 in SURFACE_SHAPES:
+        reach, _ = _handoff(
+            1.0, 1e3, lambda c: _kernels_py._series_cdf_sf(c, m1, m2) is not None)
+        for c in [reach * f for f in (0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 1.0)]:
+            got = _kernels_py._series_cdf_sf(c, m1, m2)
+            assert got is not None, (m1, m2, c)
+            want_cdf, want_sf = oracle_cdf(c, m1, m2), oracle_sf(c, m1, m2, 1.0)
+            assert float(abs(got[0] / want_cdf - 1)) <= 1e-9, (m1, m2, c)
+            assert float(abs(got[1] / want_sf - 1)) <= 1e-9, (m1, m2, c)
+
+
+def test_series_table_is_the_same_in_any_order():
+    # a pair's table holds the same entries whether a small c built it and a
+    # large c lengthened it, or the large c built it: every value is the
+    # same bits whatever the order of the calls
+    cs = (0.05, 1.3, 6.0, 8.0)
+    for m1, m2 in SERIES_SHAPES + NEAR_INTEGER_SHAPES:
+        runs = []
+        for order in (cs, cs[::-1]):
+            _kernels_py._plan.cache_clear()
+            plan = _kernels_py._plan(min(m1, m2), max(m1, m2))
+            values, lengths = {}, []
+            for c in order:
+                values[c] = _kernels_py._series_cdf_sf(c, m1, m2)
+                lengths.append(len(plan.terms[0]))
+            runs.append((values, plan.terms[0], lengths))
+        (up, up_table, up_lengths), (down, down_table, _) = runs
+        assert up_lengths[0] < up_lengths[-1], (m1, m2, up_lengths)
+        assert up == down, (m1, m2)
+        shared = min(len(up_table), len(down_table))
+        assert up_table[:shared] == down_table[:shared], (m1, m2)
+    _kernels_py._plan.cache_clear()
+
+
+def test_series_table_grows_safely_across_threads():
+    # threads that lengthen one pair's table at once may each build the
+    # same entries, but none sees the table without its recurrences' state:
+    # every value is the bits a lone thread gets, in either order of c
+    pair = (0.75, 1.25)
+    cs = [0.01 * 1.26 ** k for k in range(30)]
+    _kernels_py._plan.cache_clear()
+    want = [_kernels_py._series_cdf_sf(c, *pair) for c in cs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            _kernels_py._plan.cache_clear()
+            got = {}
+
+            def work(i):
+                order = cs if i % 2 else cs[::-1]
+                got[i] = {c: _kernels_py._series_cdf_sf(c, *pair) for c in order}
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(got) == len(threads)
+            assert all([values[c] for c in cs] == want for values in got.values())
+            # a lost update leaves the table shorter or longer, never wrong
+            table = _kernels_py._plan(*pair).terms[0]
+            lone = _kernels_py._Plan(*pair)
+            while len(lone.terms[0]) < len(table):
+                lone.grow()
+            assert table == lone.terms[0][:len(table)]
+    finally:
+        sys.setswitchinterval(interval)
+        _kernels_py._plan.cache_clear()
 
 
 def test_series_refuses_a_nan_argument():
@@ -868,13 +961,10 @@ def test_hermite_rules_escalate(monkeypatch):
         assert not err <= _kernels_py._REL_TOL * min(cdf, sf), (c, cdf, sf)
 
 
-def test_survival_census_over_the_shape_domain():
-    # a fixed design over shapes [0.5, 100]^2: a fifth of the pairs with an
-    # order next to an integer, a fifth with an integer shape, the rest
-    # generic; c from 1e-6 to 1e3 times the mean on every pair.  No call
-    # raises, every value is a probability, and sf never rises with c by
-    # more than rounding.  Then two integer-shape pairs where an unchecked
-    # Bessel-K sum rose with c by up to 2.5e-13 below the mean
+def census_pairs():
+    """A fixed design over shapes [0.5, 100]^2: a fifth of the pairs with an
+    order next to an integer, a fifth with an integer shape, the rest
+    generic."""
     rng = random.Random(2026)
     pairs = []
     for i in range(30):
@@ -886,10 +976,21 @@ def test_survival_census_over_the_shape_domain():
         elif i % 5 == 1:
             m1 = float(round(m1))
         pairs.append((m1, m2))
+    return pairs
+
+
+CENSUS_STEPS = range(-24, 13)  # c = mean * 10^(k/4), 1e-6 to 1e3 times it
+
+
+def test_survival_census_over_the_shape_domain():
+    # the census pairs, c from 1e-6 to 1e3 times the mean on every pair.  No
+    # call raises, every value is a probability, and sf never rises with c
+    # by more than rounding.  Then two integer-shape pairs where an
+    # unchecked Bessel-K sum rose with c by up to 2.5e-13 below the mean
     seen = set()
-    for m1, m2 in pairs + [(99.0, 4.0), (69.0, 35.61327090588239)]:
+    for m1, m2 in census_pairs() + [(99.0, 4.0), (69.0, 35.61327090588239)]:
         prev = 1.0
-        for k in range(-24, 13):
+        for k in CENSUS_STEPS:
             c = m1 * m2 * 10.0 ** (k / 4)
             seen.add(route(c, m1, m2))
             sf = _kernels_py.sf_w(c, m1, m2, 1.0)
@@ -897,6 +998,24 @@ def test_survival_census_over_the_shape_domain():
                 (m1, m2, c, sf, prev)
             prev = sf
     assert {"hermite", "hermite, other average", "far-tail bound"} <= seen
+
+
+def test_memo_is_transparent_on_the_census():
+    # at rate 1 the channel's survival values are the kernel's, bit for bit,
+    # whether they come from a warm memo or one emptied before every call
+    for m1, m2 in census_pairs():
+        params = DoubleNakagamiParams(m1, m2, m1, m2)
+        assert params.rate == 1.0
+        xs = [m1 * m2 * 10.0 ** (k / 4) for k in CENSUS_STEPS]
+        want = [_kernels_py.sf_w(x, m1, m2, 1.0) for x in xs]
+        channel._cdf_sf.cache_clear()
+        assert [survival_gain_sq(x, params) for x in xs + xs] == want + want
+        cold = []
+        for x in xs:
+            channel._cdf_sf.cache_clear()
+            cold.append(survival_gain_sq(x, params))
+        assert cold == want, (m1, m2)
+    channel._cdf_sf.cache_clear()
 
 
 def test_incomplete_gamma_matches_oracle():
