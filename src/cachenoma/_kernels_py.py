@@ -10,11 +10,11 @@ X ~ Gamma(m1, omega1/m1), Y ~ Gamma(m2, omega2/m2) and is summarised here by
     pdf(w) = 2 r^h w^(h-1) K_{m1-m2}(2 sqrt(r w)) / (Gamma(m1) Gamma(m2)),
     h = (m1 + m2) / 2.
 
-``cdf_w`` and ``sf_w`` alone decide how P(W <= x) and P(W > x) are
-computed.  Both work with the unit-rate variable V = r W, whose density is
-the one above with r = 1 and whose mean is m1 m2: P(W <= x) = P(V <= c)
-with c = r x.  c = 0 and c = inf are answered exactly; otherwise the first
-of these routes that applies runs.  Each is a closed form or a fixed rule
+``_cdf_sf`` alone decides how P(W <= x) and P(W > x) are computed.  It
+works with the unit-rate variable V = r W, whose density is the one above
+with r = 1 and whose mean is m1 m2: P(W <= x) = P(V <= c) with c = r x.
+c = 0 and c = inf are answered exactly; otherwise the first of these
+routes that applies runs.  Each is a closed form or a fixed rule
 with its own error check, held to ``_ABS_TOL`` and ``_REL_TOL``:
 
 * Bessel-K sum, when either shape is an integer: P(V > c) is a finite sum
@@ -52,9 +52,12 @@ Gauss-Hermite estimate; a census of 16 000 points over shapes 0.5 to 100,
 c from 1e-6 to 1e3 times the mean, found no such input.
 
 What depends on the shapes alone is worked out once per pair, in its
-``_Plan``: lgammas, ln k! and the series' constants and table of term
-coefficients, so a series call is one sum of table entries times c^j.  The
-routes always compute; the memo of (cdf, sf) pairs is ``channel``'s.
+``_Plan``: lgammas, ln k! and the series' constants and a table of term
+coefficients of fixed length, ``_SERIES_TERMS``, so a series call is one sum
+of table entries times c^j; a call that reaches the table's end refuses.
+The plan is never changed once built, so no value depends on the order of
+the calls.  The routes always compute; the memo of (cdf, sf) pairs is
+``channel``'s.
 """
 import functools
 import math
@@ -208,12 +211,20 @@ def _log_k_ladder(nu, x, count):
     return logs, exponent * _LN2 + x
 
 
+# Entries in a shape pair's series table, more than twice what any kept
+# value has been seen to read: at most 26 over the 2824 values kept on the
+# kernel tests' shape census at four times its density in c, and at most 21
+# over 13 825 distinct values kept by the heaviest commands (surface-nonint
+# at its five SNRs, split optima at extreme shapes, validate, concavity).
+# Where a call reaches the table's end, the next route answers.
+_SERIES_TERMS = 64
+
+
 class _Plan:
     """What the routes need from a shape pair lo <= hi alone: lgammas, ln k!
-    below an integer shape, and the series' constants and table, which
-    ``grow`` lengthens on demand; ``_plan`` keeps the 16 pairs used last.
-    ``terms`` holds the table with the recurrences' state after it, and is
-    replaced whole, so a thread never sees one without the other."""
+    below an integer shape, and the series' constants and its table of
+    ``_SERIES_TERMS`` entries; ``_plan`` keeps the 16 pairs used last.  Built
+    whole here and never changed after."""
 
     __slots__ = ("lg_lo", "lg_hi", "log_fact", "series", "terms")
 
@@ -230,26 +241,23 @@ class _Plan:
         log_pd = math.log(math.pi * d / math.sin(math.pi * d)) if d else 0.0
         g1, g2, _, _ = _gamma_pair(d)
         sign = -1.0 if n % 2 else 1.0
+        lon, ag1, ag2 = lo + n, -g1, g2
+        g1, g2 = sign * g1, sign * g2
         # the c-free parts of lg, lh and log_mag; G1 < 0 < G2 for |d| <= 1/2
-        self.series = (n, d, lo + n, -lg_lo - lg_hi + lg_nu,
+        self.series = (n, d, lon, -lg_lo - lg_hi + lg_nu,
                        -lg_lo - lg_hi + log_pd, lg_n,
                        abs(lg_lo) + abs(lg_hi) + abs(lg_nu) + lg_n + log_pd,
-                       sign * g1, sign * g2, -g1, g2, nu_err)
+                       g1, g2, ag1, ag2, nu_err)
         # n! Q_0 and n! R_0 by the recurrences in n from Q = 1 and R = 0
         q, r = 1.0, 0.0
         for k in range(n):
             r += q / (k + 1 + d)
             q *= (k + 1) / (k + 1 + d)
-        self.terms = (), (0.0, 1.0, q, r)  # j, P_j, Q_j, R_j per unit of P_0
-
-    def grow(self):
-        """Double the table (8 entries at first): entry j is j + 1, term j's
-        signed and magnitude coefficient and Q_j / b per unit of P_0 c^j, and
-        c^-1 times the ratio bound and (P + Q + R) / (a - 1/2) at j + 1."""
-        n, d, lon, _, _, _, _, g1, g2, ag1, ag2, _ = self.series
-        table, (j, p, q, r) = self.terms
-        new = []
-        for _ in range(max(8, len(table))):
+        # entry j: j + 1, term j's signed and magnitude coefficient and
+        # Q_j / b per unit of P_0 c^j, and c^-1 times the ratio bound and
+        # (P + Q + R) / (a - 1/2) at j + 1
+        j, p, terms = 0.0, 1.0, []
+        for _ in range(_SERIES_TERMS):
             a = lon + j
             qb = q / (a + d)
             x, y = r / a + qb / a, p / a
@@ -262,10 +270,10 @@ class _Plan:
             r = (r + s * q) / p_den
             p /= p_den
             q /= q_den
-            new.append((j, g2 * x + g1 * y, ag2 * x + ag1 * y, qb,
-                        (1.0 / p_den + 1.0 / q_den) * (1.0 + s),
-                        (p + q + r) / (lon + j - 0.5)))
-        self.terms = table + tuple(new), (j, p, q, r)
+            terms.append((j, g2 * x + g1 * y, ag2 * x + ag1 * y, qb,
+                          (1.0 / p_den + 1.0 / q_den) * (1.0 + s),
+                          (p + q + r) / (lon + j - 0.5)))
+        self.terms = tuple(terms)
 
 
 _plan = functools.lru_cache(maxsize=16)(_Plan)
@@ -324,7 +332,7 @@ def _integer_shape_sf(c, m1, m2):
 def _series_cdf_sf(c, m1, m2):
     """(P(V <= c), P(V > c)), 0 < c < inf, from the ascending series of the
     density integrated term by term, or None where the series' error bound
-    misses ``_ABS_TOL`` or ``_REL_TOL``.
+    misses ``_ABS_TOL`` or ``_REL_TOL`` or the pair's table ends first.
 
     With lo <= hi and the order nu = hi - lo = n + d, n = round(nu),
     |d| <= 1/2, the ascending series of K_nu (DLMF 10.27.4, 10.25.2)
@@ -397,7 +405,7 @@ def _series_cdf_sf(c, m1, m2):
     sa = sb = 0.0
     sm = size
     cj = math.exp(lh - scale)  # c^a P_0, then c^a P_0 c^j
-    for j, coef, mag, qb, ratio, h in plan.terms[0]:
+    for j, coef, mag, qb, ratio, h in plan.terms:
         sa += cj * coef
         sm += cj * mag
         sb += cj * qb
@@ -411,12 +419,7 @@ def _series_cdf_sf(c, m1, m2):
             # the rest of the sum is below u times the sum of magnitudes
             break
     else:
-        # the table ends first: sum again on a longer one, unless c^j
-        # has overflowed, where no term is left to show
-        if not cj < math.inf:
-            return None
-        plan.grow()
-        return _series_cdf_sf(c, m1, m2)
+        return None  # the table ends first
     size = sm + q_mag * sb
     if not size <= limit:
         return None
@@ -614,13 +617,3 @@ def _cdf_sf(x, m1, m2, r):
     raise QuadratureAccuracyError(
         f"no route holds the distribution at c = {c!r}, shapes {m1!r} and "
         f"{m2!r} (Gauss-Hermite error {err:.3e})", sf if upper else cdf, err)
-
-
-def cdf_w(x, m1, m2, r):
-    """P(W <= x) by the route the module docstring describes."""
-    return _cdf_sf(x, m1, m2, r)[0]
-
-
-def sf_w(x, m1, m2, r):
-    """P(W > x) by the route the module docstring describes."""
-    return _cdf_sf(x, m1, m2, r)[1]

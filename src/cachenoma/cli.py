@@ -26,6 +26,7 @@ from .errors import QuadratureAccuracyError
 from .noma_full import (
     BRANCH_ALPHA,
     SEMANTICS,
+    _pair_success,
     average_success,
     branch_of,
     case_chains,
@@ -240,16 +241,15 @@ def run_validate(cfg, samples, seed, workers):
     """Analytic-vs-MC rows; returns (rows, all_passed).
 
     All 130 cells are estimated in one ``mc_cells`` batch with base seed
-    ``seed``, so they share common random numbers (see ``mc``).
+    ``seed``, so they share common random numbers (see ``mc``).  A cell's
+    analytic value p1 * p2 comes from the same chain pair as its estimate.
     """
-    labels, analytic, cells = [], [], []
+    labels, cells = [], []
     for case in _CASES.values():
         for semantics in SEMANTICS:
             scen = _with_semantics(cfg, semantics).scenario
-            objective = case_objective(case, scen)
             for alpha in VALIDATE_ALPHAS:
                 labels.append(("case", case.value, semantics, alpha, ""))
-                analytic.append(objective(alpha))
                 cells.append((case_chains(case, alpha, scen, branch_of(alpha)),
                               scen))
     for semantics in SEMANTICS:
@@ -258,13 +258,14 @@ def run_validate(cfg, samples, seed, workers):
             branch = branch_of(alpha)
             for beta in VALIDATE_SPLIT_GRID:
                 labels.append(("split", "split", semantics, alpha, beta))
-                analytic.append(split_objective_branch(alpha, beta, split, branch))
                 cells.append((split_case_chains(alpha, beta, split, branch),
                               split.base))
     results = mc_cells(cells, McConfig(samples=samples, seed=seed,
                                        workers=workers))
     rows = []
-    for label, value, res in zip(labels, analytic, results):
+    for label, cell, res in zip(labels, cells, results):
+        p1, p2 = _pair_success(*cell)
+        value = p1 * p2
         est = res.joint
         tol = max(_PASS_ABS, _PASS_CI_FACTOR * est.half_width)
         diff = abs(value - est.value)

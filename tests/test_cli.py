@@ -316,6 +316,7 @@ def test_size_flags_fuzz(flag, value):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "split_objective_branch", lambda *a, **k: 0.0)
         mp.setattr(cli, "case_objective", lambda *a, **k: lambda alpha: 0.0)
+        mp.setattr(cli, "_pair_success", lambda *a, **k: (0.0, 0.0))
         mp.setattr(cli, "average_success", lambda *a, **k: 0.0)
         mp.setattr(cli, "oma_average_success", lambda *a, **k: 0.0)
         mp.setattr(cli, "mc_cells", _stub_estimates)
@@ -639,9 +640,9 @@ def test_memo_stays_bounded(tmp_path):
 
 
 def test_output_does_not_depend_on_call_order_or_workers(tmp_path):
-    # non-integer shapes on every hop: the series' tables built by this
-    # command, or first by another one at other thresholds, give the same
-    # bytes, and so do one and two sampling workers
+    # non-integer shapes on every hop: the same bytes whether this command
+    # builds the shape pairs' plans or finds them built by another command
+    # at other thresholds, and with one or two sampling workers
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps({"snr_db": 3.0, **SURFACE_NONINT}))
     other = tmp_path / "other.json"

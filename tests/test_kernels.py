@@ -2,11 +2,11 @@
 
 Bessel K on a grid of orders and arguments, and the distribution functions
 of the product-Gamma variable on integer and non-integer shape pairs, three
-rates and arguments from 1e-8 deep into the upper tail.  The public
-``cdf_w``/``sf_w`` are checked together with the private Gauss-Hermite
-route ``_hermite_cdf_sf`` wherever its own check keeps its value, so that
-route stays covered on the pairs where the public functions take the
-Bessel-K sum or the series.  The oracles are mpmath's Meijer G forms,
+rates and arguments from 1e-8 deep into the upper tail.  ``_cdf_sf``,
+which picks the route, is checked together with the Gauss-Hermite route
+``_hermite_cdf_sf`` wherever its own check keeps its value, so that route
+stays covered on the pairs where ``_cdf_sf`` takes the Bessel-K sum or the
+series.  The oracles are mpmath's Meijer G forms,
 P(W > x) = G^{3,0}_{1,3}(r x | 1; m1, m2, 0) / (Gamma(m1) Gamma(m2)) for
 the tail and P(W <= x) = G^{2,1}_{1,3}(r x | 1; m1, m2, 0) / (Gamma(m1)
 Gamma(m2)) for the lower range, and for the deep tail literals from
@@ -15,7 +15,6 @@ Gamma(m2)) for the lower range, and for the deep tail literals from
 import math
 import random
 import sys
-import threading
 
 import mpmath as mp
 from hypothesis import given, settings, strategies as st
@@ -123,9 +122,17 @@ def test_scaled_bessel_k_matches_oracle():
 def test_gamma_pair_matches_oracle():
     # Temme's G1 and G2 and 1/Gamma(1 +- mu), all from one Taylor table of
     # 1/Gamma(1+z), within 4 u of mpmath over [-1/2, 1/2].  A difference
-    # quotient for G1 above |mu| = 0.1 was 92 u off at 0.1075
+    # quotient for G1 above |mu| = 0.1 was 92 u off at 0.1075.  The table is
+    # the exponential of ln(1/Gamma(1+z)) = gamma z - sum_(k>=2) (-1)^k
+    # zeta(k) z^k / k (DLMF 5.7.3) as a power series: with that series'
+    # coefficients l_k, a_0 = 1 and a_n = sum_(k<=n) k l_k a_(n-k) / n
     with mp.workdps(40):
-        table = mp.taylor(lambda z: mp.rgamma(1 + z), 0, 21)
+        logs = [0, mp.euler] + [-(-1) ** k * mp.zeta(k) / k
+                                for k in range(2, 22)]
+        table = [mp.mpf(1)]
+        for n in range(1, 22):
+            table.append(sum(k * logs[k] * table[n - k]
+                             for k in range(1, n + 1)) / n)
     assert _kernels_py._RGAMMA_TAYLOR == tuple(map(float, table))
     rng = random.Random(24)
     mus = [rng.uniform(-0.5, 0.5) for _ in range(400)]
@@ -185,7 +192,7 @@ def test_cdf_w_matches_oracle():
             for x in XS:
                 with mp.workdps(30):
                     want = 1 - oracle_sf(x, m1, m2, r)
-                got = {"cdf_w": _kernels_py.cdf_w(x, m1, m2, r)}
+                got = {"cdf_w": _kernels_py._cdf_sf(x, m1, m2, r)[0]}
                 kept = hermite(r * x, m1, m2)
                 if kept is not None:
                     got["hermite"] = kept[0]
@@ -205,7 +212,7 @@ def test_sf_w_matches_oracle():
         for r in RATES:
             for x in XS:
                 want = oracle_sf(x, m1, m2, r)
-                got = {"sf_w": _kernels_py.sf_w(x, m1, m2, r)}
+                got = {"sf_w": _kernels_py._cdf_sf(x, m1, m2, r)[1]}
                 kept = hermite(r * x, m1, m2)
                 if kept is not None:
                     got["hermite"] = kept[1]
@@ -263,17 +270,17 @@ def test_quadrature_far_above_the_mean():
         if m1.is_integer() or m2.is_integer():
             continue
         for c in (1e7, 1e12, 1e300, 1e305, 1e308, 1.7e308):
-            assert _kernels_py.sf_w(c, m1, m2, 1.0) == 0.0, (m1, m2, c)
-            assert _kernels_py.cdf_w(c, m1, m2, 1.0) == 1.0, (m1, m2, c)
+            assert _kernels_py._cdf_sf(c, m1, m2, 1.0) == (1.0, 0.0), \
+                (m1, m2, c)
         for r in RATES:
-            sfs = [_kernels_py.sf_w(10.0 ** (k / 4), m1, m2, r)
+            sfs = [_kernels_py._cdf_sf(10.0 ** (k / 4), m1, m2, r)[1]
                    for k in range(1201)]
             assert all(b <= a for a, b in zip(sfs, sfs[1:])), (m1, m2, r)
     for m1, m2 in ((0.5, 0.5), (1.5, 2.5), (30.5, 40.25), (99.5, 0.75),
                    (1.0, 1.0), (100.0, 100.0)):
         for c in (1e17, 1e30, 1e100, 1e300, 1.7e308):
-            assert _kernels_py.sf_w(c, m1, m2, 1.0) == 0.0, (m1, m2, c)
-            assert _kernels_py.cdf_w(c, m1, m2, 1.0) == 1.0, (m1, m2, c)
+            assert _kernels_py._cdf_sf(c, m1, m2, 1.0) == (1.0, 0.0), \
+                (m1, m2, c)
 
 
 def test_far_tail_bound_is_sound():
@@ -302,10 +309,10 @@ def test_routes_are_invariant(m1, m2, r, x):
     # shapes the Bessel-K sum runs over the other shape, so the two orders
     # agree to its rounding (a few 1e-14 relative) only: relatively for sf,
     # absolutely for cdf = 1 - sf
-    sf, swapped = _kernels_py.sf_w(x, m1, m2, r), _kernels_py.sf_w(x, m2, m1, r)
-    assert math.isclose(sf, swapped, rel_tol=1e-12), (sf, swapped)
-    assert abs(_kernels_py.cdf_w(x, m1, m2, r)
-               - _kernels_py.cdf_w(x, m2, m1, r)) <= 1e-13
+    cdf, sf = _kernels_py._cdf_sf(x, m1, m2, r)
+    cdf_swapped, sf_swapped = _kernels_py._cdf_sf(x, m2, m1, r)
+    assert math.isclose(sf, sf_swapped, rel_tol=1e-12), (sf, sf_swapped)
+    assert abs(cdf - cdf_swapped) <= 1e-13
     c = r * x
     for upper in (False, True):
         assert _kernels_py._hermite_cdf_sf(c, m1, m2, upper) \
@@ -327,7 +334,7 @@ def test_integer_shape_sum_where_bessel_k_underflows():
         assert _kernels_py.bessel_k(m1 - 1.0, 2.0 * math.sqrt(c)) == 0.0
         want = oracle_bessel_sum(c, m1, int(m2))
         for a, b in ((m1, m2), (m2, m1)):
-            got = _kernels_py.sf_w(c, a, b, 1.0)
+            got = _kernels_py._cdf_sf(c, a, b, 1.0)[1]
             assert math.isclose(got, float(want), rel_tol=1e-10), (c, a, b, got)
 
 
@@ -339,7 +346,7 @@ def test_integer_shape_sum_where_bessel_k_is_subnormal():
             assert 0.0 < _kernels_py.bessel_k(m1 - 1.0, 2.0 * math.sqrt(c)) \
                 < sys.float_info.min
             want = float(oracle_bessel_sum(c, m1, int(m2)))
-            got = _kernels_py.sf_w(c, m1, m2, 1.0)
+            got = _kernels_py._cdf_sf(c, m1, m2, 1.0)[1]
             assert math.isclose(got, want, rel_tol=1e-12), (m1, m2, c, got)
 
 
@@ -407,65 +414,33 @@ def test_series_matches_oracle():
             assert float(abs(got[1] / want_sf - 1)) <= 1e-9, (m1, m2, c)
 
 
-def test_series_table_is_the_same_in_any_order():
-    # a pair's table holds the same entries whether a small c built it and a
-    # large c lengthened it, or the large c built it: every value is the
-    # same bits whatever the order of the calls
-    cs = (0.05, 1.3, 6.0, 8.0)
-    for m1, m2 in SERIES_SHAPES + NEAR_INTEGER_SHAPES:
-        runs = []
-        for order in (cs, cs[::-1]):
-            _kernels_py._plan.cache_clear()
-            plan = _kernels_py._plan(min(m1, m2), max(m1, m2))
-            values, lengths = {}, []
-            for c in order:
-                values[c] = _kernels_py._series_cdf_sf(c, m1, m2)
-                lengths.append(len(plan.terms[0]))
-            runs.append((values, plan.terms[0], lengths))
-        (up, up_table, up_lengths), (down, down_table, _) = runs
-        assert up_lengths[0] < up_lengths[-1], (m1, m2, up_lengths)
-        assert up == down, (m1, m2)
-        shared = min(len(up_table), len(down_table))
-        assert up_table[:shared] == down_table[:shared], (m1, m2)
-    _kernels_py._plan.cache_clear()
+def test_series_table_suffices_and_its_end_refuses(monkeypatch):
+    # a table four times as long changes no value, bit for bit, over the
+    # census and the series' own pairs; and where a short table runs out,
+    # the call refuses rather than keep a partial sum: every value of an
+    # 8-entry table is the full table's value or None
+    points = [(m1 * m2 * 10.0 ** (k / 4), m1, m2)
+              for m1, m2 in census_pairs() for k in CENSUS_STEPS]
+    points += [(c, m1, m2) for m1, m2 in SERIES_SHAPES + NEAR_INTEGER_SHAPES
+               for c in SERIES_CS + (20.0, 50.0, 100.0)]
 
-
-def test_series_table_grows_safely_across_threads():
-    # threads that lengthen one pair's table at once may each build the
-    # same entries, but none sees the table without its recurrences' state:
-    # every value is the bits a lone thread gets, in either order of c
-    pair = (0.75, 1.25)
-    cs = [0.01 * 1.26 ** k for k in range(30)]
-    _kernels_py._plan.cache_clear()
-    want = [_kernels_py._series_cdf_sf(c, *pair) for c in cs]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(30):
-            _kernels_py._plan.cache_clear()
-            got = {}
-
-            def work(i):
-                order = cs if i % 2 else cs[::-1]
-                got[i] = {c: _kernels_py._series_cdf_sf(c, *pair) for c in order}
-
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
-            assert len(got) == len(threads)
-            assert all([values[c] for c in cs] == want for values in got.values())
-            # a lost update leaves the table shorter or longer, never wrong
-            table = _kernels_py._plan(*pair).terms[0]
-            lone = _kernels_py._Plan(*pair)
-            while len(lone.terms[0]) < len(table):
-                lone.grow()
-            assert table == lone.terms[0][:len(table)]
-    finally:
-        sys.setswitchinterval(interval)
+    def values(length):
+        monkeypatch.setattr(_kernels_py, "_SERIES_TERMS", length)
         _kernels_py._plan.cache_clear()
+        return [_kernels_py._series_cdf_sf(*point) for point in points]
+
+    try:
+        want = values(_kernels_py._SERIES_TERMS)
+        assert values(4 * _kernels_py._SERIES_TERMS) == want
+        short = values(8)
+    finally:
+        _kernels_py._plan.cache_clear()
+    assert all(got is None or got == full for got, full in zip(short, want)), \
+        [(p, got, full) for p, got, full in zip(points, short, want)
+         if got not in (None, full)][:5]
+    # and the short table does run out where the full one keeps a value
+    assert any(got is None and full is not None
+               for got, full in zip(short, want))
 
 
 def test_series_refuses_a_nan_argument():
@@ -481,7 +456,7 @@ def test_series_keeps_small_cdf_values_relatively_precise():
     for c in (1e-3, 1.0):
         assert route(c, 30.5, 40.25) == "series"
         want = oracle_cdf(c, 30.5, 40.25)
-        got = _kernels_py.cdf_w(c, 30.5, 40.25, 1.0)
+        got = _kernels_py._cdf_sf(c, 30.5, 40.25, 1.0)[0]
         assert float(abs(got / want - 1)) <= 1e-12, (c, got, want)
 
 
@@ -491,7 +466,7 @@ def test_small_cdf_of_large_shapes_is_relatively_precise():
     for c in (25.0, 100.0):
         assert route(c, 30.5, 40.25) == "hermite"
         want = oracle_cdf(c, 30.5, 40.25)
-        got = _kernels_py.cdf_w(c, 30.5, 40.25, 1.0)
+        got = _kernels_py._cdf_sf(c, 30.5, 40.25, 1.0)[0]
         assert float(abs(got / want - 1)) <= 1e-9, (c, got, want)
 
 
@@ -500,8 +475,7 @@ def test_small_cdf_of_integer_shapes_is_relatively_precise():
     # above the cdf of 2.5e-21 at (2, 3), c = 1e-10, so there the sum's own
     # bound refuses it and a route that holds the cdf runs.  At (64, 64) the
     # cdf is 7.36e-116 at c = 10 and 4.68e-24 at c = 500 (1 minus the sum
-    # once gave 0 and 1.8e-15).  cdf_w and sf_w are the one pair _cdf_sf
-    # returns.
+    # once gave 0 and 1.8e-15).
     points = [(m1, m2, c) for m1, m2 in ((2.0, 3.0), (3.0, 2.0), (1.0, 1.0),
                                           (60.0, 0.75), (1.0, 4.0))
               for c in (1e-10, 1e-4, 0.3)]
@@ -514,10 +488,8 @@ def test_small_cdf_of_integer_shapes_is_relatively_precise():
         assert route(c, m1, m2) == "bessel-k sum", (m1, m2, c)
     for m1, m2, c in points + kept + [(64.0, 64.0, 10.0), (64.0, 64.0, 500.0)]:
         want = oracle_cdf(c, m1, m2)
-        got = _kernels_py.cdf_w(c, m1, m2, 1.0)
+        got = _kernels_py._cdf_sf(c, m1, m2, 1.0)[0]
         assert float(abs(got / want - 1)) <= 1e-9, (m1, m2, c, got, want)
-        assert (got, _kernels_py.sf_w(c, m1, m2, 1.0)) \
-            == _kernels_py._cdf_sf(c, m1, m2, 1.0)
 
 
 def record_calls(monkeypatch, name):
@@ -903,7 +875,7 @@ def test_survival_matches_the_tabulated_oracle():
     worst = (0.0, ())
     for (m1, m2, c), want in ORACLE_SF.items():
         routes.add(route(c, m1, m2))
-        got = _kernels_py.sf_w(c, m1, m2, 1.0)
+        got = _kernels_py._cdf_sf(c, m1, m2, 1.0)[1]
         worst = max(worst, (abs(got / want - 1.0), (m1, m2, c, got, want)))
     assert worst[0] <= 1e-9, worst
     assert routes == ALL_ROUTES - {"far-tail bound"}
@@ -913,7 +885,7 @@ def test_deep_tail_keeps_relative_precision():
     # an adaptive tail integral held to an absolute floor is 1.4e-3 off at
     # c = 1e4 and 5e-2 at 1e5
     for (m1, m2, c), want in DEEP_TAIL_SF.items():
-        got = _kernels_py.sf_w(c, m1, m2, 1.0)
+        got = _kernels_py._cdf_sf(c, m1, m2, 1.0)[1]
         assert math.isclose(got, want, rel_tol=1e-12), (m1, m2, c, got, want)
 
 
@@ -928,7 +900,7 @@ def test_hermite_route_matches_the_bessel_k_sum(m1, m2):
     while True:
         want = _kernels_py._integer_shape_sf(c, m1, m2)
         if want is None or want < sys.float_info.min:
-            assert _kernels_py.sf_w(c, m1, m2, 1.0) < sys.float_info.min
+            assert _kernels_py._cdf_sf(c, m1, m2, 1.0)[1] < sys.float_info.min
             break
         got = hermite(c, m1, m2, upper=True)
         assert got is not None, (m1, m2, c)
@@ -993,7 +965,7 @@ def test_survival_census_over_the_shape_domain():
         for k in CENSUS_STEPS:
             c = m1 * m2 * 10.0 ** (k / 4)
             seen.add(route(c, m1, m2))
-            sf = _kernels_py.sf_w(c, m1, m2, 1.0)
+            sf = _kernels_py._cdf_sf(c, m1, m2, 1.0)[1]
             assert 0.0 <= sf <= 1.0 and sf <= prev * (1.0 + 1e-14), \
                 (m1, m2, c, sf, prev)
             prev = sf
@@ -1007,7 +979,7 @@ def test_memo_is_transparent_on_the_census():
         params = DoubleNakagamiParams(m1, m2, m1, m2)
         assert params.rate == 1.0
         xs = [m1 * m2 * 10.0 ** (k / 4) for k in CENSUS_STEPS]
-        want = [_kernels_py.sf_w(x, m1, m2, 1.0) for x in xs]
+        want = [_kernels_py._cdf_sf(x, m1, m2, 1.0)[1] for x in xs]
         channel._cdf_sf.cache_clear()
         assert [survival_gain_sq(x, params) for x in xs + xs] == want + want
         cold = []
