@@ -12,7 +12,6 @@ from .config import ScenarioConfig, load_config, parse_config
 from .errors import QuadratureAccuracyError
 from .mc import McConfig, mc_case, mc_cells, mc_split
 from .noma_full import (
-    DecodeChain,
     FullScenario,
     SinrCondition,
     average_success,
@@ -51,7 +50,6 @@ __all__ = [
     "mc_case",
     "mc_cells",
     "mc_split",
-    "DecodeChain",
     "FullScenario",
     "SinrCondition",
     "average_success",

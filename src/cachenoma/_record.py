@@ -15,10 +15,8 @@ class Record:
     __slots__ = ()
 
     def __init_subclass__(cls):
-        get = attrgetter(*cls.__slots__)
-        # attrgetter of one name returns the value itself, not a 1-tuple
-        cls._values = (staticmethod(lambda obj: (get(obj),))
-                       if len(cls.__slots__) == 1 else get)
+        # every record has two or more fields, so this returns a tuple
+        cls._values = attrgetter(*cls.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -31,6 +31,7 @@ from .noma_full import (
     branch_of,
     case_chains,
     case_objective,
+    chain_probability,
     oma_average_success,
 )
 from .noma_split import split_case_chains, split_objective_branch
@@ -264,7 +265,7 @@ def run_validate(cfg, samples, seed, workers):
                                        workers=workers))
     rows = []
     for label, cell, res in zip(labels, cells, results):
-        p1, p2 = _pair_success(*cell)
+        p1, p2 = _pair_success(*cell, chain_probability)
         value = p1 * p2
         est = res.joint
         tol = max(_PASS_ABS, _PASS_CI_FACTOR * est.half_width)

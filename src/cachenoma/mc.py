@@ -220,7 +220,7 @@ def _chain_estimates(requests, cfg):
     plans = []
     for chain, params, geom, mode, user in requests:
         ts = _chain_thresholds(chain)
-        if ts is None:
+        if None in ts:
             plans.append((mode, None))
         elif mode == "joint":
             plans.append((mode, [_slot(streams, (params, geom, user, 0), max(ts))]))

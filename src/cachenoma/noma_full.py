@@ -26,6 +26,10 @@ Two ways to turn a multi-condition chain into a probability are supported:
 
 ``joint`` is never below ``product`` because the conditions are coupled
 through the same gain.
+
+The rule hands each condition to ``make(signal, interference, noise,
+threshold)``: ``case_chains`` makes records of it, the objectives gain
+thresholds and the optimizer's feasibility check SINR margins.
 """
 import math
 
@@ -42,7 +46,6 @@ __all__ = [
     "SEMANTICS",
     "FullScenario",
     "SinrCondition",
-    "DecodeChain",
     "gain_threshold",
     "chain_probability",
     "branch_of",
@@ -108,20 +111,6 @@ class SinrCondition(Record):
         object.__setattr__(self, "threshold", threshold)
 
 
-class DecodeChain(Record):
-    """Ordered SINR conditions evaluated against one squared gain."""
-
-    __slots__ = ("conditions",)
-
-    def __init__(self, conditions: tuple):
-        if len(conditions) == 0:
-            raise ValueError("a decode chain needs at least one condition")
-        for c in conditions:
-            if not isinstance(c, SinrCondition):
-                raise TypeError("conditions must be SinrCondition instances")
-        object.__setattr__(self, "conditions", conditions)
-
-
 def gain_threshold(signal_coef, interference_coef, noise, threshold):
     """Smallest g^2 satisfying the SINR condition, or None when impossible.
 
@@ -134,24 +123,21 @@ def gain_threshold(signal_coef, interference_coef, noise, threshold):
     return threshold * noise / margin
 
 
-def _chain_thresholds(chain: DecodeChain):
-    """Per-condition gain thresholds; None if any condition is impossible."""
-    out = []
-    for c in chain.conditions:
-        t = gain_threshold(c.signal_coef, c.interference_coef, c.noise, c.threshold)
-        if t is None:
-            return None
-        out.append(t)
-    return out
+def _chain_thresholds(chain):
+    """Gain thresholds of a tuple of ``SinrCondition`` (None: impossible)."""
+    if len(chain) == 0:
+        raise ValueError("a decode chain needs at least one condition")
+    if not all(isinstance(c, SinrCondition) for c in chain):
+        raise TypeError("a decode chain's conditions must be SinrCondition records")
+    return [gain_threshold(c.signal_coef, c.interference_coef, c.noise,
+                           c.threshold) for c in chain]
 
 
-def chain_probability(chain: DecodeChain, params: DoubleNakagamiParams,
-                      geom: LinkGeometry, semantics: str) -> float:
-    """Probability that the chain succeeds on one link."""
+def _success(thresholds, params, geom, semantics):
+    """Probability that one link's gain clears every threshold (None: never)."""
     if semantics not in SEMANTICS:
         raise ValueError(f"semantics must be one of {SEMANTICS}, got {semantics!r}")
-    thresholds = _chain_thresholds(chain)
-    if thresholds is None:
+    if None in thresholds:
         return 0.0
     s = effective_scale(geom)
     if semantics == "joint":
@@ -160,6 +146,12 @@ def chain_probability(chain: DecodeChain, params: DoubleNakagamiParams,
     for t in thresholds:
         p *= survival_gain_sq(t / s, params)
     return p
+
+
+def chain_probability(chain, params: DoubleNakagamiParams,
+                      geom: LinkGeometry, semantics: str) -> float:
+    """Probability that a chain (a tuple of ``SinrCondition``) succeeds on one link."""
+    return _success(_chain_thresholds(chain), params, geom, semantics)
 
 
 # Alpha range of each decode branch; the optimizers visit them in this order.
@@ -191,45 +183,51 @@ _HOLDS_OTHER = {
 }
 
 
-def _vehicle_chain(mine, other, noise, own_gamma, other_gamma, holds_other,
-                   weaker):
-    """One vehicle's chain; ``mine`` and ``other`` are the two files' powers."""
-    own = SinrCondition(mine, 0.0, noise, own_gamma)
+def _vehicle_chain(make, mine, other, noise, own_gamma, other_gamma,
+                   holds_other, weaker):
+    """One vehicle's chain, one ``make(signal, interference, noise,
+    threshold)`` per condition; ``mine`` and ``other`` are the files' powers."""
+    own = make(mine, 0.0, noise, own_gamma)
     if holds_other:
-        return DecodeChain((own,))
+        return (own,)
     if weaker:
-        return DecodeChain((SinrCondition(other, mine, noise, other_gamma), own))
-    return DecodeChain((SinrCondition(mine, other, noise, own_gamma),))
+        return (make(other, mine, noise, other_gamma), own)
+    return (make(mine, other, noise, own_gamma),)
 
 
-def case_chains(case: CacheCase, alpha: float, sc: FullScenario, branch: str):
-    """Decode chains (vehicle 1 on link 1, vehicle 2 on link 2) for one case.
-
-    Vehicle 1's file rides on alpha * P, vehicle 2's on (1 - alpha) * P.
-    ``branch`` is "high" (file 1 is the stronger component) or "low"; the
-    caller owns the choice, usually ``branch_of(alpha)``.
-    """
+def _case_rule(make, case, alpha, sc, branch):
+    """Both vehicles' chains for one case, in ``make``'s form."""
     _check_share("alpha", alpha)
     _check_branch(branch)
     if case not in _HOLDS_OTHER:
         raise ValueError(f"case must be one of A, B, C, D, got {case!r}")
     holds1, holds2 = _HOLDS_OTHER[case]
-    p1 = alpha * sc.power
-    p2 = (1.0 - alpha) * sc.power
+    p1, p2 = alpha * sc.power, (1.0 - alpha) * sc.power
     high = branch == "high"
     return (
-        _vehicle_chain(p1, p2, sc.sigma1_sq, sc.gamma1, sc.gamma2, holds1,
+        _vehicle_chain(make, p1, p2, sc.sigma1_sq, sc.gamma1, sc.gamma2, holds1,
                        weaker=not high),
-        _vehicle_chain(p2, p1, sc.sigma2_sq, sc.gamma2, sc.gamma1, holds2,
+        _vehicle_chain(make, p2, p1, sc.sigma2_sq, sc.gamma2, sc.gamma1, holds2,
                        weaker=high),
     )
 
 
-def _pair_success(chains, sc: FullScenario):
-    """Success probabilities (p1, p2) of a chain pair on links 1 and 2."""
+def case_chains(case: CacheCase, alpha: float, sc: FullScenario, branch: str):
+    """Decode chains of vehicle 1 (link 1) and vehicle 2 (link 2) for one
+    case, as tuples of ``SinrCondition`` in decode order.
+
+    Vehicle 1's file rides on alpha * P, vehicle 2's on (1 - alpha) * P.
+    ``branch`` is "high" (file 1 is the stronger component) or "low"; the
+    caller owns the choice, usually ``branch_of(alpha)``."""
+    return _case_rule(SinrCondition, case, alpha, sc, branch)
+
+
+def _pair_success(chains, sc: FullScenario, read):
+    """Success probabilities (p1, p2) of a chain pair on links 1 and 2, each
+    chain read by ``read(chain, params, geom, semantics)``."""
     v1, v2 = chains
-    return (chain_probability(v1, sc.chan1, sc.geom1, sc.semantics),
-            chain_probability(v2, sc.chan2, sc.geom2, sc.semantics))
+    return (read(v1, sc.chan1, sc.geom1, sc.semantics),
+            read(v2, sc.chan2, sc.geom2, sc.semantics))
 
 
 def case_success(case: CacheCase, alpha: float, sc: FullScenario):
@@ -239,7 +237,8 @@ def case_success(case: CacheCase, alpha: float, sc: FullScenario):
     information, is plain power-domain NOMA with SIC and so also the
     cacheless (conventional NOMA) baseline.
     """
-    return _pair_success(case_chains(case, alpha, sc, branch_of(alpha)), sc)
+    return _pair_success(_case_rule(gain_threshold, case, alpha, sc,
+                                    branch_of(alpha)), sc, _success)
 
 
 def oma_success(sc: FullScenario):

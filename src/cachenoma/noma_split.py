@@ -22,18 +22,20 @@ rule builds each vehicle's chain from its own share and the other's:
 On the high branch (alpha > 0.5, see ``noma_full.branch_of``) file 1 is the
 stronger; on the low branch (alpha <= 0.5) the roles flip.  Five SINR
 conditions result: two for one vehicle, three for the other, each mapped to
-a gain threshold on its own link.
+a gain threshold on its own link.  As in ``noma_full``, ``split_case_chains``
+and the objective read the rule as records and as gain thresholds.
 """
 import math
 
 from ._record import Record
 from .noma_full import (
-    DecodeChain,
     FullScenario,
     SinrCondition,
     _check_branch,
     _check_share,
     _pair_success,
+    _success,
+    gain_threshold,
 )
 
 __all__ = [
@@ -64,30 +66,28 @@ class SplitScenario(Record):
         object.__setattr__(self, "gamma22", gamma22)
 
 
-def _vehicle_chain(mine, other, b, p, noise, own_gammas, other_gamma2, weaker):
-    """One vehicle's chain; ``mine`` and ``other`` are the two files' shares."""
+def _vehicle_chain(make, mine, other, b, p, noise, own_gammas, other_gamma2,
+                   weaker):
+    """One vehicle's chain, one ``make(signal, interference, noise,
+    threshold)`` per condition; ``mine`` and ``other`` are the files' shares."""
     g1, g2 = own_gammas
     if weaker:
-        return DecodeChain((
+        return (
             # uncached part 2 of the other file, decoded first and stripped
-            SinrCondition(other * (1.0 - b) * p, mine * p, noise, other_gamma2),
-            SinrCondition(mine * b * p, mine * (1.0 - b) * p, noise, g1),
-            SinrCondition(mine * (1.0 - b) * p, 0.0, noise, g2),
-        ))
-    return DecodeChain((
+            make(other * (1.0 - b) * p, mine * p, noise, other_gamma2),
+            make(mine * b * p, mine * (1.0 - b) * p, noise, g1),
+            make(mine * (1.0 - b) * p, 0.0, noise, g2),
+        )
+    return (
         # part 1 against everything it cannot cancel
-        SinrCondition(mine * b * p, (1.0 - b) * p, noise, g1),
+        make(mine * b * p, (1.0 - b) * p, noise, g1),
         # part 2 after stripping part 1
-        SinrCondition(mine * (1.0 - b) * p, other * (1.0 - b) * p, noise, g2),
-    ))
+        make(mine * (1.0 - b) * p, other * (1.0 - b) * p, noise, g2),
+    )
 
 
-def split_case_chains(alpha: float, beta: float, sc: SplitScenario, branch: str):
-    """Decode chains (vehicle 1, vehicle 2) for the requested branch.
-
-    ``branch`` is "high" or "low"; the caller owns the branch choice, which
-    lets the two formulas be compared at the overlap point alpha = 0.5.
-    """
+def _split_rule(make, alpha, beta, sc, branch):
+    """Both vehicles' chains for one branch, in ``make``'s form."""
     _check_share("alpha", alpha)
     _check_share("beta", beta)
     _check_branch(branch)
@@ -95,15 +95,24 @@ def split_case_chains(alpha: float, beta: float, sc: SplitScenario, branch: str)
     p = base.power
     high = branch == "high"
     return (
-        _vehicle_chain(alpha, 1.0 - alpha, beta, p, base.sigma1_sq,
+        _vehicle_chain(make, alpha, 1.0 - alpha, beta, p, base.sigma1_sq,
                        (sc.gamma11, sc.gamma12), sc.gamma22, weaker=not high),
-        _vehicle_chain(1.0 - alpha, alpha, beta, p, base.sigma2_sq,
+        _vehicle_chain(make, 1.0 - alpha, alpha, beta, p, base.sigma2_sq,
                        (sc.gamma21, sc.gamma22), sc.gamma12, weaker=high),
     )
+
+
+def split_case_chains(alpha: float, beta: float, sc: SplitScenario, branch: str):
+    """Decode chains (vehicle 1, vehicle 2), tuples of ``SinrCondition``.
+
+    ``branch`` is "high" or "low"; the caller owns the branch choice, which
+    lets the two formulas be compared at the overlap point alpha = 0.5."""
+    return _split_rule(SinrCondition, alpha, beta, sc, branch)
 
 
 def split_objective_branch(alpha: float, beta: float, sc: SplitScenario,
                            branch: str) -> float:
     """Joint success of both vehicles under one branch's decode order."""
-    p1, p2 = _pair_success(split_case_chains(alpha, beta, sc, branch), sc.base)
+    p1, p2 = _pair_success(_split_rule(gain_threshold, alpha, beta, sc, branch),
+                           sc.base, _success)
     return p1 * p2

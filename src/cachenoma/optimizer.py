@@ -2,7 +2,8 @@
 
 Every decode condition's SINR margin is linear in alpha, so the alphas at
 which a case can succeed form at most one interval per decode branch
-(``case_branch_feasible``).  ``optimize_case`` searches only those
+(``case_branch_feasible``), read from the decode rules that give the
+objectives their gain thresholds.  ``optimize_case`` searches only those
 intervals, where the decode order is fixed and the objective is positive,
 with golden-section refinement seeded by a coarse scan.  The split problem
 runs coordinate ascent per branch from the best cell of a coarse
@@ -13,8 +14,8 @@ import math
 
 from ._record import Record
 from .caching import CacheCase
-from .noma_full import BRANCH_ALPHA, branch_of, case_chains, case_objective
-from .noma_split import split_case_chains, split_objective_branch
+from .noma_full import BRANCH_ALPHA, _case_rule, branch_of, case_objective
+from .noma_split import _split_rule, split_objective_branch
 
 __all__ = [
     "OptResult",
@@ -244,25 +245,15 @@ def _feasible_from_margins(margins_lo, margins_hi, x0, x1):
     return lo, hi
 
 
-def _chain_margins(chains):
-    """margin = signal - threshold * interference for every condition.
-
-    The callers build their chains at unit transmit power: a margin's sign
-    does not depend on the power, and with power coefficients that are
-    shares of 1 every margin lies in [-threshold, 1], finite for any finite
-    threshold, where at a large power threshold * interference can overflow.
-    """
-    out = []
-    for chain in chains:
-        for c in chain.conditions:
-            out.append(c.signal_coef - c.threshold * c.interference_coef)
-    return out
-
-
-def _feasible_along(chains_at, x0, x1):
-    """Feasible sub-interval of [x0, x1] for chains whose margins are linear."""
-    return _feasible_from_margins(_chain_margins(chains_at(x0)),
-                                  _chain_margins(chains_at(x1)), x0, x1)
+def _margins(rule, *args):
+    """Both vehicles' SINR margins, signal - threshold * interference, from
+    ``rule(make, *args)``: a condition is solvable iff its margin is > 0.
+    The callers read the rules at unit power: no sign depends on the power,
+    and there every margin lies in [-threshold, 1], where at a large power
+    threshold * interference can overflow."""
+    v1, v2 = rule(lambda signal, interference, _noise, threshold:
+                  signal - threshold * interference, *args)
+    return v1 + v2
 
 
 def case_branch_feasible(case: CacheCase, sc):
@@ -272,11 +263,13 @@ def case_branch_feasible(case: CacheCase, sc):
     """
     sc = sc.replace(power=1.0)
     if case is CacheCase.A:
-        # both vehicles decode clean, so either branch gives the same chains
-        return {"full": _feasible_along(
-            lambda x: case_chains(case, x, sc, "low"), 0.0, 1.0)}
-    return {branch: _feasible_along(
-                lambda x, br=branch: case_chains(case, x, sc, br), x0, x1)
+        # both vehicles decode clean, so either branch gives the same margins
+        return {"full": _feasible_from_margins(
+            _margins(_case_rule, case, 0.0, sc, "low"),
+            _margins(_case_rule, case, 1.0, sc, "low"), 0.0, 1.0)}
+    return {branch: _feasible_from_margins(
+                _margins(_case_rule, case, x0, sc, branch),
+                _margins(_case_rule, case, x1, sc, branch), x0, x1)
             for branch, (x0, x1) in BRANCH_ALPHA.items()}
 
 
@@ -288,10 +281,12 @@ def split_line_feasible(sc, branch, axis, fixed):
     """
     sc = sc.replace(base=sc.base.replace(power=1.0))
     if axis == "alpha":
-        return _feasible_along(
-            lambda x: split_case_chains(x, fixed, sc, branch),
-            *BRANCH_ALPHA[branch])
+        x0, x1 = BRANCH_ALPHA[branch]
+        return _feasible_from_margins(_margins(_split_rule, x0, fixed, sc, branch),
+                                      _margins(_split_rule, x1, fixed, sc, branch),
+                                      x0, x1)
     if axis == "beta":
-        return _feasible_along(
-            lambda x: split_case_chains(fixed, x, sc, branch), 0.0, 1.0)
+        return _feasible_from_margins(_margins(_split_rule, fixed, 0.0, sc, branch),
+                                      _margins(_split_rule, fixed, 1.0, sc, branch),
+                                      0.0, 1.0)
     raise ValueError(f"axis must be 'alpha' or 'beta', got {axis!r}")

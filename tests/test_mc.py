@@ -19,7 +19,6 @@ from cachenoma.cli import main, run_validate
 from cachenoma.config import load_config
 from cachenoma.mc import BLOCK, McConfig, mc_case, mc_split
 from cachenoma.noma_full import (
-    DecodeChain,
     FullScenario,
     SinrCondition,
     gain_threshold,
@@ -51,7 +50,7 @@ def test_config_validation():
 
 
 def test_single_condition_matches_survival():
-    chain = DecodeChain((SinrCondition(6.0, 0.0, 1.0, 1.0),))
+    chain = (SinrCondition(6.0, 0.0, 1.0, 1.0),)
     cfg = McConfig(samples=200_000, seed=911, workers=2)
     est, hw = chain_estimate(chain, "product", cfg)
     t = gain_threshold(6.0, 0.0, 1.0, 1.0)
@@ -61,7 +60,7 @@ def test_single_condition_matches_survival():
 
 
 def test_infeasible_chain_is_exact_zero():
-    chain = DecodeChain((SinrCondition(1.0, 2.0, 1.0, 1.0),))
+    chain = (SinrCondition(1.0, 2.0, 1.0, 1.0),)
     cfg = McConfig(samples=1000, seed=3, workers=1)
     for mode in ("joint", "product"):
         est, hw = chain_estimate(chain, mode, cfg)
@@ -70,10 +69,10 @@ def test_infeasible_chain_is_exact_zero():
 
 
 def test_worker_count_does_not_change_counts():
-    chain = DecodeChain((
+    chain = (
         SinrCondition(7.0, 3.0, 1.0, 1.0),
         SinrCondition(3.0, 0.0, 1.0, 1.0),
-    ))
+    )
     results = []
     for workers in (1, 4, 8):
         cfg = McConfig(samples=400_000, seed=1234, workers=workers)
@@ -85,7 +84,7 @@ def test_sample_count_determinism_across_modes():
     # same seed, same chain: a run is reproducible, and on a one-condition
     # chain joint and product both count the one threshold on condition
     # stream 0, so they give the same estimate
-    chain = DecodeChain((SinrCondition(7.0, 3.0, 1.0, 1.0),))
+    chain = (SinrCondition(7.0, 3.0, 1.0, 1.0),)
     cfg = McConfig(samples=50_000, seed=77, workers=2)
     a = chain_estimate(chain, "joint", cfg)
     b = chain_estimate(chain, "joint", cfg)
@@ -98,14 +97,14 @@ def test_sample_count_determinism_across_modes():
 def test_estimates_stay_in_unit_interval():
     cfg = McConfig(samples=2_000, seed=5, workers=1)
     for sig, thr in ((0.5, 2.0), (6.0, 1.0), (9.5, 0.1)):
-        chain = DecodeChain((SinrCondition(sig, 0.0, 1.0, thr),))
+        chain = (SinrCondition(sig, 0.0, 1.0, thr),)
         est, hw = chain_estimate(chain, "product", cfg)
         assert 0.0 <= est <= 1.0
         assert hw >= 0.0
 
 
 def test_half_width_scales_with_samples():
-    chain = DecodeChain((SinrCondition(6.0, 2.0, 1.0, 1.0),))
+    chain = (SinrCondition(6.0, 2.0, 1.0, 1.0),)
     hw = {}
     for n in (10_000, 100_000):
         cfg = McConfig(samples=n, seed=60, workers=2)
@@ -115,10 +114,10 @@ def test_half_width_scales_with_samples():
 
 
 def test_joint_mode_not_below_product_mode():
-    chain = DecodeChain((
+    chain = (
         SinrCondition(7.0, 3.0, 1.0, 1.0),
         SinrCondition(3.0, 0.0, 1.0, 1.0),
-    ))
+    )
     cfg = McConfig(samples=300_000, seed=2024, workers=2)
     joint, jhw = chain_estimate(chain, "joint", cfg)
     product, phw = chain_estimate(chain, "product", cfg)
@@ -175,7 +174,7 @@ def test_split_boundary_alpha_uses_low_branch():
     from cachenoma.noma_split import split_case_chains
 
     v1, _ = split_case_chains(0.5, 0.5, cfg_model.split, "low")
-    assert len(v1.conditions) == 3
+    assert len(v1) == 3
     assert 0.0 <= res_low.joint.value <= 1.0
 
 

@@ -15,7 +15,6 @@ from cachenoma.channel import (
 from cachenoma.noma_full import (
     AVERAGING,
     BRANCH_ALPHA,
-    DecodeChain,
     FullScenario,
     SinrCondition,
     average_success,
@@ -71,9 +70,9 @@ def test_scenario_validation():
 def test_case_a_is_two_clean_links():
     sc = default_scenario()
     v1, v2 = case_chains(CacheCase.A, 0.6, sc, "high")
-    assert len(v1.conditions) == 1 and len(v2.conditions) == 1
-    assert v1.conditions[0] == SinrCondition(6.0, 0.0, 1.0, 1.0)
-    assert v2.conditions[0] == SinrCondition(4.0, 0.0, 1.0, 1.0)
+    assert len(v1) == 1 and len(v2) == 1
+    assert v1[0] == SinrCondition(6.0, 0.0, 1.0, 1.0)
+    assert v2[0] == SinrCondition(4.0, 0.0, 1.0, 1.0)
     p1, p2 = case_success(CacheCase.A, 0.6, sc)
     s1 = effective_scale(sc.geom1)
     s2 = effective_scale(sc.geom2)
@@ -85,9 +84,9 @@ def test_case_b_low_branch_single_condition():
     sc = default_scenario()
     alpha = 0.3
     v1, v2 = case_chains(CacheCase.B, alpha, sc, "low")
-    assert len(v1.conditions) == 1          # vehicle 1 cancels the interferer
-    assert len(v2.conditions) == 1          # weak component decoded directly
-    c = v2.conditions[0]
+    assert len(v1) == 1  # vehicle 1 cancels the interferer
+    assert len(v2) == 1  # weak component decoded directly
+    c = v2[0]
     assert c.signal_coef == pytest.approx(7.0)
     assert c.interference_coef == pytest.approx(3.0)
     assert c.threshold == sc.gamma2
@@ -96,9 +95,9 @@ def test_case_b_low_branch_single_condition():
 def test_case_b_high_branch_strips_first():
     sc = default_scenario()
     v1, v2 = case_chains(CacheCase.B, 0.8, sc, "high")
-    assert len(v1.conditions) == 1
-    assert len(v2.conditions) == 2
-    first, second = v2.conditions
+    assert len(v1) == 1
+    assert len(v2) == 2
+    first, second = v2
     assert first.signal_coef == pytest.approx(8.0)
     assert first.interference_coef == pytest.approx(2.0)
     assert first.threshold == sc.gamma1     # strips the other file at its own rate
@@ -110,19 +109,19 @@ def test_case_c_mirrors_case_b():
     b1, b2 = case_chains(CacheCase.B, 0.7, sc, "high")
     c1, c2 = case_chains(CacheCase.C, 0.3, sc, "low")
     # with symmetric thresholds, C at 1 - alpha swaps the vehicles' roles
-    assert len(c2.conditions) == len(b1.conditions)
-    assert len(c1.conditions) == len(b2.conditions)
+    assert len(c2) == len(b1)
+    assert len(c1) == len(b2)
 
 
 def test_case_d_branch_structure():
     sc = default_scenario()
     v1, v2 = case_chains(CacheCase.D, 0.8, sc, "high")
-    assert (len(v1.conditions), len(v2.conditions)) == (1, 2)
+    assert (len(v1), len(v2)) == (1, 2)
     v1, v2 = case_chains(CacheCase.D, 0.2, sc, "low")
-    assert (len(v1.conditions), len(v2.conditions)) == (2, 1)
+    assert (len(v1), len(v2)) == (2, 1)
     # the boundary point belongs to the weak-component branch
     v1, v2 = case_chains(CacheCase.D, 0.5, sc, branch_of(0.5))
-    assert (len(v1.conditions), len(v2.conditions)) == (2, 1)
+    assert (len(v1), len(v2)) == (2, 1)
 
 
 def test_branch_table_matches_branch_of():
@@ -219,10 +218,10 @@ def test_zero_power_share_kills_success():
 
 def test_chain_probability_semantics():
     sc = default_scenario()
-    chain = DecodeChain((
+    chain = (
         SinrCondition(8.0, 2.0, 1.0, 1.0),
         SinrCondition(2.0, 0.0, 1.0, 1.0),
-    ))
+    )
     s = effective_scale(sc.geom1)
     t1 = gain_threshold(8.0, 2.0, 1.0, 1.0)
     t2 = gain_threshold(2.0, 0.0, 1.0, 1.0)
@@ -247,7 +246,7 @@ def test_joint_never_below_product():
             sig = float(rng.uniform(0.5, 10.0))
             inter = float(rng.uniform(0.0, 0.4)) * sig
             conds.append(SinrCondition(sig, inter, 1.0, float(rng.uniform(0.2, 2.0))))
-        chain = DecodeChain(tuple(conds))
+        chain = tuple(conds)
         joint = chain_probability(chain, sc.chan1, sc.geom1, "joint")
         product = chain_probability(chain, sc.chan1, sc.geom1, "product")
         assert joint >= product - 1e-12
@@ -279,7 +278,7 @@ def test_joint_never_below_product_on_built_chains():
 
 def test_infeasible_chain_probability_is_zero():
     sc = default_scenario()
-    chain = DecodeChain((SinrCondition(1.0, 3.0, 1.0, 1.0),))
+    chain = (SinrCondition(1.0, 3.0, 1.0, 1.0),)
     assert chain_probability(chain, sc.chan1, sc.geom1, "product") == 0.0
     assert chain_probability(chain, sc.chan1, sc.geom1, "joint") == 0.0
 

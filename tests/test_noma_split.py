@@ -7,7 +7,6 @@ import pytest
 from cachenoma.channel import DoubleNakagamiParams, LinkGeometry
 from cachenoma.config import load_config, parse_config
 from cachenoma.noma_full import (
-    DecodeChain,
     FullScenario,
     branch_of,
     chain_probability,
@@ -43,8 +42,8 @@ def condition_survivals(alpha, beta, sc, branch):
     links = ((v1, base.chan1, base.geom1), (v2, base.chan2, base.geom2))
     if branch == "low":
         links = links[::-1]
-    return tuple(chain_probability(DecodeChain((cond,)), chan, geom, "product")
-                 for chain, chan, geom in links for cond in chain.conditions)
+    return tuple(chain_probability((cond,), chan, geom, "product")
+                 for chain, chan, geom in links for cond in chain)
 
 
 def test_scenario_validation():
@@ -63,15 +62,15 @@ def test_high_branch_coefficients():
     p = sc.base.power
     a, b = 0.8, 0.4
     v1, v2 = split_case_chains(a, b, sc, "high")
-    assert len(v1.conditions) == 2
-    assert len(v2.conditions) == 3
-    c11, c12 = v1.conditions
+    assert len(v1) == 2
+    assert len(v2) == 3
+    c11, c12 = v1
     assert c11.signal_coef == pytest.approx(a * b * p)
     assert c11.interference_coef == pytest.approx((1.0 - b) * p)
     assert c11.threshold == sc.gamma11
     assert c12.signal_coef == pytest.approx(a * (1.0 - b) * p)
     assert c12.interference_coef == pytest.approx((1.0 - a) * (1.0 - b) * p)
-    strip, part1, part2 = v2.conditions
+    strip, part1, part2 = v2
     assert strip.signal_coef == pytest.approx(a * (1.0 - b) * p)
     assert strip.interference_coef == pytest.approx((1.0 - a) * p)
     assert strip.threshold == sc.gamma12
@@ -85,16 +84,16 @@ def test_low_branch_coefficients():
     p = sc.base.power
     a, b = 0.3, 0.6
     v1, v2 = split_case_chains(a, b, sc, "low")
-    assert len(v1.conditions) == 3
-    assert len(v2.conditions) == 2
-    strip, part1, part2 = v1.conditions
+    assert len(v1) == 3
+    assert len(v2) == 2
+    strip, part1, part2 = v1
     assert strip.signal_coef == pytest.approx((1.0 - a) * (1.0 - b) * p)
     assert strip.interference_coef == pytest.approx(a * p)
     assert strip.threshold == sc.gamma22
     assert part1.signal_coef == pytest.approx(a * b * p)
     assert part1.interference_coef == pytest.approx(a * (1.0 - b) * p)
     assert part2.interference_coef == 0.0
-    c21, c22 = v2.conditions
+    c21, c22 = v2
     assert c21.signal_coef == pytest.approx((1.0 - a) * b * p)
     assert c21.interference_coef == pytest.approx((1.0 - b) * p)
     assert c22.signal_coef == pytest.approx((1.0 - a) * (1.0 - b) * p)
@@ -155,7 +154,7 @@ def test_extreme_alpha_gives_zero():
 def test_alpha_zero_strip_condition_is_clean():
     sc = default_split()
     v1, _ = split_case_chains(0.0, 0.4, sc, "low")
-    strip = v1.conditions[0]
+    strip = v1[0]
     assert strip.signal_coef == pytest.approx(0.6 * sc.base.power)
     assert strip.interference_coef == 0.0
 

@@ -8,7 +8,7 @@ from cachenoma.caching import Catalog
 from cachenoma.channel import DoubleNakagamiParams, LinkGeometry
 from cachenoma.config import ScenarioConfig, load_config
 from cachenoma.mc import McCaseResult, McConfig, McEstimate
-from cachenoma.noma_full import DecodeChain, FullScenario, SinrCondition
+from cachenoma.noma_full import FullScenario, SinrCondition
 from cachenoma.noma_split import SplitScenario
 from cachenoma.optimizer import OptResult
 
@@ -40,8 +40,6 @@ RECORDS = [
     (FullScenario, (10.0, 1.0, 0.5, 1.0, 2.0, CHAN, CHAN, GEOM, GEOM, "joint"),
      FULL_REPR, {"semantics": "product"}),
     (SinrCondition, (1.0, 0.5, 1.0, 0.25), COND_REPR, {}),
-    (DecodeChain, ((COND, COND),),
-     f"DecodeChain(conditions=({COND_REPR}, {COND_REPR}))", {}),
     (SplitScenario, (FULL, 0.25, 0.5, 0.125, 0.75), SPLIT_REPR, {}),
     (ScenarioConfig, (SPLIT, CAT, "full"),
      f"ScenarioConfig(split={SPLIT_REPR}, catalog=Catalog(num_files=5, "
