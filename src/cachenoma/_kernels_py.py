@@ -172,16 +172,6 @@ def _start(nu, x):
         s, s0 = two_s * s - s0, s
 
 
-def bessel_k(nu, x):
-    """K_|nu|(x), x > 0, read off ``_log_k_ladder``: inf where it overflows
-    and 0.0 where it underflows."""
-    [log_k], _ = _log_k_ladder(abs(nu), x, 1)
-    try:
-        return math.exp(log_k)
-    except OverflowError:
-        return math.inf
-
-
 def _log_k_ladder(nu, x, count):
     """([log K_(nu+i)(x) for i < count], scale), nu >= 0, off one upward
     recurrence from the ``_start`` pair e^x K, rescaled by 2^-e where a step

@@ -1,7 +1,9 @@
 """Base of the package's immutable value types.
 
-A subclass lists its fields in ``__slots__`` and assigns them in its own
-``__init__`` with ``object.__setattr__``, after checking them.  The base
+A subclass lists its fields in ``__slots__``.  The base's ``__init__`` binds
+them in that order, by position or by name, and raises TypeError for a field
+that is missing, given twice or unknown; a subclass that checks its fields
+keeps its own signature, checks, then passes them on to it.  The base
 supplies what a frozen dataclass would: no assignment or deletion after
 construction, value equality within one class, a hash of the field values,
 ``Name(field=value, ...)`` as repr, and ``replace``, which builds the new
@@ -17,6 +19,22 @@ class Record:
     def __init_subclass__(cls):
         # every record has two or more fields, so this returns a tuple
         cls._values = attrgetter(*cls.__slots__)
+
+    def __init__(self, *values, **named):
+        fields = self.__slots__
+        if len(values) > len(fields):
+            raise TypeError(f"{self.__class__.__qualname__} takes {len(fields)} "
+                            f"fields, got {len(values)}")
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
+        for name in fields[len(values):]:
+            if name not in named:
+                raise TypeError(f"missing field {name!r}")
+            object.__setattr__(self, name, named.pop(name))
+        if named:
+            name = next(iter(named))
+            raise TypeError(f"field {name!r} given twice" if name in fields
+                            else f"unknown field {name!r}")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

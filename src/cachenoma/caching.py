@@ -51,9 +51,7 @@ class Catalog(Record):
             raise ValueError(
                 f"cache_size must be an integer in [0, num_files], got {cache_size!r}"
             )
-        object.__setattr__(self, "num_files", num_files)
-        object.__setattr__(self, "zeta", zeta)
-        object.__setattr__(self, "cache_size", cache_size)
+        super().__init__(num_files, zeta, cache_size)
 
 
 class CacheCase(enum.Enum):

@@ -10,8 +10,8 @@ The functions here validate their input and make one kernel call each; how
 a distribution value is computed is decided in ``_kernels_py``, whose module
 docstring describes the routes.  ``cdf_gain_sq`` and ``survival_gain_sq``
 share ``_cdf_sf``, a memo of the kernels' (cdf, sf) pairs, which ``cli.main``
-empties before each command.  ``bessel_k`` is the validated public
-interface to the kernels' Bessel function.
+empties before each command.  ``bessel_k`` validates its arguments and
+reads K off the kernels' Bessel recurrence.
 """
 import functools
 import math
@@ -59,10 +59,7 @@ class DoubleNakagamiParams(Record):
         num, denom = m1 * m2, omega1 * omega2
         if not (denom > 0.0 and 0.0 < num / denom < math.inf):
             raise ValueError(f"rate {num!r} / {denom!r} must be finite and positive")
-        object.__setattr__(self, "m1", m1)
-        object.__setattr__(self, "m2", m2)
-        object.__setattr__(self, "omega1", omega1)
-        object.__setattr__(self, "omega2", omega2)
+        super().__init__(m1, m2, omega1, omega2)
 
     @property
     def rate(self):
@@ -82,8 +79,7 @@ class LinkGeometry(Record):
             raise ValueError(
                 f"pathloss_exp must be nonnegative, got {pathloss_exp!r}"
             )
-        object.__setattr__(self, "distance", distance)
-        object.__setattr__(self, "pathloss_exp", pathloss_exp)
+        super().__init__(distance, pathloss_exp)
         try:
             scale = effective_scale(self)
         except OverflowError:
@@ -114,7 +110,11 @@ def bessel_k(nu, x):
         raise ValueError(f"bessel_k requires a finite order, got {nu!r}")
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"bessel_k requires x > 0, got {x!r}")
-    return _kernels_py.bessel_k(float(nu), float(x))
+    [log_k], _ = _kernels_py._log_k_ladder(abs(float(nu)), float(x), 1)
+    try:
+        return math.exp(log_k)
+    except OverflowError:
+        return math.inf
 
 
 def cdf_gain_sq(x, params: DoubleNakagamiParams):

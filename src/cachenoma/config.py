@@ -57,11 +57,6 @@ class ScenarioConfig(Record):
 
     __slots__ = ("split", "catalog", "averaging")
 
-    def __init__(self, split: SplitScenario, catalog: Catalog, averaging: str):
-        object.__setattr__(self, "split", split)
-        object.__setattr__(self, "catalog", catalog)
-        object.__setattr__(self, "averaging", averaging)
-
     @property
     def scenario(self) -> FullScenario:
         """The full-file scenario, which the split scenario is built on."""

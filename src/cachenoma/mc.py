@@ -92,9 +92,7 @@ class McConfig(Record):
             raise ValueError("workers must be at least 1")
         if workers > MAX_WORKERS:
             raise ValueError(f"workers must be at most {MAX_WORKERS}")
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "workers", workers)
+        super().__init__(samples, seed, workers)
 
 
 class McEstimate(Record):
@@ -102,20 +100,11 @@ class McEstimate(Record):
 
     __slots__ = ("value", "half_width")
 
-    def __init__(self, value: float, half_width: float):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "half_width", half_width)
-
 
 class McCaseResult(Record):
     """Per-vehicle estimates and their product (links are independent)."""
 
     __slots__ = ("p1", "p2", "joint")
-
-    def __init__(self, p1: McEstimate, p2: McEstimate, joint: McEstimate):
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "p2", p2)
-        object.__setattr__(self, "joint", joint)
 
 
 def _block_sizes(n):
@@ -212,33 +201,6 @@ def _product_of(estimates):
     return McEstimate(value, math.sqrt(var))
 
 
-def _chain_estimates(requests, cfg):
-    """Estimates of decode chains, each request (chain, params, geom, mode,
-    user) sampled on that user's streams; every stream is drawn once for
-    all requests."""
-    streams = {}
-    plans = []
-    for chain, params, geom, mode, user in requests:
-        ts = _chain_thresholds(chain)
-        if None in ts:
-            plans.append((mode, None))
-        elif mode == "joint":
-            plans.append((mode, [_slot(streams, (params, geom, user, 0), max(ts))]))
-        else:
-            plans.append((mode, [_slot(streams, (params, geom, user, j), t)
-                                 for j, t in enumerate(ts)]))
-    n = cfg.samples
-    counts = _count_streams(streams, n, cfg.seed, cfg.workers)
-    out = []
-    for mode, slots in plans:
-        if slots is None:
-            out.append(McEstimate(0.0, 0.0))
-            continue
-        parts = [_binomial_estimate(int(counts[key][i]), n) for key, i in slots]
-        out.append(parts[0] if mode == "joint" else _product_of(parts))
-    return out
-
-
 def mc_cells(cells, cfg: McConfig):
     """Monte Carlo estimates of many cells from one draw of their streams.
 
@@ -246,12 +208,26 @@ def mc_cells(cells, cfg: McConfig):
     1) and vehicle 2 (on link 2), and the ``FullScenario`` that supplies the
     links and the semantics.  Returns one ``McCaseResult`` per cell, in order.
     """
-    requests = []
+    streams = {}
+    plans = []
     for (chain1, chain2), base in cells:
-        mode = base.semantics
-        requests.append((chain1, base.chan1, base.geom1, mode, 1))
-        requests.append((chain2, base.chan2, base.geom2, mode, 2))
-    est = _chain_estimates(requests, cfg)
+        for user, chain, params, geom in ((1, chain1, base.chan1, base.geom1),
+                                          (2, chain2, base.chan2, base.geom2)):
+            ts = _chain_thresholds(chain)
+            if None in ts:
+                plans.append(None)
+            elif base.semantics == "joint":
+                plans.append([_slot(streams, (params, geom, user, 0), max(ts))])
+            else:
+                plans.append([_slot(streams, (params, geom, user, j), t)
+                              for j, t in enumerate(ts)])
+    n = cfg.samples
+    counts = _count_streams(streams, n, cfg.seed, cfg.workers)
+    # _product_of returns a single part (a joint chain's) exactly as it is
+    est = [McEstimate(0.0, 0.0) if slots is None else
+           _product_of([_binomial_estimate(int(counts[key][i]), n)
+                        for key, i in slots])
+           for slots in plans]
     return [McCaseResult(p1=e1, p2=e2, joint=_product_of([e1, e2]))
             for e1, e2 in zip(est[0::2], est[1::2])]
 

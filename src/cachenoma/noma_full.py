@@ -80,16 +80,8 @@ class FullScenario(Record):
             raise ValueError(
                 f"semantics must be one of {SEMANTICS}, got {semantics!r}"
             )
-        object.__setattr__(self, "power", power)
-        object.__setattr__(self, "sigma1_sq", sigma1_sq)
-        object.__setattr__(self, "sigma2_sq", sigma2_sq)
-        object.__setattr__(self, "gamma1", gamma1)
-        object.__setattr__(self, "gamma2", gamma2)
-        object.__setattr__(self, "chan1", chan1)
-        object.__setattr__(self, "chan2", chan2)
-        object.__setattr__(self, "geom1", geom1)
-        object.__setattr__(self, "geom2", geom2)
-        object.__setattr__(self, "semantics", semantics)
+        super().__init__(power, sigma1_sq, sigma2_sq, gamma1, gamma2, chan1, chan2,
+                         geom1, geom2, semantics)
 
 
 class SinrCondition(Record):
@@ -105,10 +97,7 @@ class SinrCondition(Record):
             raise ValueError("noise must be positive")
         if not threshold > 0.0:
             raise ValueError("threshold must be positive")
-        object.__setattr__(self, "signal_coef", signal_coef)
-        object.__setattr__(self, "interference_coef", interference_coef)
-        object.__setattr__(self, "noise", noise)
-        object.__setattr__(self, "threshold", threshold)
+        super().__init__(signal_coef, interference_coef, noise, threshold)
 
 
 def gain_threshold(signal_coef, interference_coef, noise, threshold):

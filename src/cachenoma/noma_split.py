@@ -59,11 +59,7 @@ class SplitScenario(Record):
                         ("gamma21", gamma21), ("gamma22", gamma22)):
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {v!r}")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "gamma11", gamma11)
-        object.__setattr__(self, "gamma12", gamma12)
-        object.__setattr__(self, "gamma21", gamma21)
-        object.__setattr__(self, "gamma22", gamma22)
+        super().__init__(base, gamma11, gamma12, gamma21, gamma22)
 
 
 def _vehicle_chain(make, mine, other, b, p, noise, own_gammas, other_gamma2,

@@ -54,12 +54,6 @@ class OptResult(Record):
 
     __slots__ = ("argmax", "value", "evaluations", "branch")
 
-    def __init__(self, argmax: object, value: float, evaluations: int, branch: str):
-        object.__setattr__(self, "argmax", argmax)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "evaluations", evaluations)
-        object.__setattr__(self, "branch", branch)
-
 
 def _golden_section(f, lo, hi):
     """Golden-section maximization on [lo, hi], lo < hi.

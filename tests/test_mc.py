@@ -28,10 +28,15 @@ CHAN = DoubleNakagamiParams(m1=1.0, m2=1.0, omega1=2.0, omega2=2.0)
 GEOM = LinkGeometry(distance=1.0, pathloss_exp=2.0)
 
 
+# a chain vehicle 2 never decodes, so a one-cell call draws vehicle 1 alone
+NEVER = (SinrCondition(0.0, 0.0, 1.0, 1.0),)
+
+
 def chain_estimate(chain, mode, cfg):
     """(estimate, half-width) of one chain on the CHAN/GEOM link."""
-    (est,) = mc._chain_estimates([(chain, CHAN, GEOM, mode, 0)], cfg)
-    return est.value, est.half_width
+    base = FullScenario(1.0, 1.0, 1.0, 1.0, 1.0, CHAN, CHAN, GEOM, GEOM, mode)
+    [res] = mc.mc_cells([((chain, NEVER), base)], cfg)
+    return res.p1.value, res.p1.half_width
 
 
 def test_config_validation():

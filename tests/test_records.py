@@ -76,6 +76,12 @@ def test_value_type_contract(cls, args, text, defaults):
     with pytest.raises(TypeError):
         cls(*args[:kept - 1])
 
+    # a field given both by position and by name, or one value too many
+    with pytest.raises(TypeError):
+        cls(*args, **{fields[0]: args[0]})
+    with pytest.raises(TypeError):
+        cls(*args, args[0])
+
     # never equal to a value of another class
     for other_cls, other_args, _, _ in RECORDS:
         if other_cls is not cls:
