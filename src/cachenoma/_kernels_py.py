@@ -13,9 +13,11 @@ X ~ Gamma(m1, omega1/m1), Y ~ Gamma(m2, omega2/m2) and is summarised here by
 ``_cdf_sf`` alone decides how P(W <= x) and P(W > x) are computed.  It
 works with the unit-rate variable V = r W, whose density is the one above
 with r = 1 and whose mean is m1 m2: P(W <= x) = P(V <= c) with c = r x.
-c = 0 and c = inf are answered exactly; otherwise the first of these
-routes that applies runs.  Each is a closed form or a fixed rule
-with its own error check, held to ``_ABS_TOL`` and ``_REL_TOL``:
+c = 0 and c = inf are answered exactly; otherwise the routes of
+``_ROUTES`` run in turn.  Each is a closed form or a fixed rule that
+returns (P(V <= c), P(V > c), error bound), or None where it does not
+apply, and the first value that ``_kept`` passes is kept: its bound is at
+most ``_ABS_TOL`` and ``_REL_TOL`` times min(P(V <= c), P(V > c)).
 
 * Bessel-K sum, when either shape is an integer: P(V > c) is a finite sum
   of Bessel K terms (Karagiannidis, Sagias and Mathiopoulos, "N*Nakagami",
@@ -23,17 +25,15 @@ with its own error check, held to ``_ABS_TOL`` and ``_REL_TOL``:
   of that shape with no cap, read off at most two Bessel recurrences, and
   P(V <= c) is 1 minus it.  Each call bounds its own rounding, so a small
   P(V <= c), which 1 minus the sum holds only absolutely, passes on.
-* Series, for every other shape pair, where its error bound holds: the
-  ascending series of K_nu (DLMF 10.27.4 and 10.25.2) integrated term by
-  term gives P(V <= c) in closed form, and P(V > c) is 1 minus it.  One
+* Series, for every other shape pair, where its terms stay within reach:
+  the ascending series of K_nu (DLMF 10.27.4 and 10.25.2) integrated term
+  by term gives P(V <= c) in closed form, and P(V > c) is 1 minus it.  One
   series serves every order nu = m1 - m2: each pole of its first sum is
   paired with the matching term of its second (Temme's device), so it
   reduces to DLMF 10.31.1 at an integer order and loses nothing next to
   one.  The terms alternate in sign, and the cancellation grows with c
   (like e^(4 sqrt c) relative to a small P(V > c)).  Each call bounds its
-  own rounding error and keeps the value only where the bound is at most
-  ``_ABS_TOL`` and ``_REL_TOL`` times min(P(V <= c), P(V > c)).  No
-  constant picks a crossover.
+  own rounding error.  No constant picks a crossover.
 * Far-tail bound, wherever a Chernoff bound puts P(V > c) below half the
   least subnormal (c from about 6e5 at shapes 0.5 to 1.2e6 at shapes
   100): P(V > c) = 0 and P(V <= c) = 1, exactly the nearest floats.
@@ -43,13 +43,12 @@ with its own error check, held to ``_ABS_TOL`` and ``_REL_TOL``:
   a Gamma variable, the first formed at or below the mean and the second
   above it, by rules centred at the integrand's mode.  Pairs of rules run
   in turn, 24 points checked by 16, then 32 by 24 and 48 by 32, and the
-  first pair that agrees to ``_REL_TOL`` times min(P(V <= c), P(V > c))
-  keeps its value.  Where no pair agrees (near the mean of two close
-  shapes), the rules run on the other average.
+  first pair that ``_kept`` passes gives the value.  Where no pair passes
+  (near the mean of two close shapes), the rules run on the other average.
 
-Where every check refuses, ``QuadratureAccuracyError`` carries the first
-Gauss-Hermite estimate; a census of 16 000 points over shapes 0.5 to 100,
-c from 1e-6 to 1e3 times the mean, found no such input.
+Where every route refuses, ``QuadratureAccuracyError`` carries the
+Gauss-Hermite estimate on c's own average; a census of 16 000 points over
+shapes 0.5 to 100, c from 1e-6 to 1e3 times the mean, found no such input.
 
 What depends on the shapes alone is worked out once per pair, in its
 ``_Plan``: lgammas, ln k! and the series' constants and a table of term
@@ -69,10 +68,14 @@ _U = sys.float_info.epsilon / 2  # unit roundoff
 _LN2 = math.log(2.0)
 _MAXIT = 30000
 
-# Tolerances of the distribution routes: each keeps a value only where its
-# own error bound or check meets them.
+# Tolerances of the distribution routes, read by ``_kept`` on every call
 _ABS_TOL = 1e-10
 _REL_TOL = 1e-9
+
+
+def _kept(cdf, sf, bound):
+    """Whether a route's value passes: the one keep-rule of every route."""
+    return bound <= _ABS_TOL and bound <= _REL_TOL * min(cdf, sf)
 
 
 # 1/Gamma(1+z) = sum a_k z^k (DLMF 5.7.1): mpmath's a_0 ... a_21 to the double
@@ -144,8 +147,8 @@ def _start(nu, x):
     cosh((mu+1) t) and sinh(t/2) at t = k h run on their Chebyshev recurrences,
     so a node costs one exp, and the sum stops where a K_(mu+1) term falls
     below 1e-17 of it (a nan stops it too).  Both stay within 128 + 2 |ln x| u
-    of mpmath, the budget ``_integer_shape_sf`` charges: the rule within 32 u,
-    Temme's series up to 83 u seen near x = 2, 1.6 |ln x| u below x = 1e-6."""
+    of mpmath, the budget ``_integer_shape_cdf_sf`` charges: the rule within
+    32 u, Temme's series up to 83 u near x = 2, 1.6 |ln x| u below x = 1e-6."""
     anu = abs(nu)
     nl = int(anu + 0.5)
     mu = anu - nl
@@ -269,9 +272,9 @@ class _Plan:
 _plan = functools.lru_cache(maxsize=16)(_Plan)
 
 
-def _integer_shape_sf(c, m1, m2):
-    """P(V > c), 0 < c < inf, by the Bessel-K sum when a shape is an
-    integer, else None; None also where its bound misses the tolerances.
+def _integer_shape_cdf_sf(c, m1, m2):
+    """(P(V <= c), P(V > c), error bound), 0 < c < inf, by the Bessel-K sum
+    when a shape is an integer, else None.
 
     With Y ~ Gamma(n, 1) for integer n, P(Y > t) = e^-t sum_{k<n} t^k / k!;
     averaging over the other factor gives, with shape m of it,
@@ -315,14 +318,14 @@ def _integer_shape_sf(c, m1, m2):
                  + (m + n) * (5.0 * abs(log_c) + 7.0) + abs(log_c)
                  + 4.0 * scale - z + 158.0)
     bound = _U * roundings * total + n * 5e-324  # the smallest subnormal
-    small = sf if sf < 0.5 else 1.0 - sf
-    return sf if bound <= _ABS_TOL and bound <= _REL_TOL * small else None
+    return 1.0 - sf, sf, bound
 
 
 def _series_cdf_sf(c, m1, m2):
-    """(P(V <= c), P(V > c)), 0 < c < inf, from the ascending series of the
-    density integrated term by term, or None where the series' error bound
-    misses ``_ABS_TOL`` or ``_REL_TOL`` or the pair's table ends first.
+    """(P(V <= c), P(V > c), error bound), 0 < c < inf, from the ascending
+    series of the density integrated term by term, or None where the
+    magnitude of its terms rules out ``_ABS_TOL`` or the pair's table ends
+    first.
 
     With lo <= hi and the order nu = hi - lo = n + d, n = round(nu),
     |d| <= 1/2, the ascending series of K_nu (DLMF 10.27.4, 10.25.2)
@@ -357,9 +360,7 @@ def _series_cdf_sf(c, m1, m2):
     forming a term from its parts, for G1 and G2 (each within 1 u) and for
     the exp, expm1 and log calls.  Where m1 - m2 is not a float, the
     rounding of nu shifts the order the series is summed at; the bound adds
-    that shift times the sensitivity of the terms to it.  The value is kept
-    where the bound is at most ``_ABS_TOL`` and ``_REL_TOL`` times
-    min(cdf, sf).
+    that shift times the sensitivity of the terms to it.
     """
     lo, hi = min(m1, m2), max(m1, m2)
     plan = _plan(lo, hi)
@@ -421,10 +422,7 @@ def _series_cdf_sf(c, m1, m2):
     sf = 1.0 - cdf
     roundings = 6.0 * terms + 3.0 * log_mag + 50.0
     shift = abs(log_c) + math.log(terms + hi + 2.0)
-    bound = size * weight * (_U * roundings + nu_err * shift)
-    if bound <= _ABS_TOL and bound <= _REL_TOL * min(cdf, sf):
-        return cdf, sf
-    return None
+    return cdf, sf, size * weight * (_U * roundings + nu_err * shift)
 
 
 def _log_gamma_pq(a, log_t, lg_a):
@@ -520,8 +518,8 @@ def _hermite_cdf_sf(c, m1, m2, upper):
     (-phi'')^(-1/2) from its last step; exact centring is not needed, since
     the rules check each other.  They run in pairs, 24 points checked by 16,
     then 32 by 24 and 48 by 32, each sum formed once, and the first pair
-    that agrees to ``_REL_TOL`` times min(P(V <= c), P(V > c)) gives the
-    value and its error estimate, else the last pair.  Where Newton's
+    whose difference ``_kept`` passes gives the value and that difference
+    as its error estimate, else the last pair.  Where Newton's
     method does not settle within 8 steps, or the arithmetic fails (c many
     decades from the mean, where phi's derivatives cancel), the result is
     nan with an infinite error estimate.
@@ -561,7 +559,7 @@ def _hermite_cdf_sf(c, m1, m2, upper):
                 for u, v in _hermite_rule(n))
             if coarse is not None:
                 f, err = min(fine, 1.0), abs(fine - coarse)
-                if err <= _REL_TOL * min(f, 1.0 - f):
+                if _kept(f, 1.0 - f, err):
                     break
             coarse = fine
     except (ArithmeticError, ValueError):
@@ -570,15 +568,30 @@ def _hermite_cdf_sf(c, m1, m2, upper):
     return (1.0 - f, f, err) if upper else (f, 1.0 - f, err)
 
 
-def _sf_underflows(c, m1, m2):
-    """Whether P(V > c) is provably below half the least subnormal 2^-1074,
-    so that its nearest float is 0.  {V > c} lies in {X > z} or {Y > z},
-    z = sqrt(c), and for a shape m < z, P(X > z) <= (z/m)^m e^(m-z)
-    (Chernoff).  Both terms below e^-746 < 2^-1076 (ln 2^-1076 = -745.8)
-    put the sum below 2^-1075, with room for the rounding of the logs."""
+def _hermite_own(c, m1, m2):
+    """``_hermite_cdf_sf`` on the average of c's side of the mean."""
+    return _hermite_cdf_sf(c, m1, m2, c > m1 * m2)
+
+
+def _hermite_other(c, m1, m2):
+    """``_hermite_cdf_sf`` on the average of the other side of the mean."""
+    return _hermite_cdf_sf(c, m1, m2, not c > m1 * m2)
+
+
+def _far_tail_cdf_sf(c, m1, m2):
+    """(1, 0, 0) where P(V > c) is provably below half the least subnormal
+    2^-1074, so that its nearest float is 0, else None.  {V > c} lies in
+    {X > z} or {Y > z}, z = sqrt(c), and for a shape m < z, P(X > z) <=
+    (z/m)^m e^(m-z) (Chernoff).  Both terms below e^-746 < 2^-1076 (ln
+    2^-1076 = -745.8) put the sum below 2^-1075, with room for log errors."""
     z = math.sqrt(c)
-    return all(m < z and m * math.log(z / m) + m - z < -746.0
-               for m in (m1, m2))
+    if all(m < z and m * math.log(z / m) + m - z < -746.0 for m in (m1, m2)):
+        return 1.0, 0.0, 0.0
+    return None
+
+
+_ROUTES = (_integer_shape_cdf_sf, _series_cdf_sf, _far_tail_cdf_sf,
+           _hermite_own, _hermite_other)
 
 
 def _cdf_sf(x, m1, m2, r):
@@ -589,21 +602,12 @@ def _cdf_sf(x, m1, m2, r):
     if c == math.inf:
         # x = inf, or r x overflows: far past all the mass
         return 1.0, 0.0
-    sf = _integer_shape_sf(c, m1, m2)
-    if sf is not None:
-        return 1.0 - sf, sf
-    cdf_sf = _series_cdf_sf(c, m1, m2)
-    if cdf_sf is not None:
-        return cdf_sf
-    if _sf_underflows(c, m1, m2):
-        return 1.0, 0.0
+    for route in _ROUTES:
+        value = route(c, m1, m2)
+        if value is not None and _kept(*value):
+            return value[:2]
     upper = c > m1 * m2
     cdf, sf, err = _hermite_cdf_sf(c, m1, m2, upper)
-    if err <= _REL_TOL * min(cdf, sf):
-        return cdf, sf
-    other = _hermite_cdf_sf(c, m1, m2, not upper)
-    if other[2] <= _REL_TOL * min(other[0], other[1]):
-        return other[:2]
     raise QuadratureAccuracyError(
         f"no route holds the distribution at c = {c!r}, shapes {m1!r} and "
         f"{m2!r} (Gauss-Hermite error {err:.3e})", sf if upper else cdf, err)

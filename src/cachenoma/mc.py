@@ -175,14 +175,10 @@ def _count_streams(streams, n, seed, workers):
     return counts
 
 
-def _guarded(p, n):
-    # keep the variance estimate away from the degenerate 0/1 corners
-    return min(max(p, 0.5 / n), 1.0 - 0.5 / n)
-
-
 def _binomial_estimate(count, n):
     p = count / n
-    pg = _guarded(p, n)
+    # keep the variance estimate away from the degenerate 0/1 corners
+    pg = min(max(p, 0.5 / n), 1.0 - 0.5 / n)
     return McEstimate(p, Z99 * math.sqrt(pg * (1.0 - pg) / n))
 
 

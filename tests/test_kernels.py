@@ -3,10 +3,12 @@
 Bessel K on a grid of orders and arguments, and the distribution functions
 of the product-Gamma variable on integer and non-integer shape pairs, three
 rates and arguments from 1e-8 deep into the upper tail.  ``_cdf_sf``,
-which picks the route, is checked together with the Gauss-Hermite route
-``_hermite_cdf_sf`` wherever its own check keeps its value, so that route
-stays covered on the pairs where ``_cdf_sf`` takes the Bessel-K sum or the
-series.  The oracles are mpmath's Meijer G forms,
+which keeps the first value of ``_ROUTES`` that ``_kept`` passes, is
+checked together with the Gauss-Hermite route ``_hermite_cdf_sf`` wherever
+``_kept`` passes its value, so that route stays covered on the pairs where
+``_cdf_sf`` takes the Bessel-K sum or the series.  ``route`` and ``kept``
+below read the kernels' own route table and keep-rule.  The oracles are
+mpmath's Meijer G forms,
 P(W > x) = G^{3,0}_{1,3}(r x | 1; m1, m2, 0) / (Gamma(m1) Gamma(m2)) for
 the tail and P(W <= x) = G^{2,1}_{1,3}(r x | 1; m1, m2, 0) / (Gamma(m1)
 Gamma(m2)) for the lower range, and for the deep tail literals from
@@ -32,14 +34,26 @@ RATES = (0.25, 1.0, 4.0)
 XS = (1e-8, 0.01, 0.4, 1.3, 6.0, 30.0, 120.0)
 
 
+def kept(route, c, m1, m2):
+    """(P(V <= c), P(V > c)) by the kernel route ``route`` where ``_kept``
+    passes its value, else None."""
+    value = route(c, m1, m2)
+    return value[:2] if value is not None and _kernels_py._kept(*value) \
+        else None
+
+
+def series(c, m1, m2):
+    return kept(_kernels_py._series_cdf_sf, c, m1, m2)
+
+
 def hermite(c, m1, m2, upper=None):
     """(P(V <= c), P(V > c)) by the Gauss-Hermite route, averaging the
     survival side when ``upper`` (by default when c is above the mean), or
-    None where no pair of its rules agrees."""
+    None where no pair of its rules passes."""
     if upper is None:
         upper = c > m1 * m2
-    cdf, sf, err = _kernels_py._hermite_cdf_sf(c, m1, m2, upper)
-    return (cdf, sf) if err <= _kernels_py._REL_TOL * min(cdf, sf) else None
+    value = _kernels_py._hermite_cdf_sf(c, m1, m2, upper)
+    return value[:2] if _kernels_py._kept(*value) else None
 
 
 def oracle_sf(x, m1, m2, r):
@@ -78,22 +92,15 @@ def oracle_tail_sf(c, m1, m2):
 
 
 def route(c, m1, m2):
-    """The route ``_cdf_sf`` takes at 0 < c < inf."""
-    if _kernels_py._integer_shape_sf(c, m1, m2) is not None:
-        return "bessel-k sum"
-    if _kernels_py._series_cdf_sf(c, m1, m2) is not None:
-        return "series"
-    if _kernels_py._sf_underflows(c, m1, m2):
-        return "far-tail bound"
-    if hermite(c, m1, m2) is not None:
-        return "hermite"
-    if hermite(c, m1, m2, c <= m1 * m2) is not None:
-        return "hermite, other average"
-    return "none"
+    """The entry of ``_ROUTES`` whose value ``_cdf_sf`` keeps at
+    0 < c < inf, or None."""
+    for candidate in _kernels_py._ROUTES:
+        if kept(candidate, c, m1, m2) is not None:
+            return candidate
+    return None
 
 
-ALL_ROUTES = {"bessel-k sum", "series", "far-tail bound", "hermite",
-              "hermite, other average"}
+ALL_ROUTES = set(_kernels_py._ROUTES)
 
 
 def test_bessel_k_matches_oracle():
@@ -152,7 +159,7 @@ def test_gamma_pair_matches_oracle():
 def test_bessel_start_matches_oracle():
     # the start pair e^x K_mu(x), e^x K_(mu+1)(x), mu in [-1/2, 1/2], on both
     # sides of the switch at x = 2, within the one budget of 128 + 2 |ln x| u
-    # that _integer_shape_sf's bound charges for it (Temme's series took
+    # that _integer_shape_cdf_sf's bound charges for it (Temme's series took
     # 1242 u at x = 2 here while G1 was a difference quotient); the
     # trapezoidal rule above x = 2 stays within 32 u.  Then the worst two
     # points of a scan near x = 2 (83 u and 79 u, where Temme's sum for K_mu
@@ -193,9 +200,9 @@ def test_cdf_w_matches_oracle():
                 with mp.workdps(30):
                     want = 1 - oracle_sf(x, m1, m2, r)
                 got = {"cdf_w": _kernels_py._cdf_sf(x, m1, m2, r)[0]}
-                kept = hermite(r * x, m1, m2)
-                if kept is not None:
-                    got["hermite"] = kept[0]
+                by_hermite = hermite(r * x, m1, m2)
+                if by_hermite is not None:
+                    got["hermite"] = by_hermite[0]
                 for name, value in got.items():
                     err = float(abs(value - want))
                     worst[name] = max(worst.get(name, (0.0,)),
@@ -213,9 +220,9 @@ def test_sf_w_matches_oracle():
             for x in XS:
                 want = oracle_sf(x, m1, m2, r)
                 got = {"sf_w": _kernels_py._cdf_sf(x, m1, m2, r)[1]}
-                kept = hermite(r * x, m1, m2)
-                if kept is not None:
-                    got["hermite"] = kept[1]
+                by_hermite = hermite(r * x, m1, m2)
+                if by_hermite is not None:
+                    got["hermite"] = by_hermite[1]
                 for name, value in got.items():
                     err = float(abs(value / want - 1))
                     worst[name] = max(worst.get(name, (0.0,)),
@@ -289,7 +296,7 @@ def test_far_tail_bound_is_sound():
     # subnormal 2^-1074
     for m1, m2 in ((0.5, 0.5), (1.5, 2.5), (99.5, 0.75), (100.0, 100.0)):
         c, _ = _handoff(1e7, 1e5,
-                        lambda c: _kernels_py._sf_underflows(c, m1, m2))
+                        lambda c: _kernels_py._far_tail_cdf_sf(c, m1, m2))
         with mp.workdps(30):
             z = mp.sqrt(c)
             bound = sum((z / m) ** m * mp.exp(m - z) for m in (m1, m2))
@@ -370,7 +377,12 @@ SERIES_CS = (1e-8, 1e-3, 0.05, 0.4, 1.3, 3.0, 6.0, 12.0, 30.0)
 # holds
 HERMITE_ABOVE_THE_MEAN = [(1300.0, 30.5, 40.25), (200.0, 40.5, 3.25)]
 HERMITE_BELOW_THE_MEAN = (100.0, 30.5, 40.25)
-HERMITE_32_POINTS = (120.0, 12.5, 12.5)
+HERMITE_32_POINTS = (336.2, 20.5, 20.5)
+# where the 32/24 pair agrees to _REL_TOL but not to _ABS_TOL (error
+# estimates 1.27e-10 and 3.30e-10, survival values 1.6e-12 and 4.9e-12 off
+# the oracle), so the 48/32 pair keeps the value
+HERMITE_ABS_TOL = ((120.0, 12.5, 12.5),
+                   (57.13785454084066, 5.967067338581763, 9.850496128795484))
 # close shapes just below the mean, where no pair of rules on the cdf
 # average agrees: the survival average
 HERMITE_OTHER_AVERAGE = (8.0, 2.99, 2.99)
@@ -387,16 +399,16 @@ def test_series_matches_oracle():
     for m1, m2 in pairs:
         for c in SERIES_CS:
             want_cdf, want_sf = oracle_cdf(c, m1, m2), oracle_sf(c, m1, m2, 1.0)
-            got = _kernels_py._series_cdf_sf(c, m1, m2)
+            got = series(c, m1, m2)
             if got is not None:
                 taken.setdefault((m1, m2), []).append(c)
                 assert float(abs(got[0] / want_cdf - 1)) <= 1e-9, (m1, m2, c)
                 assert float(abs(got[1] / want_sf - 1)) <= 1e-9, (m1, m2, c)
-            kept = hermite(c, m1, m2)
-            if kept is not None:
+            value = hermite(c, m1, m2)
+            if value is not None:
                 by_hermite.append((m1, m2, c))
-                assert float(abs(kept[0] - want_cdf)) <= 1e-9, (m1, m2, c)
-                assert float(abs(kept[1] / want_sf - 1)) <= 1e-6, (m1, m2, c)
+                assert float(abs(value[0] - want_cdf)) <= 1e-9, (m1, m2, c)
+                assert float(abs(value[1] / want_sf - 1)) <= 1e-6, (m1, m2, c)
     assert by_hermite
     # the series covers every c up to 5, next to an integer order too
     for pair in pairs:
@@ -405,9 +417,9 @@ def test_series_matches_oracle():
     # terms cancel most and its values are summed off the longest tables
     for m1, m2 in SURFACE_SHAPES:
         reach, _ = _handoff(
-            1.0, 1e3, lambda c: _kernels_py._series_cdf_sf(c, m1, m2) is not None)
+            1.0, 1e3, lambda c: series(c, m1, m2) is not None)
         for c in [reach * f for f in (0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 1.0)]:
-            got = _kernels_py._series_cdf_sf(c, m1, m2)
+            got = series(c, m1, m2)
             assert got is not None, (m1, m2, c)
             want_cdf, want_sf = oracle_cdf(c, m1, m2), oracle_sf(c, m1, m2, 1.0)
             assert float(abs(got[0] / want_cdf - 1)) <= 1e-9, (m1, m2, c)
@@ -417,7 +429,7 @@ def test_series_matches_oracle():
 def test_series_table_suffices_and_its_end_refuses(monkeypatch):
     # a table four times as long changes no value, bit for bit, over the
     # census and the series' own pairs; and where a short table runs out,
-    # the call refuses rather than keep a partial sum: every value of an
+    # the call refuses rather than return a partial sum: every value of an
     # 8-entry table is the full table's value or None
     points = [(m1 * m2 * 10.0 ** (k / 4), m1, m2)
               for m1, m2 in census_pairs() for k in CENSUS_STEPS]
@@ -439,7 +451,7 @@ def test_series_table_suffices_and_its_end_refuses(monkeypatch):
         [(p, got, full) for p, got, full in zip(points, short, want)
          if got not in (None, full)][:5]
     # and the short table does run out where the full one keeps a value
-    assert any(got is None and full is not None
+    assert any(got is None and full is not None and _kernels_py._kept(*full)
                for got, full in zip(short, want))
 
 
@@ -454,7 +466,7 @@ def test_series_keeps_small_cdf_values_relatively_precise():
     # an adaptive lower integral held to an absolute tolerance was 2e-5
     # relative off here; the series keeps about 1e-14
     for c in (1e-3, 1.0):
-        assert route(c, 30.5, 40.25) == "series"
+        assert route(c, 30.5, 40.25) is _kernels_py._series_cdf_sf
         want = oracle_cdf(c, 30.5, 40.25)
         got = _kernels_py._cdf_sf(c, 30.5, 40.25, 1.0)[0]
         assert float(abs(got / want - 1)) <= 1e-12, (c, got, want)
@@ -464,7 +476,7 @@ def test_small_cdf_of_large_shapes_is_relatively_precise():
     # below the mean, where the series cancels: an adaptive lower integral
     # held to an absolute tolerance was 6.5e-6 and 2.8e-7 relative off here
     for c in (25.0, 100.0):
-        assert route(c, 30.5, 40.25) == "hermite"
+        assert route(c, 30.5, 40.25) is _kernels_py._hermite_own
         want = oracle_cdf(c, 30.5, 40.25)
         got = _kernels_py._cdf_sf(c, 30.5, 40.25, 1.0)[0]
         assert float(abs(got / want - 1)) <= 1e-9, (c, got, want)
@@ -482,11 +494,12 @@ def test_small_cdf_of_integer_shapes_is_relatively_precise():
     # Then two census points the sum kept only once its start was charged
     # 128 + 2 |ln z| u rather than 2000 + 2 |ln z| u (the series and the
     # Gauss-Hermite rule held them before)
-    kept = [(1.0, 0.7892275881193312, 7.892275881193312e-07),
-            (23.0, 21.649287062388833, 157.46043072271843)]
-    for m1, m2, c in kept:
-        assert route(c, m1, m2) == "bessel-k sum", (m1, m2, c)
-    for m1, m2, c in points + kept + [(64.0, 64.0, 10.0), (64.0, 64.0, 500.0)]:
+    by_sum = [(1.0, 0.7892275881193312, 7.892275881193312e-07),
+              (23.0, 21.649287062388833, 157.46043072271843)]
+    for m1, m2, c in by_sum:
+        assert route(c, m1, m2) is _kernels_py._integer_shape_cdf_sf, \
+            (m1, m2, c)
+    for m1, m2, c in points + by_sum + [(64.0, 64.0, 10.0), (64.0, 64.0, 500.0)]:
         want = oracle_cdf(c, m1, m2)
         got = _kernels_py._cdf_sf(c, m1, m2, 1.0)[0]
         assert float(abs(got / want - 1)) <= 1e-9, (m1, m2, c, got, want)
@@ -516,13 +529,12 @@ def test_quadrature_runs_unchanged_where_the_series_bound_fails(monkeypatch):
     calls = record_calls(monkeypatch, "_hermite_cdf_sf")
     # small c: the series, and no Gauss-Hermite rule
     for c, m1, m2 in ((1.0, 0.75, 1.25), (1.0, 1.5, 2.5)):
-        assert _kernels_py._cdf_sf(c, m1, m2, 1.0) \
-            == _kernels_py._series_cdf_sf(c, m1, m2)
+        assert _kernels_py._cdf_sf(c, m1, m2, 1.0) == series(c, m1, m2)
     assert calls == []
     # large shapes below the mean, small and large shapes above it, and
     # close shapes just below it: the Gauss-Hermite rule on its own average
     for (c, m1, m2), want in zip(points, own):
-        assert _kernels_py._series_cdf_sf(c, m1, m2) is None
+        assert series(c, m1, m2) is None
         assert want is not None
         assert _kernels_py._cdf_sf(c, m1, m2, 1.0) == want
     assert calls == [point + (point[0] > point[1] * point[2],)
@@ -572,30 +584,31 @@ def test_no_jump_at_the_series_handoff():
     # in c, as the cancellation grows
     for m1, m2 in SERIES_SHAPES + ((30.5, 40.25),):
         c_in, c_out = _handoff(
-            1e-3, 1e3, lambda c: _kernels_py._series_cdf_sf(c, m1, m2) is not None)
+            1e-3, 1e3, lambda c: series(c, m1, m2) is not None)
         # the next route: the Gauss-Hermite rule, on the other average
         # where the rules on its own disagree (close shapes near the mean)
-        assert route(c_out, m1, m2) in ("hermite", "hermite, other average")
+        assert route(c_out, m1, m2) in (_kernels_py._hermite_own,
+                                        _kernels_py._hermite_other)
         _assert_no_jump(_kernels_py._cdf_sf(c_in, m1, m2, 1.0),
                         _kernels_py._cdf_sf(c_out, m1, m2, 1.0))
     # in c, where the far-tail bound takes over from the Gauss-Hermite rule
     for m1, m2 in ((0.5, 0.5), (1.5, 2.5), (99.5, 0.75), (100.0, 100.0)):
         c_in, c_out = _handoff(
-            1e7, 1e5, lambda c: _kernels_py._sf_underflows(c, m1, m2))
-        assert route(c_out, m1, m2) == "hermite"
+            1e7, 1e5, lambda c: _kernels_py._far_tail_cdf_sf(c, m1, m2))
+        assert route(c_out, m1, m2) is _kernels_py._hermite_own
         _assert_no_jump(_kernels_py._cdf_sf(c_in, m1, m2, 1.0),
                         _kernels_py._cdf_sf(c_out, m1, m2, 1.0))
     # as the order nears an integer from either side the series is kept,
     # and it moves no more than its slope over d from 1e-2 to 0 allows
     for m1, m2 in ((1.5, 2.5), (0.5, 0.5), (0.75, 2.75)):
         for c in (0.3, 1.0, 3.0):
-            at_integer = _kernels_py._series_cdf_sf(c, m1, m2)
+            at_integer = series(c, m1, m2)
             assert at_integer is not None, (m1, m2, c)
             for side in (-1.0, 1.0):
                 values = {}
                 for k in range(2, 13):
                     d = 10.0 ** -k
-                    values[d] = _kernels_py._series_cdf_sf(c, m1, m2 + side * d)
+                    values[d] = series(c, m1, m2 + side * d)
                     assert values[d] is not None, (m1, m2, c, side, d)
                 slope = 2.0 * abs(values[1e-2][0] - at_integer[0]) / 1e-2
                 tol = max(_kernels_py._ABS_TOL,
@@ -878,7 +891,7 @@ def test_survival_matches_the_tabulated_oracle():
         got = _kernels_py._cdf_sf(c, m1, m2, 1.0)[1]
         worst = max(worst, (abs(got / want - 1.0), (m1, m2, c, got, want)))
     assert worst[0] <= 1e-9, worst
-    assert routes == ALL_ROUTES - {"far-tail bound"}
+    assert routes == ALL_ROUTES - {_kernels_py._far_tail_cdf_sf}
 
 
 def test_deep_tail_keeps_relative_precision():
@@ -898,15 +911,15 @@ def test_hermite_route_matches_the_bessel_k_sum(m1, m2):
     # normal floats, and only there does the sum's own bound refuse it
     c = m1 * m2
     while True:
-        want = _kernels_py._integer_shape_sf(c, m1, m2)
-        if want is None or want < sys.float_info.min:
+        want = kept(_kernels_py._integer_shape_cdf_sf, c, m1, m2)
+        if want is None or want[1] < sys.float_info.min:
             assert _kernels_py._cdf_sf(c, m1, m2, 1.0)[1] < sys.float_info.min
             break
         got = hermite(c, m1, m2, upper=True)
         assert got is not None, (m1, m2, c)
         assert got == hermite(c, m2, m1, upper=True), (m1, m2, c)
         tol = 1e-12 if c > m1 * m2 else _kernels_py._REL_TOL
-        assert math.isclose(got[1], want, rel_tol=tol), (m1, m2, c, got, want)
+        assert math.isclose(got[1], want[1], rel_tol=tol), (m1, m2, c, got, want)
         c *= 4.0
 
 
@@ -918,10 +931,11 @@ def test_hermite_rules_escalate(monkeypatch):
     sizes = record_calls(monkeypatch, "_hermite_rule")
     for (c, m1, m2), last in (((7500.46875, 1.5, 4000.25), 24),
                               ((1300.0, 30.5, 40.25), 24),
-                              (HERMITE_32_POINTS, 32), ((7.875, 3.5, 4.5), 48)):
+                              (HERMITE_32_POINTS, 32),
+                              ((12.375, 4.5, 5.5), 48)):
         del sizes[:]
         cdf, sf, err = _kernels_py._hermite_cdf_sf(c, m1, m2, c > m1 * m2)
-        assert err <= _kernels_py._REL_TOL * min(cdf, sf), (c, m1, m2)
+        assert _kernels_py._kept(cdf, sf, err), (c, m1, m2)
         assert sizes == [(n,) for n in (16, 24, 32, 48) if n <= last], \
             (c, m1, m2, sizes)
         assert _kernels_py._cdf_sf(c, m1, m2, 1.0) == (cdf, sf)
@@ -930,7 +944,19 @@ def test_hermite_rules_escalate(monkeypatch):
     # estimate, as e^phi underflowed at the rules' nodes
     for c in (1e12, 1e100):
         cdf, sf, err = _kernels_py._hermite_cdf_sf(c, 1.5, 2.5, False)
-        assert not err <= _kernels_py._REL_TOL * min(cdf, sf), (c, cdf, sf)
+        assert not _kernels_py._kept(cdf, sf, err), (c, cdf, sf)
+
+
+def test_kept_values_meet_the_absolute_tolerance():
+    # the 32/24 Gauss-Hermite pair once kept these on _REL_TOL alone; the
+    # keep-rule holds every route to _ABS_TOL too
+    for c, m1, m2 in HERMITE_ABS_TOL:
+        taken = route(c, m1, m2)
+        cdf, sf, bound = taken(c, m1, m2)
+        assert _kernels_py._cdf_sf(c, m1, m2, 1.0) == (cdf, sf)
+        assert bound <= _kernels_py._ABS_TOL, (c, m1, m2, taken, bound)
+        want = oracle_sf(c, m1, m2, 1.0)
+        assert float(abs(sf - want)) <= 1e-13, (c, m1, m2, sf, want)
 
 
 def census_pairs():
@@ -969,7 +995,8 @@ def test_survival_census_over_the_shape_domain():
             assert 0.0 <= sf <= 1.0 and sf <= prev * (1.0 + 1e-14), \
                 (m1, m2, c, sf, prev)
             prev = sf
-    assert {"hermite", "hermite, other average", "far-tail bound"} <= seen
+    # every route keeps some census value
+    assert seen == ALL_ROUTES
 
 
 def test_memo_is_transparent_on_the_census():
