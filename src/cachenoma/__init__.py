@@ -13,7 +13,6 @@ from .errors import QuadratureAccuracyError
 from .mc import McConfig, mc_case, mc_cells, mc_split
 from .noma_full import (
     FullScenario,
-    SinrCondition,
     average_success,
     branch_of,
     case_chains,
@@ -51,7 +50,6 @@ __all__ = [
     "mc_cells",
     "mc_split",
     "FullScenario",
-    "SinrCondition",
     "average_success",
     "branch_of",
     "case_chains",

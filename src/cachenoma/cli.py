@@ -31,7 +31,6 @@ from .noma_full import (
     branch_of,
     case_chains,
     case_objective,
-    chain_probability,
     oma_average_success,
 )
 from .noma_split import split_case_chains, split_objective_branch
@@ -147,6 +146,8 @@ def sweep_values(variable, start, stop, steps, values):
                                  f"number") from None
         if not out:
             raise ValueError("--values is empty")
+        if len(out) > MAX_STEPS:
+            raise ValueError(f"--values must hold at most {MAX_STEPS} values")
     else:
         if start is None or stop is None or steps is None:
             raise ValueError("sweep needs --values or --start/--stop/--steps")
@@ -265,7 +266,7 @@ def run_validate(cfg, samples, seed, workers):
                                        workers=workers))
     rows = []
     for label, cell, res in zip(labels, cells, results):
-        p1, p2 = _pair_success(*cell, chain_probability)
+        p1, p2 = _pair_success(*cell)
         value = p1 * p2
         est = res.joint
         tol = max(_PASS_ABS, _PASS_CI_FACTOR * est.half_width)
@@ -322,8 +323,9 @@ _COMMANDS = {
         ("--stop", dict(type=float)),
         ("--steps", dict(type=int, help="values from --start to --stop "
                                         f"(max {MAX_STEPS})")),
-        ("--values", dict(help="comma-separated explicit sweep values; write "
-                               "a list that starts with a minus sign as "
+        ("--values", dict(help="comma-separated explicit sweep values (max "
+                               f"{MAX_STEPS}); write a list that starts "
+                               "with a minus sign as "
                                "--values=-10,0, since argparse reads "
                                "--values -10,0 as an option")))),
     "surface": ("split objective on an (alpha, beta) grid", (

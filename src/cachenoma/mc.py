@@ -40,7 +40,7 @@ import math
 from ._record import Record
 from .caching import CacheCase
 from .channel import sample_gain_sq
-from .noma_full import _chain_thresholds, branch_of, case_chains
+from .noma_full import _checked_chain, branch_of, case_chains
 from .noma_split import split_case_chains
 
 __all__ = [
@@ -176,25 +176,27 @@ def _count_streams(streams, n, seed, workers):
 
 
 def _binomial_estimate(count, n):
+    """(estimate, 99% half-width) of a rate from ``count`` hits in n draws."""
     p = count / n
     # keep the variance estimate away from the degenerate 0/1 corners
     pg = min(max(p, 0.5 / n), 1.0 - 0.5 / n)
-    return McEstimate(p, Z99 * math.sqrt(pg * (1.0 - pg) / n))
+    return p, Z99 * math.sqrt(pg * (1.0 - pg) / n)
 
 
 def _product_of(estimates):
-    """Product of independent estimates with first-order error propagation."""
+    """Product of independent (estimate, half-width) pairs, with first-order
+    error propagation."""
     value = 1.0
-    for e in estimates:
-        value *= e.value
+    for v, _ in estimates:
+        value *= v
     var = 0.0
-    for i, e in enumerate(estimates):
+    for i, (_, hw) in enumerate(estimates):
         partial = 1.0
-        for j, o in enumerate(estimates):
+        for j, (v, _) in enumerate(estimates):
             if j != i:
-                partial *= o.value
-        var += (partial * e.half_width) ** 2
-    return McEstimate(value, math.sqrt(var))
+                partial *= v
+        var += (partial * hw) ** 2
+    return value, math.sqrt(var)
 
 
 def mc_cells(cells, cfg: McConfig):
@@ -209,7 +211,7 @@ def mc_cells(cells, cfg: McConfig):
     for (chain1, chain2), base in cells:
         for user, chain, params, geom in ((1, chain1, base.chan1, base.geom1),
                                           (2, chain2, base.chan2, base.geom2)):
-            ts = _chain_thresholds(chain)
+            ts = _checked_chain(chain)
             if None in ts:
                 plans.append(None)
             elif base.semantics == "joint":
@@ -220,11 +222,12 @@ def mc_cells(cells, cfg: McConfig):
     n = cfg.samples
     counts = _count_streams(streams, n, cfg.seed, cfg.workers)
     # _product_of returns a single part (a joint chain's) exactly as it is
-    est = [McEstimate(0.0, 0.0) if slots is None else
+    est = [(0.0, 0.0) if slots is None else
            _product_of([_binomial_estimate(int(counts[key][i]), n)
                         for key, i in slots])
            for slots in plans]
-    return [McCaseResult(p1=e1, p2=e2, joint=_product_of([e1, e2]))
+    return [McCaseResult(McEstimate(*e1), McEstimate(*e2),
+                         McEstimate(*_product_of([e1, e2])))
             for e1, e2 in zip(est[0::2], est[1::2])]
 
 

@@ -28,8 +28,11 @@ Two ways to turn a multi-condition chain into a probability are supported:
 through the same gain.
 
 The rule hands each condition to ``make(signal, interference, noise,
-threshold)``: ``case_chains`` makes records of it, the objectives gain
-thresholds and the optimizer's feasibility check SINR margins.
+threshold)`` and is read two ways: ``case_chains``, and through it the
+objectives, makes a gain threshold of each condition, and the optimizer's
+feasibility check a SINR margin.  A chain is thus a tuple of gain
+thresholds, None where a condition is impossible; ``chain_probability`` and
+``mc.mc_cells`` check hand-built ones.
 """
 import math
 
@@ -45,7 +48,6 @@ from .channel import (
 __all__ = [
     "SEMANTICS",
     "FullScenario",
-    "SinrCondition",
     "gain_threshold",
     "chain_probability",
     "branch_of",
@@ -84,22 +86,6 @@ class FullScenario(Record):
                          geom1, geom2, semantics)
 
 
-class SinrCondition(Record):
-    """One SINR requirement: signal_coef g^2 / (interference_coef g^2 + noise) > threshold."""
-
-    __slots__ = ("signal_coef", "interference_coef", "noise", "threshold")
-
-    def __init__(self, signal_coef: float, interference_coef: float,
-                 noise: float, threshold: float):
-        if signal_coef < 0.0 or interference_coef < 0.0:
-            raise ValueError("power coefficients must be nonnegative")
-        if not noise > 0.0:
-            raise ValueError("noise must be positive")
-        if not threshold > 0.0:
-            raise ValueError("threshold must be positive")
-        super().__init__(signal_coef, interference_coef, noise, threshold)
-
-
 def gain_threshold(signal_coef, interference_coef, noise, threshold):
     """Smallest g^2 satisfying the SINR condition, or None when impossible.
 
@@ -112,14 +98,16 @@ def gain_threshold(signal_coef, interference_coef, noise, threshold):
     return threshold * noise / margin
 
 
-def _chain_thresholds(chain):
-    """Gain thresholds of a tuple of ``SinrCondition`` (None: impossible)."""
+def _checked_chain(chain):
+    """A hand-built chain, checked: one or more entries, each None or a gain
+    threshold >= 0 (inf is legal, and never met)."""
     if len(chain) == 0:
         raise ValueError("a decode chain needs at least one condition")
-    if not all(isinstance(c, SinrCondition) for c in chain):
-        raise TypeError("a decode chain's conditions must be SinrCondition records")
-    return [gain_threshold(c.signal_coef, c.interference_coef, c.noise,
-                           c.threshold) for c in chain]
+    for t in chain:
+        if t is not None and not (isinstance(t, (int, float)) and t >= 0.0):
+            raise ValueError(f"a decode chain's entries must be None or gain "
+                             f"thresholds >= 0, got {t!r}")
+    return chain
 
 
 def _success(thresholds, params, geom, semantics):
@@ -139,8 +127,9 @@ def _success(thresholds, params, geom, semantics):
 
 def chain_probability(chain, params: DoubleNakagamiParams,
                       geom: LinkGeometry, semantics: str) -> float:
-    """Probability that a chain (a tuple of ``SinrCondition``) succeeds on one link."""
-    return _success(_chain_thresholds(chain), params, geom, semantics)
+    """Probability that a chain (a tuple of gain thresholds, None where a
+    condition is impossible) succeeds on one link."""
+    return _success(_checked_chain(chain), params, geom, semantics)
 
 
 # Alpha range of each decode branch; the optimizers visit them in this order.
@@ -203,20 +192,19 @@ def _case_rule(make, case, alpha, sc, branch):
 
 def case_chains(case: CacheCase, alpha: float, sc: FullScenario, branch: str):
     """Decode chains of vehicle 1 (link 1) and vehicle 2 (link 2) for one
-    case, as tuples of ``SinrCondition`` in decode order.
+    case, as tuples of ``gain_threshold`` values in decode order.
 
     Vehicle 1's file rides on alpha * P, vehicle 2's on (1 - alpha) * P.
     ``branch`` is "high" (file 1 is the stronger component) or "low"; the
     caller owns the choice, usually ``branch_of(alpha)``."""
-    return _case_rule(SinrCondition, case, alpha, sc, branch)
+    return _case_rule(gain_threshold, case, alpha, sc, branch)
 
 
-def _pair_success(chains, sc: FullScenario, read):
-    """Success probabilities (p1, p2) of a chain pair on links 1 and 2, each
-    chain read by ``read(chain, params, geom, semantics)``."""
+def _pair_success(chains, sc: FullScenario):
+    """Success probabilities (p1, p2) of a chain pair on links 1 and 2."""
     v1, v2 = chains
-    return (read(v1, sc.chan1, sc.geom1, sc.semantics),
-            read(v2, sc.chan2, sc.geom2, sc.semantics))
+    return (_success(v1, sc.chan1, sc.geom1, sc.semantics),
+            _success(v2, sc.chan2, sc.geom2, sc.semantics))
 
 
 def case_success(case: CacheCase, alpha: float, sc: FullScenario):
@@ -226,8 +214,7 @@ def case_success(case: CacheCase, alpha: float, sc: FullScenario):
     information, is plain power-domain NOMA with SIC and so also the
     cacheless (conventional NOMA) baseline.
     """
-    return _pair_success(_case_rule(gain_threshold, case, alpha, sc,
-                                    branch_of(alpha)), sc, _success)
+    return _pair_success(case_chains(case, alpha, sc, branch_of(alpha)), sc)
 
 
 def oma_success(sc: FullScenario):

@@ -22,19 +22,18 @@ rule builds each vehicle's chain from its own share and the other's:
 On the high branch (alpha > 0.5, see ``noma_full.branch_of``) file 1 is the
 stronger; on the low branch (alpha <= 0.5) the roles flip.  Five SINR
 conditions result: two for one vehicle, three for the other, each mapped to
-a gain threshold on its own link.  As in ``noma_full``, ``split_case_chains``
-and the objective read the rule as records and as gain thresholds.
+a gain threshold on its own link.  As in ``noma_full``, the rule is read
+two ways: ``split_case_chains``, and through it the objective, makes gain
+thresholds of it, and the optimizer's feasibility check SINR margins.
 """
 import math
 
 from ._record import Record
 from .noma_full import (
     FullScenario,
-    SinrCondition,
     _check_branch,
     _check_share,
     _pair_success,
-    _success,
     gain_threshold,
 )
 
@@ -99,16 +98,16 @@ def _split_rule(make, alpha, beta, sc, branch):
 
 
 def split_case_chains(alpha: float, beta: float, sc: SplitScenario, branch: str):
-    """Decode chains (vehicle 1, vehicle 2), tuples of ``SinrCondition``.
+    """Decode chains (vehicle 1, vehicle 2), tuples of ``gain_threshold``
+    values in decode order.
 
     ``branch`` is "high" or "low"; the caller owns the branch choice, which
     lets the two formulas be compared at the overlap point alpha = 0.5."""
-    return _split_rule(SinrCondition, alpha, beta, sc, branch)
+    return _split_rule(gain_threshold, alpha, beta, sc, branch)
 
 
 def split_objective_branch(alpha: float, beta: float, sc: SplitScenario,
                            branch: str) -> float:
     """Joint success of both vehicles under one branch's decode order."""
-    p1, p2 = _pair_success(_split_rule(gain_threshold, alpha, beta, sc, branch),
-                           sc.base, _success)
+    p1, p2 = _pair_success(split_case_chains(alpha, beta, sc, branch), sc.base)
     return p1 * p2

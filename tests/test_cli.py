@@ -295,6 +295,18 @@ def test_mc_config_bounds_the_workers():
         McConfig(samples=1, workers=MAX_WORKERS + 1)
 
 
+def test_values_list_is_bounded_like_steps(monkeypatch, capsys):
+    most = ",".join(["1"] * cli.MAX_STEPS)
+    assert len(sweep_values("snr_db", None, None, None, most)) == cli.MAX_STEPS
+    monkeypatch.setattr(cli, "average_success", _fail)
+    code = main(["sweep", "--variable", "snr_db", f"--values={most},1",
+                 "--out", os.devnull])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == (f"cachenoma: error: --values must hold at most "
+                   f"{cli.MAX_STEPS} values\n"), err
+
+
 def _stub_estimates(cells, cfg):
     est = McEstimate(0.0, 0.0)
     return [McCaseResult(est, est, est)] * len(cells)

@@ -1,32 +1,36 @@
-"""One decode rule per vehicle, read three ways: records, thresholds, margins.
+"""One decode rule per vehicle, read two ways: gain thresholds and margins.
 
-The objectives and the feasibility checks read the rules directly and build
-no ``SinrCondition``; the public chain builders still return records.  These
-checks pin the direct readings to what the records give, bit for bit.
+The public chain builders, and through them the objectives, read each rule
+as ``gain_threshold`` values; the feasibility checks read it as SINR
+margins.  These checks pin the objectives to ``chain_probability`` of the
+public chains, and the feasibility checks to margins taken from the rules'
+conditions as plain tuples, bit for bit.
 """
 
-import json
+from collections import namedtuple
 
 import pytest
 
-from cachenoma import cli
+from cachenoma import noma_full
 from cachenoma.caching import CacheCase
 from cachenoma.config import load_config, parse_config
 from cachenoma.mc import McConfig, mc_cells
 from cachenoma.noma_full import (
     BRANCH_ALPHA,
     SEMANTICS,
-    SinrCondition,
     _case_rule,
     _pair_success,
-    _success,
     branch_of,
     case_chains,
     case_objective,
     chain_probability,
     gain_threshold,
 )
-from cachenoma.noma_split import split_case_chains, split_objective_branch
+from cachenoma.noma_split import (
+    _split_rule,
+    split_case_chains,
+    split_objective_branch,
+)
 from cachenoma.optimizer import (
     _feasible_from_margins,
     case_branch_feasible,
@@ -53,51 +57,64 @@ def configs():
             yield pytest.param(scenario, split, id=f"{name}-{semantics}")
 
 
-def record_value(chains, base):
-    """p1 * p2 from the public records, through ``chain_probability``."""
-    p1, p2 = _pair_success(chains, base, chain_probability)
-    return p1 * p2
+# a decode rule's condition, read as a plain tuple
+Condition = namedtuple("Condition",
+                       "signal_coef interference_coef noise threshold")
 
 
-def record_margins(chains):
-    return [c.signal_coef - c.threshold * c.interference_coef
-            for chain in chains for c in chain]
+def chain_value(chains, base):
+    """p1 * p2 of a chain pair, through the public ``chain_probability``."""
+    v1, v2 = chains
+    return (chain_probability(v1, base.chan1, base.geom1, base.semantics)
+            * chain_probability(v2, base.chan2, base.geom2, base.semantics))
+
+
+def rule_margins(rule, *args):
+    """The SINR margins of ``rule``'s conditions, read as tuples; the
+    ``gain_threshold`` a public chain holds is None exactly where a margin
+    is <= 0."""
+    conditions = [c for chain in rule(Condition, *args) for c in chain]
+    thresholds = [gain_threshold(*c) for c in conditions]
+    margins = [c.signal_coef - c.threshold * c.interference_coef
+               for c in conditions]
+    assert [t is not None for t in thresholds] == [m > 0.0 for m in margins]
+    return margins
 
 
 @pytest.mark.parametrize("sc, split", configs())
 def test_objectives_equal_the_records_product(sc, split):
+    # the name predates threshold chains: the chains were records then
     for case in CASES:
         objective = case_objective(case, sc)
         for alpha in ALPHAS:
             for branch in BRANCH_ALPHA:
-                direct = _pair_success(
-                    _case_rule(gain_threshold, case, alpha, sc, branch), sc,
-                    _success)
-                assert direct[0] * direct[1] == record_value(
-                    case_chains(case, alpha, sc, branch), sc)
-            assert objective(alpha) == record_value(
+                chains = case_chains(case, alpha, sc, branch)
+                p1, p2 = _pair_success(chains, sc)
+                assert p1 * p2 == chain_value(chains, sc)
+            assert objective(alpha) == chain_value(
                 case_chains(case, alpha, sc, branch_of(alpha)), sc)
     for branch in BRANCH_ALPHA:
         for alpha in ALPHAS:
             for beta in BETAS:
                 assert split_objective_branch(alpha, beta, split, branch) == \
-                    record_value(split_case_chains(alpha, beta, split, branch),
-                                 split.base)
+                    chain_value(split_case_chains(alpha, beta, split, branch),
+                                split.base)
 
 
 @pytest.mark.parametrize("sc, split", configs())
 def test_feasibility_equals_the_records_margins(sc, split):
+    # the name predates threshold chains: the margins came from records then
     unit = sc.replace(power=1.0)
     for case in CASES:
         got = case_branch_feasible(case, sc)
         if case is CacheCase.A:
             want = {"full": _feasible_from_margins(
-                record_margins(case_chains(case, 0.0, unit, "low")),
-                record_margins(case_chains(case, 1.0, unit, "low")), 0.0, 1.0)}
+                rule_margins(_case_rule, case, 0.0, unit, "low"),
+                rule_margins(_case_rule, case, 1.0, unit, "low"), 0.0, 1.0)}
         else:
             want = {branch: _feasible_from_margins(
-                        record_margins(case_chains(case, x0, unit, branch)),
-                        record_margins(case_chains(case, x1, unit, branch)),
+                        rule_margins(_case_rule, case, x0, unit, branch),
+                        rule_margins(_case_rule, case, x1, unit, branch),
                         x0, x1)
                     for branch, (x0, x1) in BRANCH_ALPHA.items()}
         assert got == want, case
@@ -106,68 +123,60 @@ def test_feasibility_equals_the_records_margins(sc, split):
         for beta in BETAS:
             assert split_line_feasible(split, branch, "alpha", beta) == \
                 _feasible_from_margins(
-                    record_margins(split_case_chains(a0, beta, unit_split, branch)),
-                    record_margins(split_case_chains(a1, beta, unit_split, branch)),
+                    rule_margins(_split_rule, a0, beta, unit_split, branch),
+                    rule_margins(_split_rule, a1, beta, unit_split, branch),
                     a0, a1)
         for alpha in ALPHAS:
             if not a0 <= alpha <= a1:
                 continue
             assert split_line_feasible(split, branch, "beta", alpha) == \
                 _feasible_from_margins(
-                    record_margins(split_case_chains(alpha, 0.0, unit_split, branch)),
-                    record_margins(split_case_chains(alpha, 1.0, unit_split, branch)),
+                    rule_margins(_split_rule, alpha, 0.0, unit_split, branch),
+                    rule_margins(_split_rule, alpha, 1.0, unit_split, branch),
                     0.0, 1.0)
 
 
-@pytest.fixture
-def condition_count(monkeypatch):
-    """Number of ``SinrCondition`` constructions since the fixture started."""
-    built = [0]
-    init = SinrCondition.__init__
-
-    def counting(self, *args, **kwargs):
-        built[0] += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(SinrCondition, "__init__", counting)
-    return built
+def _unchecked(chain):
+    raise AssertionError("a built chain was checked like a hand-built one")
 
 
-@pytest.mark.parametrize("config", [None, NONINT_SCENARIO], ids=["default", "nonint"])
-def test_objectives_and_feasibility_build_no_records(config, tmp_path,
-                                                     condition_count):
-    flags = []
-    if config is not None:
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(config))
-        flags = ["--config", str(path)]
-    for argv in (["optimize", "--case", "all"],
-                 ["optimize", "--case", "split"],
-                 ["surface", "--grid", "5"],
-                 ["sweep", "--variable", "snr_db", "--values", "0,10"],
-                 ["concavity"]):
-        code = cli.main([*argv, *flags, "--out", str(tmp_path / "out.csv")])
-        # concavity exits 2 on a non-concave profile
-        assert code == 0 or argv == ["concavity"] and code == 2, argv
-        assert condition_count[0] == 0, argv
-    # validate samples the records of its cells, and still builds them
-    assert cli.main(["validate", "--samples", "10000", *flags,
-                     "--out", str(tmp_path / "out.csv")]) in (0, 2)
-    assert condition_count[0] > 0
+@pytest.mark.parametrize("sc, split", configs())
+def test_objectives_and_feasibility_check_no_chain(sc, split, monkeypatch):
+    # only hand-built chains, handed to chain_probability or mc_cells, are
+    # checked; the objectives and the feasibility checks pay nothing for it
+    monkeypatch.setattr(noma_full, "_checked_chain", _unchecked)
+    for case in CASES:
+        case_objective(case, sc)(0.3)
+        case_branch_feasible(case, sc)
+    for branch in BRANCH_ALPHA:
+        split_objective_branch(0.5, 0.5, split, branch)
+        split_line_feasible(split, branch, "beta", 0.5)
 
 
 BAD_CHAINS = [
-    pytest.param((), ValueError, "at least one condition", id="empty"),
-    pytest.param((SinrCondition(1.0, 0.0, 1.0, 1.0), (1.0, 0.0, 1.0, 1.0)),
-                 TypeError, "SinrCondition", id="not-a-record"),
+    pytest.param((), "at least one condition", id="empty"),
+    pytest.param((1.0, float("nan")), "got nan", id="nan"),
+    pytest.param((1.0, -1.0), "got -1.0", id="negative"),
+    pytest.param((None, "1.0"), "got '1.0'", id="string"),
 ]
 
 
-@pytest.mark.parametrize("chain, error, message", BAD_CHAINS)
-def test_hand_built_chains_are_checked(chain, error, message):
+@pytest.mark.parametrize("chain, message", BAD_CHAINS)
+def test_hand_built_chains_are_checked(chain, message):
     sc = load_config(None).scenario
-    with pytest.raises(error, match=message):
+    with pytest.raises(ValueError, match=message):
         chain_probability(chain, sc.chan1, sc.geom1, "product")
-    good = (SinrCondition(1.0, 0.0, 1.0, 1.0),)
-    with pytest.raises(error, match=message):
+    good = (gain_threshold(1.0, 0.0, 1.0, 1.0),)
+    with pytest.raises(ValueError, match=message):
         mc_cells([((good, chain), sc)], McConfig(samples=100))
+
+
+def test_infinite_threshold_is_never_met():
+    sc = load_config(None).scenario
+    chain = (1.0, float("inf"))
+    assert chain_probability(chain, sc.chan1, sc.geom1, "product") == 0.0
+    assert chain_probability(chain, sc.chan1, sc.geom1, "joint") == 0.0
+    for semantics in SEMANTICS:
+        [res] = mc_cells([((chain, chain), sc.replace(semantics=semantics))],
+                         McConfig(samples=100))
+        assert res.p1.value == res.p2.value == 0.0

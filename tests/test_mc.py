@@ -18,18 +18,14 @@ from cachenoma.channel import (
 from cachenoma.cli import main, run_validate
 from cachenoma.config import load_config
 from cachenoma.mc import BLOCK, McConfig, mc_case, mc_split
-from cachenoma.noma_full import (
-    FullScenario,
-    SinrCondition,
-    gain_threshold,
-)
+from cachenoma.noma_full import FullScenario, gain_threshold
 
 CHAN = DoubleNakagamiParams(m1=1.0, m2=1.0, omega1=2.0, omega2=2.0)
 GEOM = LinkGeometry(distance=1.0, pathloss_exp=2.0)
 
 
 # a chain vehicle 2 never decodes, so a one-cell call draws vehicle 1 alone
-NEVER = (SinrCondition(0.0, 0.0, 1.0, 1.0),)
+NEVER = (gain_threshold(0.0, 0.0, 1.0, 1.0),)
 
 
 def chain_estimate(chain, mode, cfg):
@@ -55,17 +51,16 @@ def test_config_validation():
 
 
 def test_single_condition_matches_survival():
-    chain = (SinrCondition(6.0, 0.0, 1.0, 1.0),)
-    cfg = McConfig(samples=200_000, seed=911, workers=2)
-    est, hw = chain_estimate(chain, "product", cfg)
     t = gain_threshold(6.0, 0.0, 1.0, 1.0)
+    cfg = McConfig(samples=200_000, seed=911, workers=2)
+    est, hw = chain_estimate((t,), "product", cfg)
     truth = survival_gain_sq(t / effective_scale(GEOM), CHAN)
     assert abs(est - truth) <= 3.0 * hw
     assert hw > 0.0
 
 
 def test_infeasible_chain_is_exact_zero():
-    chain = (SinrCondition(1.0, 2.0, 1.0, 1.0),)
+    chain = (gain_threshold(1.0, 2.0, 1.0, 1.0),)
     cfg = McConfig(samples=1000, seed=3, workers=1)
     for mode in ("joint", "product"):
         est, hw = chain_estimate(chain, mode, cfg)
@@ -75,8 +70,8 @@ def test_infeasible_chain_is_exact_zero():
 
 def test_worker_count_does_not_change_counts():
     chain = (
-        SinrCondition(7.0, 3.0, 1.0, 1.0),
-        SinrCondition(3.0, 0.0, 1.0, 1.0),
+        gain_threshold(7.0, 3.0, 1.0, 1.0),
+        gain_threshold(3.0, 0.0, 1.0, 1.0),
     )
     results = []
     for workers in (1, 4, 8):
@@ -89,7 +84,7 @@ def test_sample_count_determinism_across_modes():
     # same seed, same chain: a run is reproducible, and on a one-condition
     # chain joint and product both count the one threshold on condition
     # stream 0, so they give the same estimate
-    chain = (SinrCondition(7.0, 3.0, 1.0, 1.0),)
+    chain = (gain_threshold(7.0, 3.0, 1.0, 1.0),)
     cfg = McConfig(samples=50_000, seed=77, workers=2)
     a = chain_estimate(chain, "joint", cfg)
     b = chain_estimate(chain, "joint", cfg)
@@ -102,14 +97,14 @@ def test_sample_count_determinism_across_modes():
 def test_estimates_stay_in_unit_interval():
     cfg = McConfig(samples=2_000, seed=5, workers=1)
     for sig, thr in ((0.5, 2.0), (6.0, 1.0), (9.5, 0.1)):
-        chain = (SinrCondition(sig, 0.0, 1.0, thr),)
+        chain = (gain_threshold(sig, 0.0, 1.0, thr),)
         est, hw = chain_estimate(chain, "product", cfg)
         assert 0.0 <= est <= 1.0
         assert hw >= 0.0
 
 
 def test_half_width_scales_with_samples():
-    chain = (SinrCondition(6.0, 2.0, 1.0, 1.0),)
+    chain = (gain_threshold(6.0, 2.0, 1.0, 1.0),)
     hw = {}
     for n in (10_000, 100_000):
         cfg = McConfig(samples=n, seed=60, workers=2)
@@ -120,8 +115,8 @@ def test_half_width_scales_with_samples():
 
 def test_joint_mode_not_below_product_mode():
     chain = (
-        SinrCondition(7.0, 3.0, 1.0, 1.0),
-        SinrCondition(3.0, 0.0, 1.0, 1.0),
+        gain_threshold(7.0, 3.0, 1.0, 1.0),
+        gain_threshold(3.0, 0.0, 1.0, 1.0),
     )
     cfg = McConfig(samples=300_000, seed=2024, workers=2)
     joint, jhw = chain_estimate(chain, "joint", cfg)

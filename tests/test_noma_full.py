@@ -1,6 +1,7 @@
 """Checks for the full-file transmission cases and baselines."""
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from cachenoma.noma_full import (
     AVERAGING,
     BRANCH_ALPHA,
     FullScenario,
-    SinrCondition,
+    _case_rule,
     average_success,
     branch_of,
     case_chains,
@@ -32,6 +33,11 @@ from cachenoma.noma_full import (
 from cachenoma.config import load_config
 from cachenoma.noma_split import split_case_chains
 from cachenoma.optimizer import optimize_case
+
+
+# a decode rule's condition, read as a plain tuple
+Condition = namedtuple("Condition",
+                       "signal_coef interference_coef noise threshold")
 
 
 def default_scenario(semantics="product"):
@@ -69,10 +75,12 @@ def test_scenario_validation():
 
 def test_case_a_is_two_clean_links():
     sc = default_scenario()
-    v1, v2 = case_chains(CacheCase.A, 0.6, sc, "high")
+    v1, v2 = _case_rule(Condition, CacheCase.A, 0.6, sc, "high")
     assert len(v1) == 1 and len(v2) == 1
-    assert v1[0] == SinrCondition(6.0, 0.0, 1.0, 1.0)
-    assert v2[0] == SinrCondition(4.0, 0.0, 1.0, 1.0)
+    assert v1[0] == Condition(6.0, 0.0, 1.0, 1.0)
+    assert v2[0] == Condition(4.0, 0.0, 1.0, 1.0)
+    # the public chains hold each condition's gain threshold
+    assert case_chains(CacheCase.A, 0.6, sc, "high") == ((1.0 / 6.0,), (0.25,))
     p1, p2 = case_success(CacheCase.A, 0.6, sc)
     s1 = effective_scale(sc.geom1)
     s2 = effective_scale(sc.geom2)
@@ -83,7 +91,7 @@ def test_case_a_is_two_clean_links():
 def test_case_b_low_branch_single_condition():
     sc = default_scenario()
     alpha = 0.3
-    v1, v2 = case_chains(CacheCase.B, alpha, sc, "low")
+    v1, v2 = _case_rule(Condition, CacheCase.B, alpha, sc, "low")
     assert len(v1) == 1  # vehicle 1 cancels the interferer
     assert len(v2) == 1  # weak component decoded directly
     c = v2[0]
@@ -94,7 +102,7 @@ def test_case_b_low_branch_single_condition():
 
 def test_case_b_high_branch_strips_first():
     sc = default_scenario()
-    v1, v2 = case_chains(CacheCase.B, 0.8, sc, "high")
+    v1, v2 = _case_rule(Condition, CacheCase.B, 0.8, sc, "high")
     assert len(v1) == 1
     assert len(v2) == 2
     first, second = v2
@@ -218,13 +226,10 @@ def test_zero_power_share_kills_success():
 
 def test_chain_probability_semantics():
     sc = default_scenario()
-    chain = (
-        SinrCondition(8.0, 2.0, 1.0, 1.0),
-        SinrCondition(2.0, 0.0, 1.0, 1.0),
-    )
-    s = effective_scale(sc.geom1)
     t1 = gain_threshold(8.0, 2.0, 1.0, 1.0)
     t2 = gain_threshold(2.0, 0.0, 1.0, 1.0)
+    chain = (t1, t2)
+    s = effective_scale(sc.geom1)
     product = chain_probability(chain, sc.chan1, sc.geom1, "product")
     joint = chain_probability(chain, sc.chan1, sc.geom1, "joint")
     want_product = (survival_gain_sq(t1 / s, sc.chan1)
@@ -245,7 +250,8 @@ def test_joint_never_below_product():
         for _ in range(n):
             sig = float(rng.uniform(0.5, 10.0))
             inter = float(rng.uniform(0.0, 0.4)) * sig
-            conds.append(SinrCondition(sig, inter, 1.0, float(rng.uniform(0.2, 2.0))))
+            conds.append(gain_threshold(sig, inter, 1.0,
+                                        float(rng.uniform(0.2, 2.0))))
         chain = tuple(conds)
         joint = chain_probability(chain, sc.chan1, sc.geom1, "joint")
         product = chain_probability(chain, sc.chan1, sc.geom1, "product")
@@ -278,7 +284,7 @@ def test_joint_never_below_product_on_built_chains():
 
 def test_infeasible_chain_probability_is_zero():
     sc = default_scenario()
-    chain = (SinrCondition(1.0, 3.0, 1.0, 1.0),)
+    chain = (gain_threshold(1.0, 3.0, 1.0, 1.0),)
     assert chain_probability(chain, sc.chan1, sc.geom1, "product") == 0.0
     assert chain_probability(chain, sc.chan1, sc.geom1, "joint") == 0.0
 

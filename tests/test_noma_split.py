@@ -1,6 +1,7 @@
 """Checks for the two-part split transmission objective."""
 
 import math
+from collections import namedtuple
 
 import pytest
 
@@ -13,10 +14,16 @@ from cachenoma.noma_full import (
 )
 from cachenoma.noma_split import (
     SplitScenario,
+    _split_rule,
     split_case_chains,
     split_objective_branch,
 )
 from cachenoma.optimizer import optimize_split
+
+
+# a decode rule's condition, read as a plain tuple
+Condition = namedtuple("Condition",
+                       "signal_coef interference_coef noise threshold")
 
 
 def default_split(semantics="product"):
@@ -61,7 +68,7 @@ def test_high_branch_coefficients():
     sc = default_split()
     p = sc.base.power
     a, b = 0.8, 0.4
-    v1, v2 = split_case_chains(a, b, sc, "high")
+    v1, v2 = _split_rule(Condition, a, b, sc, "high")
     assert len(v1) == 2
     assert len(v2) == 3
     c11, c12 = v1
@@ -83,7 +90,7 @@ def test_low_branch_coefficients():
     sc = default_split()
     p = sc.base.power
     a, b = 0.3, 0.6
-    v1, v2 = split_case_chains(a, b, sc, "low")
+    v1, v2 = _split_rule(Condition, a, b, sc, "low")
     assert len(v1) == 3
     assert len(v2) == 2
     strip, part1, part2 = v1
@@ -153,7 +160,7 @@ def test_extreme_alpha_gives_zero():
 
 def test_alpha_zero_strip_condition_is_clean():
     sc = default_split()
-    v1, _ = split_case_chains(0.0, 0.4, sc, "low")
+    v1, _ = _split_rule(Condition, 0.0, 0.4, sc, "low")
     strip = v1[0]
     assert strip.signal_coef == pytest.approx(0.6 * sc.base.power)
     assert strip.interference_coef == 0.0

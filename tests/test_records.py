@@ -8,7 +8,7 @@ from cachenoma.caching import Catalog
 from cachenoma.channel import DoubleNakagamiParams, LinkGeometry
 from cachenoma.config import ScenarioConfig, load_config
 from cachenoma.mc import McCaseResult, McConfig, McEstimate
-from cachenoma.noma_full import FullScenario, SinrCondition
+from cachenoma.noma_full import FullScenario
 from cachenoma.noma_split import SplitScenario
 from cachenoma.optimizer import OptResult
 
@@ -16,15 +16,12 @@ CAT = Catalog(5, 0.5, 1)
 CHAN = DoubleNakagamiParams(1.0, 2.0, 2.0, 1.5)
 GEOM = LinkGeometry(0.5, 2.0)
 FULL = FullScenario(10.0, 1.0, 0.5, 1.0, 2.0, CHAN, CHAN, GEOM, GEOM, "joint")
-COND = SinrCondition(1.0, 0.5, 1.0, 0.25)
 SPLIT = SplitScenario(FULL, 0.25, 0.5, 0.125, 0.75)
 EST = McEstimate(0.5, 0.01)
 
 # reprs recorded from the frozen dataclasses these classes replaced
 CHAN_REPR = "DoubleNakagamiParams(m1=1.0, m2=2.0, omega1=2.0, omega2=1.5)"
 GEOM_REPR = "LinkGeometry(distance=0.5, pathloss_exp=2.0)"
-COND_REPR = ("SinrCondition(signal_coef=1.0, interference_coef=0.5, noise=1.0, "
-             "threshold=0.25)")
 FULL_REPR = (f"FullScenario(power=10.0, sigma1_sq=1.0, sigma2_sq=0.5, gamma1=1.0, "
              f"gamma2=2.0, chan1={CHAN_REPR}, chan2={CHAN_REPR}, "
              f"geom1={GEOM_REPR}, geom2={GEOM_REPR}, semantics='joint')")
@@ -39,7 +36,6 @@ RECORDS = [
     (LinkGeometry, (0.5, 2.0), GEOM_REPR, {}),
     (FullScenario, (10.0, 1.0, 0.5, 1.0, 2.0, CHAN, CHAN, GEOM, GEOM, "joint"),
      FULL_REPR, {"semantics": "product"}),
-    (SinrCondition, (1.0, 0.5, 1.0, 0.25), COND_REPR, {}),
     (SplitScenario, (FULL, 0.25, 0.5, 0.125, 0.75), SPLIT_REPR, {}),
     (ScenarioConfig, (SPLIT, CAT, "full"),
      f"ScenarioConfig(split={SPLIT_REPR}, catalog=Catalog(num_files=5, "
