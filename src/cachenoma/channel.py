@@ -38,7 +38,7 @@ __all__ = [
 MAX_SHAPE = 100
 
 # (x, m1, m2, rate) -> (P(W <= x), P(W > x)) for the last 2048 distinct
-# arguments, about 300 bytes each: a command's thresholds repeat (226 of 368
+# arguments, about 300 bytes each: a command's thresholds repeat (226 of 376
 # survival calls are distinct on a zeta sweep, 1150 of 1436 on a surface)
 _cdf_sf = functools.lru_cache(maxsize=2048)(_kernels_py._cdf_sf)
 

@@ -33,6 +33,10 @@ objectives, makes a gain threshold of each condition, and the optimizer's
 feasibility check a SINR margin.  A chain is thus a tuple of gain
 thresholds, None where a condition is impossible; ``chain_probability`` and
 ``mc.mc_cells`` check hand-built ones.
+
+Self hits, common requests and the orthogonal (OMA) baseline send one file
+alone at full power.  Each vehicle that decodes it has a one-threshold
+chain, read by the same reader as the cases' chains.
 """
 import math
 
@@ -55,7 +59,6 @@ __all__ = [
     "case_success",
     "oma_success",
     "case_objective",
-    "single_user_success",
     "average_success",
     "oma_average_success",
 ]
@@ -90,10 +93,10 @@ def gain_threshold(signal_coef, interference_coef, noise, threshold):
     """Smallest g^2 satisfying the SINR condition, or None when impossible.
 
     S g^2 / (I g^2 + N) > t  <=>  g^2 (S - t I) > t N, solvable only when
-    S > t I.
+    S > t I.  An infinite threshold t is never met, so it gives None too.
     """
     margin = signal_coef - threshold * interference_coef
-    if margin <= 0.0:
+    if not margin > 0.0:  # nan where t = inf meets I = 0
         return None
     return threshold * noise / margin
 
@@ -217,14 +220,22 @@ def case_success(case: CacheCase, alpha: float, sc: FullScenario):
     return _pair_success(case_chains(case, alpha, sc, branch_of(alpha)), sc)
 
 
+def _alone_success(sc: FullScenario, gamma1, gamma2):
+    """Success probabilities (p1, p2) of one file sent alone at full power,
+    decoded at threshold gamma1 on link 1 and gamma2 on link 2."""
+    return _pair_success(((gain_threshold(sc.power, 0.0, sc.sigma1_sq, gamma1),),
+                          (gain_threshold(sc.power, 0.0, sc.sigma2_sq, gamma2),)),
+                         sc)
+
+
 def oma_success(sc: FullScenario):
     """Orthogonal baseline: half the resource, full power, per vehicle.
 
     Halving the resource doubles the spectral-efficiency requirement, so the
     rate-equivalent SINR threshold is (1 + gamma)^2 - 1.
     """
-    return (single_user_success(sc, 1, _oma_threshold(sc.gamma1)),
-            single_user_success(sc, 2, _oma_threshold(sc.gamma2)))
+    return _alone_success(sc, _oma_threshold(sc.gamma1),
+                          _oma_threshold(sc.gamma2))
 
 
 def _oma_threshold(gamma):
@@ -245,43 +256,24 @@ def case_objective(case: CacheCase, sc: FullScenario):
     return objective
 
 
-def single_user_success(sc: FullScenario, link: int, gamma) -> float:
-    """Full-power single-file transmission to one vehicle."""
-    if link == 1:
-        chan, geom, sigma = sc.chan1, sc.geom1, sc.sigma1_sq
-    elif link == 2:
-        chan, geom, sigma = sc.chan2, sc.geom2, sc.sigma2_sq
-    else:
-        raise ValueError(f"link must be 1 or 2, got {link!r}")
-    s = effective_scale(geom)
-    return survival_gain_sq(gamma * sigma / sc.power / s, chan)
-
-
-def _degenerate_value(case: CacheCase, sc: FullScenario):
-    """Joint success of the tags that need no power-split optimization."""
-    if case is CacheCase.SELF_HIT_BOTH:
-        # Nothing to transmit; both requests already served.
-        return 1.0
-    if case is CacheCase.SELF_HIT_1:
-        # Only file 2 goes out, at full power.
-        return single_user_success(sc, 2, sc.gamma2)
-    if case is CacheCase.SELF_HIT_2:
-        return single_user_success(sc, 1, sc.gamma1)
-    if case is CacheCase.COMMON_REQUEST:
-        # One broadcast at full power; each vehicle decodes it on its own
-        # link against the first file's threshold.
-        return (single_user_success(sc, 1, sc.gamma1)
-                * single_user_success(sc, 2, sc.gamma1))
-    return None
-
-
 AVERAGING = ("full", "cases_only")
 
 
 def _average(sc: FullScenario, catalog, averaging: str, pair_value) -> float:
-    """Tag-mass average; ``pair_value(case)`` values the cases A-D."""
+    """Tag-mass average; ``pair_value(case)`` values the cases A-D.
+
+    A self hit sends the other vehicle its file alone, a common request one
+    file that both decode at gamma1, a double self hit nothing.  A tag is
+    valued only when it carries mass and is kept."""
     if averaging not in AVERAGING:
         raise ValueError(f"averaging must be one of {AVERAGING}, got {averaging!r}")
+    alone = {
+        CacheCase.SELF_HIT_1: lambda: _alone_success(sc, sc.gamma1, sc.gamma2)[1],
+        CacheCase.SELF_HIT_2: lambda: _alone_success(sc, sc.gamma1, sc.gamma2)[0],
+        CacheCase.SELF_HIT_BOTH: lambda: 1.0,
+        CacheCase.COMMON_REQUEST:
+            lambda: math.prod(_alone_success(sc, sc.gamma1, sc.gamma1)),
+    }
     dist = case_distribution(catalog)
     total = 0.0
     for case, mass in dist.items():
@@ -289,9 +281,7 @@ def _average(sc: FullScenario, catalog, averaging: str, pair_value) -> float:
             continue
         if averaging == "cases_only" and case is CacheCase.COMMON_REQUEST:
             continue
-        value = _degenerate_value(case, sc)
-        if value is None:
-            value = pair_value(case)
+        value = alone[case]() if case in alone else pair_value(case)
         total += mass * value
     if averaging == "cases_only":
         kept = 1.0 - dist[CacheCase.COMMON_REQUEST]

@@ -18,7 +18,12 @@ import numpy as np
 import pytest
 
 from cachenoma.caching import CacheCase, Catalog, zipf_popularity
-from cachenoma.channel import DoubleNakagamiParams, cdf_gain_sq
+from cachenoma.channel import (
+    DoubleNakagamiParams,
+    cdf_gain_sq,
+    effective_scale,
+    survival_gain_sq,
+)
 from cachenoma.cli import main, run_validate
 from cachenoma.config import load_config
 from cachenoma.noma_full import (
@@ -26,7 +31,6 @@ from cachenoma.noma_full import (
     branch_of,
     case_objective,
     oma_average_success,
-    single_user_success,
 )
 from cachenoma.noma_split import split_objective_branch
 from cachenoma.optimizer import (
@@ -173,8 +177,11 @@ def test_criterion_4_cacheless_equals_conventional(capsys):
     # independent route: request-pair mass times closed-form values
     q = np.asarray(zipf_popularity(empty))
     p_common = float(np.sum(q * q))
-    common_value = (single_user_success(sc, 1, sc.gamma1)
-                    * single_user_success(sc, 2, sc.gamma1))
+    common_value = (
+        survival_gain_sq(sc.gamma1 * sc.sigma1_sq / sc.power
+                         / effective_scale(sc.geom1), sc.chan1)
+        * survival_gain_sq(sc.gamma1 * sc.sigma2_sq / sc.power
+                           / effective_scale(sc.geom2), sc.chan2))
     conventional = optimize_case(CacheCase.D, sc).value
     route_b = p_common * common_value + (1.0 - p_common) * conventional
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cachenoma import _kernels_py, channel, cli, mc
+from cachenoma import _kernels_py, channel, cli, mc, optimizer
 from cachenoma.caching import MAX_FILES, Catalog
 from cachenoma.cli import SWEEP_VARIABLES, main, run_sweep, sweep_values
 from cachenoma.config import load_config
@@ -470,6 +470,30 @@ def test_concavity_grid_floor(tmp_path):
     assert code == 1
 
 
+def test_concavity_exits_two_on_a_non_concave_branch(tmp_path, capsys,
+                                                     monkeypatch):
+    # no second difference lies below -inf, so every branch fails the check
+    monkeypatch.setattr(optimizer, "_CONCAVE_TOL", -math.inf)
+    code, text = run_cli(tmp_path, "concavity", "--case", "a", "--grid", "11")
+    assert code == 2
+    assert "case=A branch=full concave=false" in capsys.readouterr().err
+    assert len(rows_of(text)) == 12
+
+
+def test_concavity_skips_an_infeasible_branch(tmp_path, capsys):
+    # gamma1 / (1 + gamma1) rounds to 1.0: no alpha above 0.5 decodes file 2
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"gamma1": 1e17}))
+    code, text = run_cli(tmp_path, "concavity", "--case", "d", "--grid", "11",
+                         "--config", str(cfg))
+    assert code == 0
+    body = rows_of(text)[1:]
+    assert len(body) == 11 and all(r[:2] == ["D", "low"] for r in body)
+    verdicts = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("case=")]
+    assert len(verdicts) == 1 and verdicts[0].startswith("case=D branch=low ")
+
+
 def test_config_file_flows_through(tmp_path):
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps({"snr_db": 14.0}))
@@ -506,7 +530,8 @@ def test_bad_config_exits_one(tmp_path, capsys):
                       ({"snr_db": 4000}, "snr_db"), ({"snr_db": -4000}, "snr_db"),
                       # shapes past channel.MAX_SHAPE; 1e308 once overflowed lgamma
                       ({"chan1": {"m1": 1e308}}, "chan1: m1"),
-                      ({"chan1": {"m1": 1e6}}, "chan1: m1")):
+                      ({"chan1": {"m1": 1e6}}, "chan1: m1"),
+                      ([1, 2], "top level must be a JSON object")):
         cfg.write_text(json.dumps(data))
         capsys.readouterr()
         code, _ = run_cli(tmp_path, "optimize", "--config", str(cfg))
@@ -519,6 +544,18 @@ def test_bad_config_exits_one(tmp_path, capsys):
         assert "snr_db" in capsys.readouterr().err
 
 
+def test_cases_only_sweep_with_no_distinct_request_pair(tmp_path):
+    # one file: every request pair is a common request, which cases_only drops
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"averaging": "cases_only",
+                               "catalog": {"files": 1, "zeta": 0.5,
+                                           "cache_size": 0}}))
+    code, text = run_cli(tmp_path, "sweep", "--variable", "zeta",
+                         "--values", "0,0.5", "--config", str(cfg))
+    assert code == 0
+    assert rows_of(text)[1:] == [["0", "0", "0", "0"], ["0.5", "0", "0", "0"]]
+
+
 def test_overflowing_threshold_is_never_met(tmp_path):
     # a gain threshold that overflows to inf has success probability 0
     cfg = tmp_path / "scenario.json"
@@ -528,6 +565,8 @@ def test_overflowing_threshold_is_never_met(tmp_path):
              {"gamma1": 1e300, "snr_db": -100}),
             (("sweep", "--variable", "zeta", "--values", "0.5"), {"gamma1": 1e300}),
             (("sweep", "--variable", "zeta", "--values", "0.5"), {"gamma2": 1e200}),
+            # the OMA threshold (1 + gamma1)^2 - 1 overflows to inf
+            (("sweep", "--variable", "snr_db", "--values=-10,10"), {"gamma1": 1e200}),
             # threshold times rate overflows in the Bessel-K sum
             (("optimize", "--case", "d"),
              {"chan1": {"omega1": 1e-100, "omega2": 1e-100}, "dist1": 1e100})):

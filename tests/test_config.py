@@ -103,6 +103,8 @@ def test_value_range_checks():
                       ({"catalog": {"files": 5, "zeta": 0.5, "cache_size": 9}},
                        "catalog.cache_size"),
                       ({"catalog": {"files": 0}}, "catalog.files"),
+                      ({"catalog": {"zeta": -1}}, "catalog.zeta"),
+                      ({"pathloss_exp": -1}, "pathloss_exp"),
                       ({"catalog": {"files": MAX_FILES + 1}}, "catalog.files"),
                       ({"catalog": {"files": 10 ** 300}}, "catalog.files"),
                       # 10 ** (snr_db / 10) overflows, or underflows to zero

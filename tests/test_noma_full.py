@@ -27,7 +27,6 @@ from cachenoma.noma_full import (
     gain_threshold,
     oma_average_success,
     oma_success,
-    single_user_success,
     _check_branch,
 )
 from cachenoma.config import load_config
@@ -61,6 +60,9 @@ def test_gain_threshold_examples():
     assert gain_threshold(5.0, 5.0, 1.0, 1.0) is None
     assert math.isclose(gain_threshold(5.0, 2.0, 1.0, 1.0), 1.0 / 3.0, rel_tol=1e-15)
     assert gain_threshold(1.0, 3.0, 1.0, 0.5) is None
+    # an infinite threshold is never met; inf * 0.0 is nan, not a margin
+    assert gain_threshold(1.0, 0.0, 1.0, math.inf) is None
+    assert gain_threshold(1.0, 2.0, 1.0, math.inf) is None
 
 
 def test_scenario_validation():
@@ -311,15 +313,30 @@ def test_oma_threshold_mapping():
     # gamma = 1 doubles to an equivalent threshold of 3
     assert math.isclose(p1, survival_gain_sq(3.0 / 10.0 / s1, sc.chan1), rel_tol=1e-12)
     assert math.isclose(p2, survival_gain_sq(3.0 / 10.0 / s2, sc.chan2), rel_tol=1e-12)
+    # (1 + gamma1)^2 - 1 overflows: link 1 is never served, link 2 as before
+    assert oma_success(sc.replace(gamma1=1e200)) == (0.0, p2)
+
+
+def never_called(case, scenario):
+    raise AssertionError("no split cases should remain")
 
 
 def test_single_user_success_values():
-    sc = default_scenario()
+    # a file sent alone at full power: a self hit decodes it at the
+    # requester's own threshold, OMA at (1 + gamma)^2 - 1
+    sc = default_scenario().replace(gamma1=2.0, gamma2=0.5)
     s1 = effective_scale(sc.geom1)
-    got = single_user_success(sc, 1, 2.0)
-    assert math.isclose(got, survival_gain_sq(2.0 / 10.0 / s1, sc.chan1), rel_tol=1e-12)
-    with pytest.raises(ValueError):
-        single_user_success(sc, 3, 1.0)
+    s2 = effective_scale(sc.geom2)
+    # two files, one cached: every distinct request pair is a self hit
+    cat = Catalog(num_files=2, zeta=0.5, cache_size=1)
+    got = average_success(sc, cat, never_called, averaging="cases_only")
+    expected = (survival_gain_sq(2.0 / 10.0 / s1, sc.chan1)
+                + survival_gain_sq(0.5 / 10.0 / s2, sc.chan2)) / 2.0
+    assert math.isclose(got, expected, rel_tol=1e-12)
+    o1, o2 = oma_success(sc)
+    assert math.isclose(o1, survival_gain_sq(8.0 / 10.0 / s1, sc.chan1), rel_tol=1e-12)
+    assert math.isclose(o2, survival_gain_sq(1.25 / 10.0 / s2, sc.chan2),
+                        rel_tol=1e-12)
 
 
 def test_case_objective_matches_success_product():
@@ -350,14 +367,10 @@ def test_average_success_full_cache():
     from cachenoma.caching import case_distribution
 
     dist = case_distribution(cat)
-    common = (single_user_success(sc, 1, sc.gamma1)
-              * single_user_success(sc, 2, sc.gamma1))
+    common = (survival_gain_sq(1.0 / 10.0 / effective_scale(sc.geom1), sc.chan1)
+              * survival_gain_sq(1.0 / 10.0 / effective_scale(sc.geom2), sc.chan2))
     expected = (dist[CacheCase.SELF_HIT_BOTH] * 1.0
                 + dist[CacheCase.COMMON_REQUEST] * common)
-
-    def never_called(case, scenario):
-        raise AssertionError("no split cases should remain")
-
     got = average_success(sc, cat, never_called)
     assert math.isclose(got, expected, rel_tol=1e-12)
 
@@ -374,6 +387,10 @@ def test_average_success_cases_only_renormalizes():
     assert 0.0 < full < 1.0
     assert 0.0 < conditioned < 1.0
     assert not math.isclose(full, conditioned, rel_tol=1e-6)
+    # one file: all mass sits on the common request, which cases_only drops
+    one = Catalog(num_files=1, zeta=0.5, cache_size=0)
+    assert average_success(sc, one, never_called, averaging="cases_only") == 0.0
+    assert oma_average_success(sc, one, averaging="cases_only") == 0.0
     with pytest.raises(ValueError):
         average_success(sc, cat, opt, averaging="sometimes")
     with pytest.raises(ValueError):
