@@ -32,9 +32,10 @@ __all__ = [
 # Largest hop shape m.  A survival call runs Bessel-K recurrences up to the
 # order |m1 - m2|, or incomplete gamma sums that lengthen with the shapes,
 # so its cost grows with them: at an SNR of -20 dB, ``optimize --case
-# split`` takes about 0.6 s on a 2-vCPU VM at shapes (100, 0.75) on both
-# links, 1.4 s at (99.5, 0.75), where the Gauss-Hermite rules take every
-# survival value the series refuses, and 4.4 s at (999.5, 0.75).
+# split`` takes about 0.3 s on a 2-vCPU VM at shapes (100, 0.75) on both
+# links, 0.9 s at (99.5, 0.75), where the trapezoidal rule takes every
+# survival value the series refuses (1.0 s with the Gauss-Hermite rules
+# before it), and 3.9 s at (999.5, 0.75).
 MAX_SHAPE = 100
 
 # (x, m1, m2, rate) -> (P(W <= x), P(W > x)) for the last 2048 distinct

@@ -82,13 +82,18 @@ ORACLE_SHAPES = (
 
 # (m1, m2, c) of ORACLE_SF just below the mean of two close shapes, where
 # the kernels' 24- and 16-point Gauss-Hermite rules on the cdf average
-# disagree: the 32-point rule holds at the last six, and the survival
-# average takes the first
+# disagree (the trapezoidal rule holds all seven)
 BELOW_THE_MEAN = (
     ("2.99", "2.99", 8.0), ("7.25", "7.75", 30.0), ("12.5", "12.5", 120.0),
     ("3.3", "7.7", 15.0),
     ("16.5", "16.25", 220.0), ("18.5", "18.25", 320.0), ("15.5", "14.5", 190.0),
 )
+
+
+# c of ORACLE_SF where the series refuses the two hops of the
+# surface-nonint benchmark, (1.5, 2.5) and (0.75, 1.25), and the
+# trapezoidal rule keeps their survival values
+SURFACE_BAND = (9, 12, 17, 25, 50, 200)
 
 
 def oracle_points(m1, m2):
@@ -156,6 +161,9 @@ def main():
             emit(f"({m1}, {m2}, {c!r})", sf_oracle(c, m1, m2))
     for m1, m2, c in BELOW_THE_MEAN:
         emit(f"({m1}, {m2}, {c!r})", sf_oracle(c, m1, m2))
+    for m1, m2 in (("1.5", "2.5"), ("0.75", "1.25")):
+        for c in SURFACE_BAND:
+            emit(f"({m1}, {m2}, {float(c)!r})", sf_unit(c, m1, m2))
 
     half = mp.mpf("0.5")
     emit("CDF_HALF_AT_1", cdf_w(1, half, half, mp.mpf(1), mp.mpf(1)))

@@ -617,7 +617,8 @@ def test_huge_rate_gives_zero_with_non_integer_shapes(tmp_path, scenario):
 def test_numerical_error_exits_three_with_best_estimate(tmp_path, capsys,
                                                         monkeypatch):
     # with no relative tolerance, every error check of the non-integer
-    # routes refuses, both Gauss-Hermite averages' included
+    # routes refuses, the trapezoidal rule's and the Gauss-Hermite rules'
+    # included
     monkeypatch.setattr(_kernels_py, "_REL_TOL", 0.0)
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps({"chan1": {"m1": 30.5, "m2": 40.25},

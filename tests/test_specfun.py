@@ -95,13 +95,19 @@ def test_bessel_rejects_bad_arguments():
 
 
 def test_quadrature_budget_exhaustion_reports_best_estimate(monkeypatch):
-    # with no relative tolerance, every error check refuses: the series'
-    # and both Gauss-Hermite averages'.  The shapes are so large that the
-    # series cancels at this c below the mean, and the error carries the
-    # Gauss-Hermite estimate of the cdf
+    # with no relative tolerance, every error check refuses.  The shapes are
+    # so large that the series cancels at these c.  Below the mean the
+    # trapezoidal rule refuses before any node runs, and the error carries
+    # the Gauss-Hermite estimate of the cdf; above it, the trapezoidal
+    # rule's estimate of the survival value, with its error bound
     monkeypatch.setattr(_kernels_py, "_REL_TOL", 0.0)
-    with pytest.raises(QuadratureAccuracyError) as exc_info:
-        _kernels_py._cdf_sf(600.0, 30.5, 40.25, 1.5)[0]
-    err = exc_info.value
-    assert 0.0 < err.best_estimate < 1.0
-    assert err.error_estimate > 0.0
+    for x, route, want in ((600.0, "_hermite_cdf_sf", None),
+                           (1200.0, "_trapezoid_cdf_sf", 0.04051)):
+        with pytest.raises(QuadratureAccuracyError) as exc_info:
+            _kernels_py._cdf_sf(x, 30.5, 40.25, 1.5)
+        err = exc_info.value
+        assert route in str(err), str(err)
+        assert 0.0 < err.best_estimate < 1.0
+        assert err.error_estimate > 0.0
+        if want is not None:
+            assert abs(err.best_estimate - want) <= 1e-4, err.best_estimate
