@@ -76,7 +76,7 @@ _PASS_CI_FACTOR = 3.0
 # Largest sizes.  An objective point costs 40-120 us and a held row about
 # 100 bytes on a 2-vCPU machine, so each grid bound keeps a run near 500 000
 # rows (a minute, 50 MB): ``surface`` evaluates 2 N^2 points, ``concavity``
-# at most 7 N.  A sweep step costs 1-10 ms at the default shapes.  A
+# at most 7 N.  A sweep step costs 0.3-3 ms at the default shapes.  A
 # ``validate`` sample costs about 170 ns over its six streams at the default
 # shapes and 520 ns at the non-integer surface-nonint shapes (one worker), so
 # ``mc.MAX_SAMPLES`` keeps a default run near a minute.

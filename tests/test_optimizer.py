@@ -14,7 +14,7 @@ from cachenoma.config import load_config, parse_config
 from cachenoma.noma_full import FullScenario, case_objective
 from cachenoma.noma_split import SplitScenario, split_objective_branch
 from cachenoma.optimizer import (
-    _golden_section,
+    _brent,
     _interior,
     case_branch_feasible,
     check_concavity,
@@ -35,40 +35,59 @@ def scaled_scenario(scale=1.0):
 
 
 def test_maximize_quadratic():
-    x, v, evals = _golden_section(lambda x: -(x - 0.3) ** 2, 0.0, 1.0)
+    x, v, evals = _brent(lambda x: -(x - 0.3) ** 2, 0.0, 1.0)
     assert abs(x - 0.3) <= 1e-6
     assert v <= 0.0
     assert evals > 0
 
 
 def test_maximize_endpoint_optimum():
-    x, v, _ = _golden_section(lambda x: x, 0.0, 1.0)
+    x, v, _ = _brent(lambda x: x, 0.0, 1.0)
     assert abs(x - 1.0) <= 1e-6
     assert v >= 1.0 - 1e-9
 
 
 def test_maximize_constant():
-    x, v, _ = _golden_section(lambda x: 2.5, 0.2, 0.8)
+    x, v, _ = _brent(lambda x: 2.5, 0.2, 0.8)
     assert v == 2.5
     assert 0.2 <= x <= 0.8
 
 
-def test_maximize_random_concave_quadratics():
+def random_concave_quadratics():
     rng = np.random.default_rng(808)
     for _ in range(50):
         c = float(rng.uniform(0.1, 0.9))
         k = float(rng.uniform(0.5, 20.0))
         d = float(rng.uniform(-2.0, 2.0))
-        f = lambda x, c=c, k=k, d=d: -k * (x - c) ** 2 + d
-        x, v, _ = _golden_section(f, 0.0, 1.0)
+        yield c, lambda x, c=c, k=k, d=d: -k * (x - c) ** 2 + d
+
+
+def test_maximize_random_concave_quadratics():
+    for c, f in random_concave_quadratics():
+        x, v, _ = _brent(f, 0.0, 1.0)
         grid_best = max(f(x) for x in np.linspace(0.0, 1.0, 1001))
         assert v >= grid_best - 1e-9
         assert abs(x - c) <= 1e-5
 
 
+def test_maximize_quadratics_takes_parabolic_steps():
+    # golden section alone needs about 30 evaluations to shrink [0, 1] to
+    # _TOL; a parabola through three points of a quadratic is exact
+    for c, f in random_concave_quadratics():
+        _, _, evals = _brent(f, 0.0, 1.0)
+        assert evals <= 15, c
+
+
+def test_maximize_tent_by_golden_steps():
+    # parabolas fit a kink badly, so the golden steps must carry the search
+    x, v, _ = _brent(lambda x: 1.0 - abs(x - 0.3), 0.0, 1.0)
+    assert abs(x - 0.3) <= 1e-6
+    assert v >= 1.0 - 1e-6
+
+
 def test_maximize_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        _golden_section(lambda x: math.nan, 0.0, 1.0)
+        _brent(lambda x: math.nan, 0.0, 1.0)
 
 
 def test_optimize_cases_beat_dense_grids():
@@ -97,7 +116,7 @@ def test_optimize_case_searches_only_feasible_intervals():
     sc = parse_config({"gamma1": 0.8, "gamma2": 2.0}).scenario
     assert case_branch_feasible(CacheCase.B, sc) == {
         "high": (0.5, 1.0), "low": (0.0, 1.0 / 3.0)}
-    assert optimize_case(CacheCase.B, sc).evaluations == 117
+    assert optimize_case(CacheCase.B, sc).evaluations == 38
 
 
 HOPELESS = {"gamma1": 1e308, "gamma2": 1e308}
@@ -112,7 +131,7 @@ def test_optimize_case_at_huge_thresholds(tmp_path):
     out = tmp_path / "out.csv"
     assert main(["optimize", "--config", str(path), "--out", str(out)]) == 0
     assert out.read_text().splitlines()[2:] == [
-        f"{case},low,0,,0,33" for case in "BCD"]
+        f"{case},low,0,,0,9" for case in "BCD"]
 
 
 def test_optimize_case_branch_labels():
@@ -125,7 +144,7 @@ def test_optimize_case_branch_labels():
 
 def test_optimize_coarse_grid_invariance(monkeypatch):
     sc = scaled_scenario()
-    assert optimizer._CASE_COARSE == 33
+    assert optimizer._CASE_COARSE == 9
     base = optimize_case(CacheCase.B, sc)
     monkeypatch.setattr(optimizer, "_CASE_COARSE", 65)
     finer = optimize_case(CacheCase.B, sc)
@@ -299,9 +318,9 @@ def test_coarse_scan_keeps_first_of_tied_maxima():
     assert optimizer._argmax(vs) == int(np.argmax(vs)) == 1
     with_nan = [0.0, 3.0, math.nan, 3.0, math.nan]
     assert optimizer._argmax(with_nan) == int(np.argmax(with_nan)) == 2
-    # peaks of equal height at grid points 8 and 24 of the 33-point scan:
+    # peaks of equal height at grid points 2 and 6 of the 9-point scan:
     # the search refines around the first
     f = lambda x: 1.0 - min(abs(x - 0.25), abs(x - 0.75))
-    x, v, _ = optimizer._coarse_then_golden(f, 0.0, 1.0, 33)
+    x, v, _ = optimizer._scan_then_brent(f, 0.0, 1.0, 9)
     assert abs(x - 0.25) <= 1e-6
     assert v == 1.0
